@@ -34,7 +34,7 @@ Config schema (JSON)::
 infinity).  ``p`` accepts a number or the string ``"inf"``.  ``signal.kind``
 is ``bandlimited`` (needs ``omega``) or ``powerdecay`` (needs ``nu``); both
 need ``seed``.  ``noise`` is optional for ``recover``, required for
-``robustness``.
+``robustness``.  Every number must be finite.
 
 Tap exports: ``taps_n<k>.txt`` (two columns: t, k(t), one header comment
 line) and ``taps_n<k>.f64`` (flat little-endian float64, t = -T..T).
@@ -146,7 +146,7 @@ def _require(mapping: dict, key: str, kind, where: str):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{where}.{key}: expected a number, "
                               f"got {value!r}")
-        return float(value)
+        return _finite(value, f"{where}.{key}")
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{where}.{key}: expected an integer, "
@@ -155,13 +155,26 @@ def _require(mapping: dict, key: str, kind, where: str):
     return value
 
 
+def _finite(value: int | float, field: str) -> float:
+    # json.load accepts NaN and Infinity, and an integer literal can
+    # overflow a float.
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{field}: expected a finite number, "
+                          f"got {value!r}")
+    return number
+
+
 def _parse_p(raw, where: str) -> float:
     if raw == "inf":
         return math.inf
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ConfigError(f'{where}.p: expected a number or "inf", '
                           f"got {raw!r}")
-    return float(raw)
+    return _finite(raw, f"{where}.p")
 
 
 def _parse_weight(raw: dict) -> WeightSpec:
@@ -177,6 +190,8 @@ def _parse_weight(raw: dict) -> WeightSpec:
                 _parse_p(raw.get("p", "inf"), "weight"))
         if family == "direct":
             return make_direct_weight(nu)
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(f"weight: {exc}") from exc
     raise ConfigError(f"weight.family: unknown family {family!r}")
@@ -355,10 +370,12 @@ def cmd_robustness(args) -> int:
         raise ConfigError("noise: required for robustness")
     out = _resolve_out(args, config, "robustness")
     rows = _run_sweep(config, _threads(args))
+    # A NaN error or bound compares false both ways; it counts as a
+    # violation, never as a pass.
     violations = sum(
         1 for r, _ in rows
         if r.abs_error is not None and r.robust_bound is not None
-        and r.abs_error > r.robust_bound)
+        and not r.abs_error <= r.robust_bound)
     _write_reports_csv(out, config, rows,
                        trailer=f"# violations={violations}")
     print(f"robustness: wrote {len(rows)} rows to {out}; "

@@ -270,6 +270,90 @@ def _middle_band_cos_integral(spec: KernelSpec, t: int, u_a: float,
     return sign * adaptive_quad(f, u_a, u_b, tol=tol, breakpoints=bp)
 
 
+_EULER_GAMMA = 0.5772156649015329
+_CI_SERIES_MAX = 2.0
+# Power series of Ci(x) - gamma - log(x) in x^2: (-1)^k / (2k (2k)!), k >= 1.
+# Sixteen terms: the last is about 5e-28 at x = 2.
+_CI_SERIES = tuple((-1.0) ** k / (2 * k * math.factorial(2 * k))
+                   for k in range(16, 0, -1))
+_CI_MAX_TERMS = 100
+
+
+def _cosine_integral(x: np.ndarray) -> np.ndarray:
+    """Ci(x) = -integral from x to infinity of cos(s)/s ds, for x > 0.
+
+    Vectorized after Numerical Recipes section 6.8 (``cisi``).  At x <= 2
+    the power series gamma + log(x) + sum (-1)^k x^(2k) / (2k (2k)!)
+    (Abramowitz & Stegun 5.2.16) is summed by Horner's rule; above that,
+    Ci(x) = -Re E1(ix) with E1 from its continued fraction (A&S 5.1.22) by
+    the modified Lentz method, which takes at most about 85 terms at x = 2
+    and fewer as x grows.  Absolute error is a few ulps of |Ci(x)|.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    small = x <= _CI_SERIES_MAX
+
+    xs = x[small]
+    z = xs * xs
+    acc = np.zeros_like(xs)
+    for coef in _CI_SERIES:
+        acc = acc * z + coef
+    out[small] = _EULER_GAMMA + np.log(xs) + acc * z
+
+    xl = x[~small]
+    b = 1.0 + 1j * xl
+    c = np.full(xl.shape, 1e300 + 0j)
+    d = 1.0 / b
+    h = d
+    for i in range(2, _CI_MAX_TERMS):
+        a = -(i - 1.0) ** 2
+        b = b + 2.0
+        d = 1.0 / (a * d + b)
+        c = b + a / c
+        delta = c * d
+        h = h * delta
+        if np.all(np.abs(delta - 1.0) <= 1e-15):
+            break
+    else:
+        raise QuadratureError(
+            f"cosine-integral continued fraction did not converge in "
+            f"{_CI_MAX_TERMS} terms")
+    out[~small] = -((np.cos(xl) - 1j * np.sin(xl)) * h).real
+    return out
+
+
+def _power_law_middle_band(spec: KernelSpec, t: np.ndarray) -> np.ndarray:
+    """Integral of W(omega) cos(omega t) over the middle band for the
+    companion exponent 1, at integer t >= 1, in closed form.
+
+    With g = pi - omega the companion splits into partial fractions,
+    W = (1/2pi) (1/g + 1/(2pi - g)), and cos(omega t) = (-1)^t cos(g t), so
+    each fraction integrates to a difference of cosine integrals.
+    """
+    gap_a = 1.0 / spec.n
+    gap_b = spec.epsilon_n
+    ci_sum = (_cosine_integral(gap_a * t) - _cosine_integral(gap_b * t)
+              + _cosine_integral((2.0 * PI - gap_b) * t)
+              - _cosine_integral((2.0 * PI - gap_a) * t))
+    sign = np.where(t % 2 == 1, -1.0, 1.0)
+    return sign * ci_sum / (2.0 * PI)
+
+
+def _middle_band_quad(spec: KernelSpec, ts, u_a: float, u_b: float,
+                      tol: float) -> np.ndarray:
+    """:func:`_middle_band_cos_integral` for each t in ``ts``; a quadrature
+    failure raises with the offending t."""
+    out = np.empty(len(ts))
+    for i, t in enumerate(ts):
+        try:
+            out[i] = _middle_band_cos_integral(spec, t, u_a, u_b, tol)
+        except QuadratureError as exc:
+            raise QuadratureError(
+                f"tap quadrature failed at t={t} (n={spec.n}, "
+                f"family='{spec.weight.family.value}'): {exc}") from exc
+    return out
+
+
 def synthesize_taps(spec: KernelSpec, half_length: int,
                     *, tol: float = 1e-10) -> KernelTaps:
     """Inverse-transform the transfer function into taps on [-T, T].
@@ -278,11 +362,19 @@ def synthesize_taps(spec: KernelSpec, half_length: int,
 
         k(t) = (1/pi) [ sin((pi - 1/n) t)/t  -  integral of W cos(omega t) ],
 
-    with the inner-band term in closed form and the middle-band term by
-    adaptive quadrature under the log-band substitution at absolute
-    tolerance ``tol`` per tap.  The center tap is computed the same way, its
-    magnitude recorded as ``zero_residual``, then stored as exact zero.
-    Quadrature failure on any tap raises with the offending t.
+    with the inner-band term in closed form.  For the companion exponent 1
+    (the power-law family) the middle-band term is closed form too, through
+    the cosine integral Ci, for all t at once:
+
+        (-1)^t/(2pi) [Ci(t/n) - Ci(eps_n t) + Ci((2pi - eps_n) t)
+                      - Ci((2pi - 1/n) t)].
+
+    Other companions take it by adaptive quadrature under the log-band
+    substitution at absolute tolerance ``tol`` per tap, and a quadrature
+    failure on any tap raises with the offending t.  The center tap always
+    goes through that quadrature, independently of the closed form, so its
+    magnitude, recorded as ``zero_residual``, checks the normalization; it
+    is then stored as exact zero.
 
     The true kernel is infinitely supported and its taps decay slowly (the
     transfer function has jumps), so the squared-tap tail is checked: when
@@ -296,26 +388,23 @@ def synthesize_taps(spec: KernelSpec, half_length: int,
     u_b = _outer_edge_u(spec.epsilon_n)
     inner_edge = PI - 1.0 / n
 
-    taps = np.zeros(2 * half_length + 1)
-    center = half_length
-    for t in range(half_length + 1):
-        try:
-            mid = _middle_band_cos_integral(spec, t, u_a, u_b, tol)
-        except QuadratureError as exc:
-            raise QuadratureError(
-                f"tap quadrature failed at t={t} (n={n}, "
-                f"family='{spec.weight.family.value}'): {exc}") from exc
-        inner = inner_edge if t == 0 else math.sin(inner_edge * t) / t
-        value = (inner - mid) / PI
-        taps[center + t] = value
-        taps[center - t] = value
+    zero_tap = (inner_edge
+                - _middle_band_quad(spec, (0,), u_a, u_b, tol)[0]) / PI
+    t = np.arange(1, half_length + 1)
+    if spec.weight.companion_power == 1.0:
+        mid = _power_law_middle_band(spec, t)
+    else:
+        mid = _middle_band_quad(spec, range(1, half_length + 1), u_a, u_b,
+                                tol)
+    side = (np.sin(inner_edge * t) / t - mid) / PI
 
-    zero_residual = float(abs(taps[center]))
+    zero_residual = float(abs(zero_tap))
     if zero_residual > tol:
         raise QuadratureError(
             f"center-tap residual {zero_residual:.3e} exceeds the quadrature "
             f"tolerance {tol:.1e}; kernel spec is inconsistent")
-    taps[center] = 0.0
+    taps = np.concatenate((side[::-1], [0.0], side))
+    center = half_length
 
     squared = taps * taps
     total = float(squared.sum())

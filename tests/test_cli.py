@@ -78,6 +78,23 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=fragment):
             load_config(path)
 
+    @pytest.mark.parametrize("command, overrides, field", [
+        ("robustness", {"noise": {"sigma": math.nan, "seeds": [0]}},
+         "noise.sigma"),
+        ("kernel", {"weight": {"family": "general_power", "a": math.nan}},
+         "weight.a"),
+        ("kernel", {"weight": {"p": math.inf}}, "weight.p"),
+        ("kernel", {"weight": {"nu": 10 ** 400}}, "weight.nu"),
+    ])
+    def test_non_finite_numbers_exit_config_error(self, tmp_path, capsys,
+                                                  command, overrides,
+                                                  field):
+        config = write_config(tmp_path, overrides)
+        assert main([command, "--config", str(config),
+                     "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{field}: expected a finite number" in err
+
     def test_missing_field(self, tmp_path):
         path = write_config(tmp_path, drop=("n_values",))
         with pytest.raises(ConfigError, match="n_values"):
@@ -217,6 +234,20 @@ class TestRobustnessCommand:
         lines = out.read_text().splitlines()
         assert lines[-1] == "# violations=0"
         assert len(lines) == 4 + 3 + 1
+
+    def test_overflowing_noise_row_counts_as_violation(self, tmp_path):
+        # sigma = 1e308 is finite but overflows the noisy estimate to NaN;
+        # such a row is a violation, not a pass.
+        config = write_config(
+            tmp_path,
+            {"n_values": [2], "noise": {"sigma": 1e308, "seeds": [0]}})
+        out = tmp_path / "rob.csv"
+        assert main(["robustness", "--config", str(config),
+                     "--out", str(out)]) == EXIT_OK
+        lines = out.read_text().splitlines()
+        header = lines[3].split(",")
+        assert lines[4].split(",")[header.index("abs_error")] == "nan"
+        assert lines[-1] == "# violations=1"
 
     def test_noise_required(self, tmp_path, capsys):
         config = write_config(tmp_path)

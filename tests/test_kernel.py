@@ -1,15 +1,24 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
+from scipy.special import sici
 
+import specfill
 from specfill._quadrature import QuadratureError
 from specfill.kernel import (
     KernelSpec,
     TruncationWarning,
+    _cosine_integral,
+    _middle_band_cos_integral,
     compute_kappa,
     eval_transfer,
     normalization_residual,
@@ -248,7 +257,10 @@ class TestTaps:
         with pytest.raises(ValueError):
             synthesize_taps(spec2, 0)
 
-    def test_quadrature_failure_names_the_tap(self, spec2, monkeypatch):
+    def test_quadrature_failure_names_the_tap(self, monkeypatch):
+        # Companion exponent 1.5: every tap goes through the quadrature.
+        spec = resolve_kernel(
+            make_general_power_weight(1.0, 1.5, math.inf), 3)
         from specfill import kernel as kernel_module
 
         def explode(spec, t, u_a, u_b, tol):
@@ -259,7 +271,54 @@ class TestTaps:
         monkeypatch.setattr(kernel_module, "_middle_band_cos_integral",
                             explode)
         with pytest.raises(QuadratureError, match="t=3"):
-            synthesize_taps(spec2, 8)
+            synthesize_taps(spec, 8)
+
+    @pytest.mark.parametrize("n", (2, 8, 32))
+    def test_closed_form_matches_quadrature_route(self, n):
+        # Power-law taps come from the cosine integral; the per-tap
+        # quadrature that other companions use is the oracle.
+        spec = resolve_kernel(POWER, n)
+        T = 2048
+        taps = _quiet_taps(spec, T)
+        u_a = math.log(2 * PI * n - 1)
+        u_b = math.log((2 * PI - spec.epsilon_n) / spec.epsilon_n)
+        inner_edge = PI - 1.0 / n
+        quad = np.array([
+            (math.sin(inner_edge * t) / t
+             - _middle_band_cos_integral(spec, t, u_a, u_b, 1e-10)) / PI
+            for t in range(1, T + 1)])
+        assert np.max(np.abs(taps.taps[T + 1:] - quad)) <= 1e-12
+
+
+class TestCosineIntegral:
+    # Both sides of the series / continued-fraction switch at x = 2.
+    XS = np.concatenate((np.geomspace(1e-12, 1e5, 4001),
+                         np.linspace(1.5, 2.5, 401),
+                         [2.0, np.nextafter(2.0, 3.0)]))
+
+    def test_against_scipy_sici(self):
+        assert np.max(np.abs(_cosine_integral(self.XS)
+                             - sici(self.XS)[1])) <= 1e-14
+
+    def test_against_mpmath(self):
+        xs = self.XS[::10]
+        oracle = np.array([float(mpmath.ci(mpmath.mpf(float(x))))
+                           for x in xs])
+        assert np.max(np.abs(_cosine_integral(xs) - oracle)) <= 1e-14
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # Runtime dependencies are numpy only; scipy and mpmath are test oracles.
+    src = Path(specfill.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(src), env.get("PYTHONPATH"))))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, specfill.cli; "
+         "print(sorted({'scipy', 'mpmath'} & set(sys.modules)))"],
+        env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 class TestExports:
