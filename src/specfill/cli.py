@@ -224,8 +224,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
             or any(isinstance(n, bool) or not isinstance(n, int)
                    for n in n_values)):
         raise ConfigError("n_values: expected a nonempty list of integers")
-    if sorted(n_values) != n_values or any(n < 2 for n in n_values):
-        raise ConfigError("n_values: must be ascending integers >= 2")
+    if (any(hi <= lo for lo, hi in zip(n_values, n_values[1:]))
+            or n_values[0] < 2):
+        raise ConfigError("n_values: must be strictly ascending integers "
+                          ">= 2")
 
     T = _require(raw, "T", int, "config")
     S = _require(raw, "S", int, "config")
@@ -258,6 +260,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
                        for s in seeds)):
             raise ConfigError("noise.seeds: expected a nonempty list of "
                               "integers")
+        if len(set(seeds)) != len(seeds):
+            raise ConfigError("noise.seeds: must be distinct integers")
         noise_seeds = tuple(sorted(seeds))
 
     output_path = raw.get("output_path")

@@ -20,14 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quadrature import QuadratureError, adaptive_quad
+from ._quadrature import _WG, _WK, _XK, QuadratureError, adaptive_quad
 from .weights import (
     PI,
     WeightSpec,
     eval_companion,
     gap_from_u,
+    gap_power_density,
     gap_power_integral,
-    gap_product_from_u,
 )
 
 
@@ -144,12 +144,9 @@ def _band_mass_quad(beta: float, u_lo: float, u_hi: float,
     coordinate; deliberately no closed-form shortcut, so callers get a route
     independent of the analytic antiderivative."""
 
-    def integrand(u):
-        return gap_product_from_u(u) ** (1.0 - beta) / (2.0 * PI)
-
     bp = np.linspace(u_lo, u_hi, 17)[1:-1]
-    return adaptive_quad(integrand, u_lo, u_hi, tol=tol, rtol=1e-15,
-                         breakpoints=bp)
+    return adaptive_quad(lambda u: gap_power_density(beta, u), u_lo, u_hi,
+                         tol=tol, rtol=1e-15, breakpoints=bp)
 
 
 def resolve_kernel(weight: WeightSpec, n: int) -> KernelSpec:
@@ -243,15 +240,12 @@ def _middle_band_cos_integral(spec: KernelSpec, t: int, u_a: float,
     beta = spec.weight.companion_power
 
     if t == 0:
-        def f0(u):
-            return gap_product_from_u(u) ** (1.0 - beta) / (2.0 * PI)
-
         bp = np.linspace(u_a, u_b, 17)[1:-1]
-        return adaptive_quad(f0, u_a, u_b, tol=tol, breakpoints=bp)
+        return adaptive_quad(lambda u: gap_power_density(beta, u), u_a, u_b,
+                             tol=tol, breakpoints=bp)
 
     def f(u):
-        c = np.cos(gap_from_u(u) * t)
-        return gap_product_from_u(u) ** (1.0 - beta) * c / (2.0 * PI)
+        return gap_power_density(beta, u) * np.cos(gap_from_u(u) * t)
 
     gap_a = 1.0 / spec.n
     gap_b = spec.epsilon_n
@@ -339,19 +333,90 @@ def _power_law_middle_band(spec: KernelSpec, t: np.ndarray) -> np.ndarray:
     return sign * ci_sum / (2.0 * PI)
 
 
-def _middle_band_quad(spec: KernelSpec, ts, u_a: float, u_b: float,
-                      tol: float) -> np.ndarray:
-    """:func:`_middle_band_cos_integral` for each t in ``ts``; a quadrature
-    failure raises with the offending t."""
-    out = np.empty(len(ts))
-    for i, t in enumerate(ts):
-        try:
-            out[i] = _middle_band_cos_integral(spec, t, u_a, u_b, tol)
-        except QuadratureError as exc:
-            raise QuadratureError(
-                f"tap quadrature failed at t={t} (n={spec.n}, "
-                f"family='{spec.weight.family.value}'): {exc}") from exc
-    return out
+# Fixed-panel evaluation of the middle band for every t at once.  Panels
+# take equal steps of _PANEL_PHASE radians in the phase gap * T while that
+# keeps them under _PANEL_DU wide in u (gap >= _PANEL_PHASE / (_PANEL_DU T)),
+# then equal steps of at most _PANEL_DU in u out to the outer edge.  The
+# taps t = t0 + s (0 <= s < _TAP_BLOCK) are summed through
+# cos(g t) = cos(g t0) cos(g s) - sin(g t0) sin(g s), _NODE_CHUNK nodes and
+# _TAP_BLOCK values of t0 at a time, so no T-by-nodes matrix is ever formed
+# and trig work is (T/B + B) per node rather than T.  Each matrix product is
+# 64 x 32 x 128: small enough that OpenBLAS keeps it on one thread, which
+# costs less CPU than threaded products this small.
+_PANEL_PHASE = 3.0
+_PANEL_DU = 0.5
+_TAP_BLOCK = 64
+_NODE_CHUNK = 32
+# Kronrod weights and Kronrod-minus-Gauss weights on the 15 nodes: the second
+# row turns each tap's sum into its |K15 - G7| error estimate.
+_RULES = np.stack((_WK, _WK))
+_RULES[1, 1::2] -= _WG
+
+
+def _middle_band_nodes(spec: KernelSpec, half_length: int):
+    """Gap values and rule weights of the fixed panels for taps up to T.
+
+    Returns ``(gap, weights)``: the gap pi - omega at every Kronrod node in
+    u, and a (2, nodes) array holding the K15 and K15 - G7 weights times the
+    companion density there.
+    """
+    beta = spec.weight.companion_power
+    gap_a = 1.0 / spec.n
+    u_b = _outer_edge_u(spec.epsilon_n)
+    step = _PANEL_PHASE / half_length
+    gap_knee = min(gap_a, max(spec.epsilon_n, step / _PANEL_DU))
+    gaps = np.linspace(gap_a, gap_knee, math.ceil((gap_a - gap_knee) / step)
+                       + 1)
+    u_gap = np.log((2.0 * PI - gaps) / gaps)
+    u_gap[0] = _inner_edge_u(spec.n)
+    u_rest = np.linspace(u_gap[-1], u_b,
+                         math.ceil((u_b - u_gap[-1]) / _PANEL_DU) + 1)[1:]
+    knots = np.concatenate((u_gap, u_rest))
+    mid = 0.5 * (knots[1:] + knots[:-1])
+    half = 0.5 * (knots[1:] - knots[:-1])
+    u = (mid[:, None] + half[:, None] * _XK).ravel()
+    scale = np.repeat(half, _XK.size) * gap_power_density(beta, u)
+    weights = np.tile(_RULES, half.size) * scale
+    return gap_from_u(u), weights
+
+
+def _middle_band_fixed(spec: KernelSpec, half_length: int,
+                       tol: float) -> np.ndarray:
+    """Integral of W(omega) cos(omega t) over the middle band for every
+    t = 1..T, on fixed Gauss-Kronrod panels in the log-band coordinate.
+
+    Each tap's K15 sum comes with its embedded G7 sum; when |K15 - G7|
+    exceeds ``tol`` for any tap the worst one is named in the raised error.
+    """
+    gap, weights = _middle_band_nodes(spec, half_length)
+    block = _TAP_BLOCK
+    t0 = 1.0 + block * np.arange(-(-half_length // block))
+    s = np.arange(block, dtype=float)
+    # Columns: K15 sums for s = 0..B-1, then the K15 - G7 sums.
+    sums = np.zeros((t0.size, 2 * block))
+    for lo in range(0, gap.size, _NODE_CHUNK):
+        g = gap[lo:lo + _NODE_CHUNK]
+        w = weights[:, lo:lo + _NODE_CHUNK, None]
+        phase = np.outer(g, s)
+        cos_s = np.cos(phase)
+        sin_s = np.sin(phase)
+        w_cos = np.concatenate((w[0] * cos_s, w[1] * cos_s), axis=1)
+        w_sin = np.concatenate((w[0] * sin_s, w[1] * sin_s), axis=1)
+        for b in range(0, t0.size, block):
+            phase0 = np.outer(t0[b:b + block], g)
+            sums[b:b + block] += (np.cos(phase0) @ w_cos
+                                  - np.sin(phase0) @ w_sin)
+    kron = sums[:, :block].ravel()[:half_length]
+    diff = sums[:, block:].ravel()[:half_length]
+    err = np.abs(diff)
+    worst = int(np.argmax(err))
+    if err[worst] > tol:
+        raise QuadratureError(
+            f"tap quadrature error estimate {err[worst]:.3e} exceeds "
+            f"tolerance {tol:.1e} at t={worst + 1} (n={spec.n}, "
+            f"family='{spec.weight.family.value}')")
+    t = np.arange(1, half_length + 1)
+    return np.where(t % 2 == 1, -1.0, 1.0) * kron
 
 
 def synthesize_taps(spec: KernelSpec, half_length: int,
@@ -369,12 +434,15 @@ def synthesize_taps(spec: KernelSpec, half_length: int,
         (-1)^t/(2pi) [Ci(t/n) - Ci(eps_n t) + Ci((2pi - eps_n) t)
                       - Ci((2pi - 1/n) t)].
 
-    Other companions take it by adaptive quadrature under the log-band
-    substitution at absolute tolerance ``tol`` per tap, and a quadrature
-    failure on any tap raises with the offending t.  The center tap always
-    goes through that quadrature, independently of the closed form, so its
-    magnitude, recorded as ``zero_residual``, checks the normalization; it
-    is then stored as exact zero.
+    Other companions take it for all t at once on fixed 15-point Kronrod
+    panels in the log-band coordinate, sized to the phase at t = T (at most
+    3 rad each where the gap is wide, 0.5 in u toward the outer edge), with
+    the sums blocked by angle addition.  The embedded 7-point Gauss rule
+    gives each tap an error estimate |K15 - G7|; one above ``tol`` raises
+    with the worst t.  The center tap always goes through adaptive
+    quadrature, independently of both routes, so its magnitude, recorded as
+    ``zero_residual``, checks the normalization; it is then stored as exact
+    zero.
 
     The true kernel is infinitely supported and its taps decay slowly (the
     transfer function has jumps), so the squared-tap tail is checked: when
@@ -388,14 +456,18 @@ def synthesize_taps(spec: KernelSpec, half_length: int,
     u_b = _outer_edge_u(spec.epsilon_n)
     inner_edge = PI - 1.0 / n
 
-    zero_tap = (inner_edge
-                - _middle_band_quad(spec, (0,), u_a, u_b, tol)[0]) / PI
+    try:
+        center_mid = _middle_band_cos_integral(spec, 0, u_a, u_b, tol)
+    except QuadratureError as exc:
+        raise QuadratureError(
+            f"tap quadrature failed at t=0 (n={n}, "
+            f"family='{spec.weight.family.value}'): {exc}") from exc
+    zero_tap = (inner_edge - center_mid) / PI
     t = np.arange(1, half_length + 1)
     if spec.weight.companion_power == 1.0:
         mid = _power_law_middle_band(spec, t)
     else:
-        mid = _middle_band_quad(spec, range(1, half_length + 1), u_a, u_b,
-                                tol)
+        mid = _middle_band_fixed(spec, half_length, tol)
     side = (np.sin(inner_edge * t) / t - mid) / PI
 
     zero_residual = float(abs(zero_tap))

@@ -140,10 +140,6 @@ def u_from_omega(omega):
     return np.log((PI + omega) / (PI - omega))
 
 
-def omega_from_u(u):
-    return PI * np.tanh(0.5 * np.asarray(u, dtype=float))
-
-
 def gap_from_u(u):
     """pi - omega(u), stable for large positive u."""
     return 2.0 * PI / (1.0 + np.exp(np.asarray(u, dtype=float)))
@@ -153,6 +149,15 @@ def gap_product_from_u(u):
     """(pi - omega)(pi + omega) = pi^2 sech^2(u/2)."""
     c = np.cosh(0.5 * np.asarray(u, dtype=float))
     return PI * PI / (c * c)
+
+
+def gap_power_density(power: float, u):
+    """(pi^2 - omega^2)^(-power) d(omega) / (2 pi), per unit u.
+
+    The Jacobian d(omega)/du is the gap product itself, so the integrand in
+    u is (gap product)^(1 - power) / (2 pi).
+    """
+    return gap_product_from_u(u) ** (1.0 - power) / (2.0 * PI)
 
 
 def _check_domain(omega) -> np.ndarray:
@@ -190,12 +195,10 @@ def gap_power_integral(power: float, u_lo: float, u_hi: float,
     if power == 1.0:
         return (u_hi - u_lo) / (2.0 * PI)
 
-    def integrand(u):
-        return gap_product_from_u(u) ** (1.0 - power) / (2.0 * PI)
-
     npanel = max(8, int(abs(u_hi - u_lo)))
     bp = np.linspace(u_lo, u_hi, npanel + 1)[1:-1]
-    return adaptive_quad(integrand, u_lo, u_hi, tol=tol, breakpoints=bp)
+    return adaptive_quad(lambda u: gap_power_density(power, u), u_lo, u_hi,
+                         tol=tol, breakpoints=bp)
 
 
 def companion_integral(spec: WeightSpec, lo: float, hi: float,

@@ -95,6 +95,21 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert f"{field}: expected a finite number" in err
 
+    @pytest.mark.parametrize("overrides, field", [
+        ({"n_values": [2, 2]}, "n_values"),
+        ({"n_values": [2, 4, 4]}, "n_values"),
+        ({"noise": {"sigma": 1e-6, "seeds": [1, 1]}}, "noise.seeds"),
+        ({"noise": {"sigma": 1e-6, "seeds": [3, 0, 3]}}, "noise.seeds"),
+    ])
+    def test_duplicate_entries_exit_config_error(self, tmp_path, capsys,
+                                                 overrides, field):
+        config = write_config(tmp_path, overrides)
+        out = tmp_path / "rob.csv"
+        assert main(["robustness", "--config", str(config),
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert f"{field}: must be" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_field(self, tmp_path):
         path = write_config(tmp_path, drop=("n_values",))
         with pytest.raises(ConfigError, match="n_values"):

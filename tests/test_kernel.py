@@ -257,21 +257,51 @@ class TestTaps:
         with pytest.raises(ValueError):
             synthesize_taps(spec2, 0)
 
-    def test_quadrature_failure_names_the_tap(self, monkeypatch):
-        # Companion exponent 1.5: every tap goes through the quadrature.
+    def test_quadrature_failure_names_the_tap(self):
+        # Companion exponent 1.5 takes the fixed-panel route, whose per-tap
+        # |K15 - G7| estimates (1e-14 and up here) cannot meet 1e-15; the
+        # adaptive center tap still can, through its relative budget.
         spec = resolve_kernel(
             make_general_power_weight(1.0, 1.5, math.inf), 3)
+        with pytest.raises(QuadratureError,
+                           match=r"t=\d+ \(n=3, family='general_power'\)"):
+            synthesize_taps(spec, 64, tol=1e-15)
+
+    def test_center_tap_failure_names_t0(self, monkeypatch):
         from specfill import kernel as kernel_module
 
         def explode(spec, t, u_a, u_b, tol):
-            if t == 3:
-                raise QuadratureError("synthetic")
-            return 0.0
+            raise QuadratureError("synthetic")
 
         monkeypatch.setattr(kernel_module, "_middle_band_cos_integral",
                             explode)
-        with pytest.raises(QuadratureError, match="t=3"):
+        spec = resolve_kernel(
+            make_general_power_weight(1.0, 1.5, math.inf), 3)
+        with pytest.raises(QuadratureError, match="t=0"):
             synthesize_taps(spec, 8)
+
+    @pytest.mark.parametrize("weight, n", [
+        pytest.param(make_general_power_weight(1.0, 1.5, math.inf), n,
+                     id=f"general_power-a1.5-n{n}")
+        for n in (2, 8, 32)
+    ] + [pytest.param(make_direct_weight(2.0), 8, id="direct-nu2-n8")])
+    def test_fixed_panels_match_quadrature_route(self, weight, n):
+        # Companion exponents other than 1 take the fixed-panel evaluator;
+        # the per-tap adaptive quadrature is the oracle.  Every fifth t (5
+        # is prime to the 64-tap block, so every in-block offset is hit)
+        # plus t = T keeps the oracle cheap.
+        spec = resolve_kernel(weight, n)
+        T = 1024
+        taps = _quiet_taps(spec, T)
+        u_a = math.log(2 * PI * n - 1)
+        u_b = math.log((2 * PI - spec.epsilon_n) / spec.epsilon_n)
+        inner_edge = PI - 1.0 / n
+        ts = np.append(np.arange(1, T + 1, 5), T)
+        quad = np.array([
+            (math.sin(inner_edge * t) / t
+             - _middle_band_cos_integral(spec, int(t), u_a, u_b, 1e-10)) / PI
+            for t in ts])
+        assert np.max(np.abs(taps.taps[T + ts] - quad)) <= 1e-12
 
     @pytest.mark.parametrize("n", (2, 8, 32))
     def test_closed_form_matches_quadrature_route(self, n):
