@@ -7,13 +7,12 @@ Subcommands
 ``robustness``      noisy recovery study with bound-violation accounting
 ``validate-weight`` run the numerical admissibility checks on a weight
 
-Every command takes ``--config <path>`` (JSON, schema below), ``--out``
-(output file or directory, overriding the config's ``output_path``), and
-``--threads`` (0 = auto).  Exit codes: 0 success, 1 configuration error,
-2 numerical failure.  Outputs are byte-identical across reruns and thread
-counts: rows are sorted canonically, floats serialize via repr, and every
-file opens with a header comment carrying the tool version, a hash of the
-canonical config, and the seeds in play.
+Every command takes ``--config <path>`` (JSON, schema below) and ``--out``
+(output file or directory, overriding the config's ``output_path``).  Exit
+codes: 0 success, 1 configuration error, 2 numerical failure.  Outputs are
+byte-identical across reruns: rows are sorted canonically, floats serialize
+via repr, and every file opens with a header comment carrying the tool
+version, a hash of the canonical config, and the seeds in play.
 
 Config schema (JSON)::
 
@@ -46,7 +45,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 import warnings
 from dataclasses import dataclass
@@ -303,14 +301,6 @@ def _resolve_out(args, config: ExperimentConfig, what: str) -> Path:
     raise ConfigError(f"output_path: required for {what} (or pass --out)")
 
 
-def _threads(args) -> int:
-    if args.threads < 0:
-        raise ConfigError(f"--threads: must be >= 0, got {args.threads}")
-    if args.threads == 0:
-        return os.cpu_count() or 1
-    return args.threads
-
-
 def cmd_kernel(args) -> int:
     config = load_config(args.config)
     out_dir = _resolve_out(args, config, "kernel")
@@ -345,14 +335,14 @@ def _write_reports_csv(path: Path, config: ExperimentConfig, reports,
             fh.write(trailer + "\n")
 
 
-def _run_sweep(config: ExperimentConfig, threads: int):
+def _run_sweep(config: ExperimentConfig):
     signal = config.build_signal()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", TruncationWarning)
         reports = convergence_sweep(
             config.weight, signal, list(config.n_values), config.T, config.S,
             noise_sigma=config.noise_sigma, noise_seeds=config.noise_seeds,
-            base_seed=config.signal_seed, threads=threads)
+            base_seed=config.signal_seed)
     if any(issubclass(w.category, TruncationWarning) for w in caught):
         print(f"note: tap tail not converged at T={config.T}; estimates "
               f"lean on signal decay beyond the window", file=sys.stderr)
@@ -362,7 +352,7 @@ def _run_sweep(config: ExperimentConfig, threads: int):
 def cmd_recover(args) -> int:
     config = load_config(args.config)
     out = _resolve_out(args, config, "recover")
-    rows = _run_sweep(config, _threads(args))
+    rows = _run_sweep(config)
     _write_reports_csv(out, config, rows)
     print(f"recover: wrote {len(rows)} rows to {out}")
     return EXIT_OK
@@ -373,7 +363,7 @@ def cmd_robustness(args) -> int:
     if config.noise_sigma is None:
         raise ConfigError("noise: required for robustness")
     out = _resolve_out(args, config, "robustness")
-    rows = _run_sweep(config, _threads(args))
+    rows = _run_sweep(config)
     # A NaN error or bound compares false both ways; it counts as a
     # violation, never as a pass.
     violations = sum(
@@ -407,8 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default=None,
                        help="output file or directory (overrides config)")
-        p.add_argument("--threads", type=int, default=0,
-                       help="worker threads, 0 = auto")
         p.set_defaults(fn=fn)
     return parser
 

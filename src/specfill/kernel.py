@@ -144,9 +144,12 @@ def _band_mass_quad(beta: float, u_lo: float, u_hi: float,
     coordinate; deliberately no closed-form shortcut, so callers get a route
     independent of the analytic antiderivative."""
 
+    # rtol only binds for masses above tol/rtol (the bisection's bracket
+    # search reaches thousands); 1e-15 there asks for more digits than a
+    # double sum of many panels holds, and refinement never converges.
     bp = np.linspace(u_lo, u_hi, 17)[1:-1]
     return adaptive_quad(lambda u: gap_power_density(beta, u), u_lo, u_hi,
-                         tol=tol, rtol=1e-15, breakpoints=bp)
+                         tol=tol, rtol=1e-14, breakpoints=bp)
 
 
 def resolve_kernel(weight: WeightSpec, n: int) -> KernelSpec:

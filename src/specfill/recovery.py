@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -212,11 +211,30 @@ def spectral_error(spec: KernelSpec, signal: SpectralSignal,
         spectral_bound=(i1 + i2 + i3) / (2.0 * PI))
 
 
+#: One seed's time signal, and its doubled-window twin when measured.
+_Draw = tuple[int | None, TimeSignal, TimeSignal | None]
+
+
+def _draws(signal: SpectralSignal, signal_half_length: int,
+           noise_sigma: float | None, seeds: tuple[int, ...],
+           base_seed: int | None, measure_truncation: bool) -> list[_Draw]:
+    draws = []
+    for seed in (seeds if noise_sigma is not None else (base_seed,)):
+        spectrum = (signal if noise_sigma is None
+                    else add_spectral_noise(signal, noise_sigma, seed))
+        time_sig = inverse_transform(spectrum, signal_half_length)
+        doubled = (inverse_transform(spectrum, 2 * signal_half_length)
+                   if measure_truncation else None)
+        draws.append((seed, time_sig, doubled))
+        # Free this noisy grid before the next one is drawn.
+        del spectrum
+    return draws
+
+
 def _sweep_cell(weight: WeightSpec, signal: SpectralSignal, n: int,
                 tap_half_length: int, signal_half_length: int,
-                noise_sigma: float | None, noise_seeds: tuple[int, ...],
-                measure_truncation: bool, base_seed: int | None,
-                tol: float) -> list[RecoveryReport]:
+                noise_sigma: float | None, draws: list[_Draw],
+                measure_truncation: bool, tol: float) -> list[RecoveryReport]:
     spec = resolve_kernel(weight, n)
     spectral = spectral_error(spec, signal, tol=tol)
     taps = synthesize_taps(spec, tap_half_length, tol=tol)
@@ -227,21 +245,12 @@ def _sweep_cell(weight: WeightSpec, signal: SpectralSignal, n: int,
         robust = robustness_bound(spectral.spectral_bound, noise_sigma,
                                   spec.kappa)
 
-    draws: list[tuple[int | None, SpectralSignal]]
-    if noise_sigma is None:
-        draws = [(base_seed, signal)]
-    else:
-        draws = [(s, add_spectral_noise(signal, noise_sigma, s))
-                 for s in noise_seeds]
-
     reports = []
-    for seed, spectrum in draws:
-        time_sig = inverse_transform(spectrum, signal_half_length)
+    for seed, time_sig, doubled in draws:
         estimate = recover_center(taps, time_sig)
         truth = time_sig.truth_center
         slack = None
         if measure_truncation:
-            doubled = inverse_transform(spectrum, 2 * signal_half_length)
             est2 = recover_center(taps_doubled, doubled)
             # Geometric-tail estimate of the remaining truncation: the
             # doubling delta plus everything beyond, assuming at least
@@ -265,18 +274,19 @@ def convergence_sweep(weight: WeightSpec, signal: SpectralSignal,
                       noise_seeds: tuple[int, ...] = (),
                       measure_truncation: bool = False,
                       base_seed: int | None = None,
-                      threads: int = 1,
                       tol: float = 1e-10) -> list[RecoveryReport]:
     """Run kernel resolution, synthesis, and recovery over a band-index sweep.
 
-    For each n: resolve the kernel, synthesize taps at ``tap_half_length``,
-    inverse-transform the (optionally noise-contaminated) spectrum at
-    ``signal_half_length``, and assemble a report carrying the estimate,
-    truth, spectral error split, and constants.  With ``measure_truncation``
-    the estimate is recomputed at doubled windows and the delta is folded
-    into ``truncation_slack``.  Cells run independently (optionally on a
-    thread pool); the report order is always (n ascending, seed ascending).
-    Errors from constituent stages propagate tagged with their n.
+    First, once per noise seed (or once for the clean spectrum when
+    ``noise_sigma`` is None): draw the noisy spectrum and inverse-transform
+    it at ``signal_half_length``; none of this depends on n.  Then, for each
+    n: resolve the kernel, synthesize taps at ``tap_half_length``, and
+    assemble one report per seed carrying the estimate, truth, spectral
+    error split, and constants.  With ``measure_truncation`` each seed's
+    spectrum is also transformed at the doubled window, the estimate is
+    recomputed there with doubled taps, and the delta is folded into
+    ``truncation_slack``.  The report order is (n ascending, seed
+    ascending).  Errors from the per-n stages propagate tagged with their n.
     """
     if sorted(n_values) != list(n_values):
         raise ValueError("n_values must be sorted ascending")
@@ -284,19 +294,15 @@ def convergence_sweep(weight: WeightSpec, signal: SpectralSignal,
         raise ValueError("every n must be at least 2")
     if noise_sigma is not None and not noise_seeds:
         raise ValueError("noise_sigma given without noise seeds")
-    seeds = tuple(sorted(noise_seeds))
+    draws = _draws(signal, signal_half_length, noise_sigma,
+                   tuple(sorted(noise_seeds)), base_seed, measure_truncation)
 
-    def run(n: int) -> list[RecoveryReport]:
+    reports = []
+    for n in n_values:
         try:
-            return _sweep_cell(weight, signal, n, tap_half_length,
-                               signal_half_length, noise_sigma, seeds,
-                               measure_truncation, base_seed, tol)
+            reports += _sweep_cell(weight, signal, n, tap_half_length,
+                                   signal_half_length, noise_sigma, draws,
+                                   measure_truncation, tol)
         except Exception as exc:
             raise RuntimeError(f"sweep cell n={n} failed: {exc}") from exc
-
-    if threads > 1 and len(n_values) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_n = list(pool.map(run, n_values))
-    else:
-        per_n = [run(n) for n in n_values]
-    return [report for cell in per_n for report in cell]
+    return reports

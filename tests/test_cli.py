@@ -181,13 +181,13 @@ class TestRecoverCommand:
         assert row[header.index("spectral_bound")] == "0.0"
         assert row[header.index("error")] == ""
 
-    def test_byte_identical_across_runs_and_threads(self, tmp_path):
+    def test_byte_identical_across_runs(self, tmp_path):
         config = write_config(tmp_path)
         outs = []
-        for name, threads in (("a.csv", "1"), ("b.csv", "1"), ("c.csv", "4")):
+        for name in ("a.csv", "b.csv", "c.csv"):
             out = tmp_path / name
             assert main(["recover", "--config", str(config), "--out",
-                         str(out), "--threads", threads]) == EXIT_OK
+                         str(out)]) == EXIT_OK
             outs.append(out.read_bytes())
         assert outs[0] == outs[1] == outs[2]
 

@@ -93,6 +93,14 @@ class TestEpsilonSolve:
         with pytest.raises(ValueError):
             solve_epsilon_n(POWER, 1)
 
+    @pytest.mark.parametrize("nu, n", [(2.0, 2), (3.0, 3), (3.0, 4)])
+    def test_bisection_resolves_steep_direct_weights(self, nu, n):
+        # The bracket search evaluates band masses in the thousands, where
+        # a relative budget below what a double sum holds never converges.
+        spec = resolve_kernel(make_direct_weight(nu), n)
+        assert 0.0 < spec.epsilon_n < 1.0 / n
+        assert abs(normalization_residual(spec)) <= 1e-13
+
     def test_no_root_is_hard_error_naming_family(self):
         constant = make_direct_weight(0.0)
         with pytest.raises(QuadratureError, match="direct"):

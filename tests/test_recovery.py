@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specfill import recovery
 from specfill.kernel import TruncationWarning, resolve_kernel, synthesize_taps
 from specfill.recovery import (
     CSV_COLUMNS,
@@ -208,13 +209,45 @@ class TestConvergenceSweep:
             assert r.robust_bound is not None
             assert r.abs_error <= r.robust_bound
 
-    def test_thread_pool_matches_serial(self):
+    @pytest.mark.parametrize("n_values", [[2], [2, 3, 4]])
+    def test_one_inverse_transform_per_seed(self, monkeypatch, n_values):
+        windows = []
+
+        def counting(spectrum, half_length):
+            windows.append(half_length)
+            return inverse_transform(spectrum, half_length)
+
+        monkeypatch.setattr(recovery, "inverse_transform", counting)
         signal = make_power_decay(1.0, 3, 2 ** 14)
-        serial = convergence_sweep(POWER, signal, [2, 3, 4], 32, 256,
-                                   base_seed=3)
-        pooled = convergence_sweep(POWER, signal, [2, 3, 4], 32, 256,
-                                   base_seed=3, threads=3)
-        assert [r.csv_row() for r in serial] == [r.csv_row() for r in pooled]
+        seeds = (0, 1, 2)
+        convergence_sweep(POWER, signal, n_values, 32, 256,
+                          noise_sigma=1e-6, noise_seeds=seeds)
+        assert windows == [256] * len(seeds)
+        windows.clear()
+        convergence_sweep(POWER, signal, n_values, 32, 256, base_seed=3)
+        assert windows == [256]
+        windows.clear()
+        convergence_sweep(POWER, signal, n_values, 32, 256,
+                          noise_sigma=1e-6, noise_seeds=seeds,
+                          measure_truncation=True)
+        assert sorted(windows) == [256] * len(seeds) + [512] * len(seeds)
+
+    def test_shared_draws_match_per_cell_route(self):
+        # Reference: draw and transform the noisy spectrum inside every
+        # (n, seed) cell, as the sweep once did.
+        signal = make_power_decay(1.0, 3, 2 ** 14)
+        reports = convergence_sweep(POWER, signal, [2, 3], 32, 256,
+                                    noise_sigma=1e-6, noise_seeds=(2, 0))
+        expected = []
+        for n in (2, 3):
+            taps = synthesize_taps(resolve_kernel(POWER, n), 32)
+            for seed in (0, 2):
+                noisy = add_spectral_noise(signal, 1e-6, seed)
+                time_sig = inverse_transform(noisy, 256)
+                expected.append((n, seed, recover_center(taps, time_sig),
+                                 time_sig.truth_center))
+        assert [(r.n, r.seed, r.estimate, r.truth)
+                for r in reports] == expected
 
     def test_unsorted_n_rejected(self):
         signal = make_bandlimited(PI / 2, 7, 2 ** 14)

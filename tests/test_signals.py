@@ -127,6 +127,18 @@ class TestGenerators:
         with pytest.raises(ValueError):
             make_power_decay(0.0, 1, 2 ** 14)
 
+    @pytest.mark.parametrize("grid_size", [1024, 2 ** 18])
+    @pytest.mark.parametrize("seed", [3, 8])
+    @pytest.mark.parametrize("make, arg", [(make_bandlimited, 2.5),
+                                           (make_power_decay, 1.0)])
+    def test_grid_values_are_the_profile_bit_for_bit(self, make, arg, seed,
+                                                     grid_size):
+        # Values come from the positive half in chunks plus the mirror; the
+        # profile here runs on the whole grid at once.
+        sig = make(arg, seed, grid_size)
+        assert np.array_equal(sig.values, sig.profile(grid_omegas(grid_size)))
+        assert_hermitian(sig, tol=0.0)
+
 
 class TestInverseTransform:
     def test_zero_spectrum(self):
