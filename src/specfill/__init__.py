@@ -7,99 +7,3 @@ verifies the convergence and noise-robustness guarantees numerically.
 """
 
 __version__ = "0.1.0"
-
-from .kernel import (
-    KernelSpec,
-    KernelTaps,
-    TruncationWarning,
-    compute_kappa,
-    eval_transfer,
-    normalization_residual,
-    resolve_kernel,
-    solve_epsilon_n,
-    solve_epsilon_n_bisect,
-    synthesize_taps,
-    transfer_mean,
-)
-from .recovery import (
-    CSV_COLUMNS,
-    GridFallbackWarning,
-    RecoveryReport,
-    convergence_sweep,
-    recover_center,
-    robustness_bound,
-    spectral_error,
-)
-from .signals import (
-    DIVERGENT,
-    SpectralSignal,
-    TimeSignal,
-    add_spectral_noise,
-    class_norm,
-    forward_transform,
-    from_profile,
-    grid_l1_norm,
-    grid_omegas,
-    inverse_transform,
-    make_bandlimited,
-    make_power_decay,
-)
-from .weights import (
-    WeightFamily,
-    WeightSpec,
-    WeightValidation,
-    companion_integral,
-    conjugate_exponent,
-    eval_companion,
-    eval_weight,
-    make_direct_weight,
-    make_general_power_weight,
-    make_power_weight,
-    validate_weight,
-)
-from ._quadrature import QuadratureError, adaptive_quad
-
-__all__ = [
-    "CSV_COLUMNS",
-    "DIVERGENT",
-    "GridFallbackWarning",
-    "KernelSpec",
-    "KernelTaps",
-    "QuadratureError",
-    "RecoveryReport",
-    "SpectralSignal",
-    "TimeSignal",
-    "TruncationWarning",
-    "WeightFamily",
-    "WeightSpec",
-    "WeightValidation",
-    "adaptive_quad",
-    "add_spectral_noise",
-    "class_norm",
-    "companion_integral",
-    "compute_kappa",
-    "conjugate_exponent",
-    "convergence_sweep",
-    "eval_companion",
-    "eval_transfer",
-    "eval_weight",
-    "forward_transform",
-    "from_profile",
-    "grid_l1_norm",
-    "grid_omegas",
-    "inverse_transform",
-    "make_bandlimited",
-    "make_direct_weight",
-    "make_general_power_weight",
-    "make_power_weight",
-    "normalization_residual",
-    "recover_center",
-    "resolve_kernel",
-    "robustness_bound",
-    "solve_epsilon_n",
-    "solve_epsilon_n_bisect",
-    "spectral_error",
-    "synthesize_taps",
-    "transfer_mean",
-    "validate_weight",
-]

@@ -136,6 +136,10 @@ class ExperimentConfig:
                                 self.grid_size)
 
 
+#: What a config field of each structured kind is called in errors.
+_KIND_NAMES = {dict: "an object", list: "a list", str: "a string"}
+
+
 def _require(mapping: dict, key: str, kind, where: str):
     if key not in mapping:
         raise ConfigError(f"{where}.{key}: required field missing")
@@ -150,6 +154,9 @@ def _require(mapping: dict, key: str, kind, where: str):
             raise ConfigError(f"{where}.{key}: expected an integer, "
                               f"got {value!r}")
         return value
+    if not isinstance(value, kind):
+        raise ConfigError(f"{where}.{key}: expected {_KIND_NAMES[kind]}, "
+                          f"got {value!r}")
     return value
 
 
@@ -218,7 +225,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
             raise ConfigError(f"signal.nu: must be positive, got {nu}")
 
     n_values = _require(raw, "n_values", list, "config")
-    if (not isinstance(n_values, list) or not n_values
+    if (not n_values
             or any(isinstance(n, bool) or not isinstance(n, int)
                    for n in n_values)):
         raise ConfigError("n_values: expected a nonempty list of integers")
@@ -245,15 +252,13 @@ def parse_config(raw: dict) -> ExperimentConfig:
     noise_sigma = None
     noise_seeds: tuple[int, ...] = ()
     if "noise" in raw:
-        noise = raw["noise"]
-        if not isinstance(noise, dict):
-            raise ConfigError("noise: expected an object")
+        noise = _require(raw, "noise", dict, "config")
         noise_sigma = _require(noise, "sigma", float, "noise")
         if noise_sigma < 0:
             raise ConfigError(f"noise.sigma: must be nonnegative, "
                               f"got {noise_sigma}")
         seeds = _require(noise, "seeds", list, "noise")
-        if (not isinstance(seeds, list) or not seeds
+        if (not seeds
                 or any(isinstance(s, bool) or not isinstance(s, int)
                        for s in seeds)):
             raise ConfigError("noise.seeds: expected a nonempty list of "

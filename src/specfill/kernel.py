@@ -156,19 +156,17 @@ def resolve_kernel(weight: WeightSpec, n: int) -> KernelSpec:
     """Solve the normalization and the sup constant for one band index."""
     eps = solve_epsilon_n(weight, n)
     return KernelSpec(weight=weight, n=n, epsilon_n=eps,
-                      kappa=_kappa_from_epsilon(weight, eps))
+                      kappa=compute_kappa(weight, eps))
 
 
-def _kappa_from_epsilon(weight: WeightSpec, epsilon: float) -> float:
-    # W is nondecreasing toward the edge, so sup |transfer| on the middle
-    # band sits at the outer edge; the inner band contributes 1.
+def compute_kappa(weight: WeightSpec, epsilon: float) -> float:
+    """Sup of |transfer| over the circle: max(1, W at the outer edge).
+
+    W is nondecreasing toward the edge, so sup |transfer| on the middle band
+    sits at the outer edge pi - epsilon; the inner band contributes 1.
+    """
     gap_prod = epsilon * (2.0 * PI - epsilon)
     return max(1.0, gap_prod ** -weight.companion_power)
-
-
-def compute_kappa(spec: KernelSpec) -> float:
-    """Sup of |transfer| over the circle: max(1, W at the outer edge)."""
-    return _kappa_from_epsilon(spec.weight, spec.epsilon_n)
 
 
 def normalization_residual(spec: KernelSpec) -> float:

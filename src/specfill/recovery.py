@@ -24,7 +24,14 @@ from .signals import (
     grid_omegas,
     inverse_transform,
 )
-from .weights import PI, WeightSpec, eval_companion, gap_from_u, u_from_omega
+from .weights import (
+    PI,
+    WeightSpec,
+    eval_companion,
+    gap_from_u,
+    gap_power_integral,
+    u_from_omega,
+)
 
 
 class GridFallbackWarning(UserWarning):
@@ -41,16 +48,16 @@ CSV_COLUMNS = ("n", "epsilon_n", "kappa", "estimate", "truth", "abs_error",
 class RecoveryReport:
     """One recovery run: estimate, truth, and the spectral error split.
 
-    ``spectral_bound`` equals (I1 + I2 + I3) / 2 pi and upper-bounds the
-    recovery error of the untruncated kernel; ``truncation_slack`` estimates
-    what finite tap/window truncation added on top.  ``robust_bound`` is
+    ``I2`` and ``I3`` are the L1 masses of (transfer - 1) X over the middle
+    and outer bands (the inner band contributes nothing).
+    ``spectral_bound`` equals (I2 + I3) / 2 pi and upper-bounds the recovery
+    error of the untruncated kernel.  ``robust_bound`` is
     epsilon_est + sigma (kappa + 1) when noise parameters were supplied.
     """
 
     n: int
     epsilon_n: float
     kappa: float
-    I1: float
     I2: float
     I3: float
     spectral_bound: float
@@ -62,7 +69,6 @@ class RecoveryReport:
     tap_half_length: int | None = None
     signal_half_length: int | None = None
     seed: int | None = None
-    truncation_slack: float | None = None
 
     def csv_row(self) -> list[str]:
         def fmt(x):
@@ -168,15 +174,11 @@ def _band_l1_grid(spec: KernelSpec, signal: SpectralSignal,
     # magnitude times the analytic companion mass plus the plain length.
     last_omega = band_omegas[-1]
     last_absx = float(band_absx[-1])
-    u_lo = u_from_omega(last_omega)
+    u_lo = float(u_from_omega(last_omega))
     u_hi = math.log((2.0 * PI - spec.epsilon_n) / spec.epsilon_n)
-    beta = spec.weight.companion_power
-
-    def tail_integrand(u):
-        gap_prod = gap_from_u(u) * (2.0 * PI - gap_from_u(u))
-        return (gap_prod ** -beta + 1.0) * gap_prod / (2.0 * PI)
-
-    tail_mass = adaptive_quad(tail_integrand, u_lo, u_hi, tol=tol)
+    tail_mass = (
+        gap_power_integral(spec.weight.companion_power, u_lo, u_hi, tol=tol)
+        + gap_power_integral(0.0, u_lo, u_hi, tol=tol))
     i2 = i2_resolved + last_absx * tail_mass
     i3 = last_absx * spec.epsilon_n
     return i2, i3
@@ -186,15 +188,13 @@ def spectral_error(spec: KernelSpec, signal: SpectralSignal,
                    *, tol: float = 1e-10) -> RecoveryReport:
     """Spectral L1 error of one kernel against one spectrum, band by band.
 
-    I1 (inner band) vanishes identically because the transfer function is 1
-    there; it is reported as exact zero.  I2 and I3 integrate
-    |(transfer - 1) X| over the middle and outer bands, analytically when
-    the spectrum carries its profile, otherwise from grid samples with the
-    nearest sample extended across the sub-grid tail (flagged by
-    GridFallbackWarning).  Declared band-limited spectra inside the inner
-    band short-circuit to an exact zero bound.
+    The inner band contributes nothing because the transfer function is 1
+    there.  I2 and I3 integrate |(transfer - 1) X| over the middle and
+    outer bands, analytically when the spectrum carries its profile,
+    otherwise from grid samples with the nearest sample extended across the
+    sub-grid tail (flagged by GridFallbackWarning).  Declared band-limited
+    spectra inside the inner band short-circuit to an exact zero bound.
     """
-    i1 = 0.0
     inner_edge = PI - 1.0 / spec.n
     if (signal.omega_support is not None
             and signal.omega_support <= inner_edge):
@@ -207,25 +207,21 @@ def spectral_error(spec: KernelSpec, signal: SpectralSignal,
         i2, i3 = 2.0 * half_i2, 2.0 * half_i3
     return RecoveryReport(
         n=spec.n, epsilon_n=spec.epsilon_n, kappa=spec.kappa,
-        I1=i1, I2=i2, I3=i3,
-        spectral_bound=(i1 + i2 + i3) / (2.0 * PI))
+        I2=i2, I3=i3, spectral_bound=(i2 + i3) / (2.0 * PI))
 
 
-#: One seed's time signal, and its doubled-window twin when measured.
-_Draw = tuple[int | None, TimeSignal, TimeSignal | None]
+#: One seed and its time signal.
+_Draw = tuple[int | None, TimeSignal]
 
 
 def _draws(signal: SpectralSignal, signal_half_length: int,
            noise_sigma: float | None, seeds: tuple[int, ...],
-           base_seed: int | None, measure_truncation: bool) -> list[_Draw]:
+           base_seed: int | None) -> list[_Draw]:
     draws = []
     for seed in (seeds if noise_sigma is not None else (base_seed,)):
         spectrum = (signal if noise_sigma is None
                     else add_spectral_noise(signal, noise_sigma, seed))
-        time_sig = inverse_transform(spectrum, signal_half_length)
-        doubled = (inverse_transform(spectrum, 2 * signal_half_length)
-                   if measure_truncation else None)
-        draws.append((seed, time_sig, doubled))
+        draws.append((seed, inverse_transform(spectrum, signal_half_length)))
         # Free this noisy grid before the next one is drawn.
         del spectrum
     return draws
@@ -234,28 +230,19 @@ def _draws(signal: SpectralSignal, signal_half_length: int,
 def _sweep_cell(weight: WeightSpec, signal: SpectralSignal, n: int,
                 tap_half_length: int, signal_half_length: int,
                 noise_sigma: float | None, draws: list[_Draw],
-                measure_truncation: bool, tol: float) -> list[RecoveryReport]:
+                tol: float) -> list[RecoveryReport]:
     spec = resolve_kernel(weight, n)
     spectral = spectral_error(spec, signal, tol=tol)
     taps = synthesize_taps(spec, tap_half_length, tol=tol)
-    taps_doubled = (synthesize_taps(spec, 2 * tap_half_length, tol=tol)
-                    if measure_truncation else None)
     robust = None
     if noise_sigma is not None:
         robust = robustness_bound(spectral.spectral_bound, noise_sigma,
                                   spec.kappa)
 
     reports = []
-    for seed, time_sig, doubled in draws:
+    for seed, time_sig in draws:
         estimate = recover_center(taps, time_sig)
         truth = time_sig.truth_center
-        slack = None
-        if measure_truncation:
-            est2 = recover_center(taps_doubled, doubled)
-            # Geometric-tail estimate of the remaining truncation: the
-            # doubling delta plus everything beyond, assuming at least
-            # 2x decay per octave.
-            slack = 2.0 * abs(est2 - estimate)
         reports.append(replace(
             spectral,
             estimate=estimate, truth=truth,
@@ -263,7 +250,7 @@ def _sweep_cell(weight: WeightSpec, signal: SpectralSignal, n: int,
             robust_bound=robust, zero_residual=taps.zero_residual,
             tap_half_length=tap_half_length,
             signal_half_length=signal_half_length,
-            seed=seed, truncation_slack=slack))
+            seed=seed))
     return reports
 
 
@@ -272,7 +259,6 @@ def convergence_sweep(weight: WeightSpec, signal: SpectralSignal,
                       signal_half_length: int, *,
                       noise_sigma: float | None = None,
                       noise_seeds: tuple[int, ...] = (),
-                      measure_truncation: bool = False,
                       base_seed: int | None = None,
                       tol: float = 1e-10) -> list[RecoveryReport]:
     """Run kernel resolution, synthesis, and recovery over a band-index sweep.
@@ -282,10 +268,7 @@ def convergence_sweep(weight: WeightSpec, signal: SpectralSignal,
     it at ``signal_half_length``; none of this depends on n.  Then, for each
     n: resolve the kernel, synthesize taps at ``tap_half_length``, and
     assemble one report per seed carrying the estimate, truth, spectral
-    error split, and constants.  With ``measure_truncation`` each seed's
-    spectrum is also transformed at the doubled window, the estimate is
-    recomputed there with doubled taps, and the delta is folded into
-    ``truncation_slack``.  The report order is (n ascending, seed
+    error split, and constants.  The report order is (n ascending, seed
     ascending).  Errors from the per-n stages propagate tagged with their n.
     """
     if sorted(n_values) != list(n_values):
@@ -295,14 +278,14 @@ def convergence_sweep(weight: WeightSpec, signal: SpectralSignal,
     if noise_sigma is not None and not noise_seeds:
         raise ValueError("noise_sigma given without noise seeds")
     draws = _draws(signal, signal_half_length, noise_sigma,
-                   tuple(sorted(noise_seeds)), base_seed, measure_truncation)
+                   tuple(sorted(noise_seeds)), base_seed)
 
     reports = []
     for n in n_values:
         try:
             reports += _sweep_cell(weight, signal, n, tap_half_length,
                                    signal_half_length, noise_sigma, draws,
-                                   measure_truncation, tol)
+                                   tol)
         except Exception as exc:
             raise RuntimeError(f"sweep cell n={n} failed: {exc}") from exc
     return reports

@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .weights import PI, WeightSpec, eval_weight
+from .weights import PI, WeightSpec, _classify_tail, eval_weight
 
 #: Degree of the seeded trigonometric envelope polynomials.
 ENVELOPE_DEGREE = 8
@@ -329,15 +329,9 @@ def class_norm(spec: SpectralSignal, weight: WeightSpec):
         partials = [float(np.sum(density[np.abs(omegas) <= PI - d]) * spacing)
                     for d in deltas]
 
-    values = np.asarray(partials)
-    if not np.all(np.isfinite(values)):
+    if _classify_tail(partials) == "divergent":
         return DIVERGENT
-    final = values[-1]
-    if final > 0.0:
-        share = (values[-1] - values[-2]) / final
-        if share > 0.1:
-            return DIVERGENT
-    return final
+    return partials[-1]
 
 
 def add_spectral_noise(spec: SpectralSignal, sigma: float,
@@ -372,20 +366,3 @@ def add_spectral_noise(spec: SpectralSignal, sigma: float,
         profile=None,
         label=f"{spec.label} + noise sigma={float(sigma)!r} seed={noise_seed}")
 
-
-def write_time_signal_text(signal: TimeSignal, path) -> None:
-    """Two-column text export (t, x(t)) with a one-line descriptive header."""
-    S = signal.half_length
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# {signal.label}\n")
-        for t in range(-S, S + 1):
-            fh.write(f"{t} {float(signal.samples[t + S])!r}\n")
-
-
-def write_spectral_signal_text(spec: SpectralSignal, path) -> None:
-    """Three-column text export (omega, Re X, Im X) with a header line."""
-    omegas = grid_omegas(spec.grid_size)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# {spec.label}\n")
-        for om, v in zip(omegas, spec.values):
-            fh.write(f"{float(om)!r} {float(v.real)!r} {float(v.imag)!r}\n")

@@ -3,12 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specfill.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
     ConfigError,
+    ExperimentConfig,
     load_config,
     main,
     parse_config,
@@ -22,6 +25,22 @@ BASE_CONFIG = {
     "S": 128,
     "grid_size": 4096,
 }
+
+
+#: BASE_CONFIG with the optional fields filled in, for the property test.
+FULL_CONFIG = {**BASE_CONFIG, "noise": {"sigma": 1e-6, "seeds": [0, 1]},
+               "output_path": "out.csv"}
+
+#: Every top-level field of FULL_CONFIG and every field nested in it.
+FIELD_PATHS = [(key,) for key in FULL_CONFIG] + [
+    (key, sub) for key, value in FULL_CONFIG.items()
+    if isinstance(value, dict) for sub in value]
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(), children, max_size=4)),
+    max_leaves=8)
 
 
 def write_config(tmp_path, overrides=None, name="config.json", drop=()):
@@ -71,6 +90,9 @@ class TestConfigParsing:
         ({"grid_size": 1000}, "grid_size"),
         ({"noise": {"sigma": -1.0, "seeds": [1]}}, "sigma"),
         ({"noise": {"sigma": 0.1, "seeds": []}}, "seeds"),
+        ({"weight": 5}, "weight"),
+        ({"signal": 7}, "signal"),
+        ({"weight": "family"}, "weight"),
     ])
     def test_invalid_configs_name_the_field(self, tmp_path, overrides,
                                             fragment):
@@ -109,6 +131,21 @@ class TestConfigParsing:
                      "--out", str(out)]) == EXIT_CONFIG
         assert f"{field}: must be" in capsys.readouterr().err
         assert not out.exists()
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_any_field_swap_parses_or_raises_config_error(self, data):
+        raw = json.loads(json.dumps(FULL_CONFIG))
+        path = data.draw(st.sampled_from(FIELD_PATHS))
+        parent = raw
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = data.draw(JSON_VALUES)
+        try:
+            config = parse_config(raw)
+        except ConfigError:
+            return
+        assert isinstance(config, ExperimentConfig)
 
     def test_missing_field(self, tmp_path):
         path = write_config(tmp_path, drop=("n_values",))

@@ -100,7 +100,6 @@ class TestSpectralError:
     def test_in_band_support_exact_zero(self, spec2):
         signal = make_bandlimited(PI / 2, 7, 2 ** 14)
         report = spectral_error(spec2, signal)
-        assert report.I1 == 0.0
         assert report.I2 == 0.0
         assert report.I3 == 0.0
         assert report.spectral_bound == 0.0
@@ -113,7 +112,8 @@ class TestSpectralError:
 
     def test_inner_band_integrand_identically_zero(self, spec2):
         # (transfer - 1) X vanishes pointwise on the whole inner band, so
-        # the first decomposition term is exactly zero, not just small.
+        # the bound rightly leaves that band out: its term is exactly zero,
+        # not just small.
         from specfill.kernel import eval_transfer
         from specfill.signals import grid_omegas
 
@@ -123,7 +123,6 @@ class TestSpectralError:
         integrand = (eval_transfer(spec2, om[inner]) - 1.0) \
             * signal.values[inner]
         assert np.all(integrand == 0.0)
-        assert spectral_error(spec2, signal).I1 == 0.0
 
     def test_flat_spectrum_bound_is_one(self, spec2):
         # (transfer - 1) has total L1 mass exactly 2 pi for |X| == 1: the
@@ -148,7 +147,7 @@ class TestSpectralError:
     def test_decomposition_sums_to_bound(self):
         signal = make_power_decay(1.0, 3, 2 ** 16)
         report = spectral_error(resolve_kernel(POWER, 4), signal)
-        recomposed = (report.I1 + report.I2 + report.I3) / (2 * PI)
+        recomposed = (report.I2 + report.I3) / (2 * PI)
         assert report.spectral_bound == pytest.approx(recomposed, abs=1e-10)
         assert report.I3 < report.I2
 
@@ -190,14 +189,6 @@ class TestConvergenceSweep:
         assert all(r.spectral_bound == 0.0 for r in reports)
         assert all(r.seed == 7 for r in reports)
 
-    def test_bound_soundness_with_truncation_slack(self):
-        signal = make_power_decay(1.0, 3, 2 ** 14)
-        reports = convergence_sweep(POWER, signal, [2, 4], 128, 256,
-                                    measure_truncation=True, base_seed=3)
-        for r in reports:
-            assert r.truncation_slack is not None
-            assert r.abs_error <= r.spectral_bound + r.truncation_slack
-
     def test_noise_rows_carry_bound_and_respect_it(self):
         signal = make_bandlimited(PI / 2, 7, 2 ** 14)
         reports = convergence_sweep(
@@ -226,11 +217,6 @@ class TestConvergenceSweep:
         windows.clear()
         convergence_sweep(POWER, signal, n_values, 32, 256, base_seed=3)
         assert windows == [256]
-        windows.clear()
-        convergence_sweep(POWER, signal, n_values, 32, 256,
-                          noise_sigma=1e-6, noise_seeds=seeds,
-                          measure_truncation=True)
-        assert sorted(windows) == [256] * len(seeds) + [512] * len(seeds)
 
     def test_shared_draws_match_per_cell_route(self):
         # Reference: draw and transform the noisy spectrum inside every

@@ -6,7 +6,6 @@ import pytest
 from specfill.signals import (
     DIVERGENT,
     SpectralSignal,
-    TimeSignal,
     add_spectral_noise,
     assert_hermitian,
     class_norm,
@@ -17,8 +16,6 @@ from specfill.signals import (
     inverse_transform,
     make_bandlimited,
     make_power_decay,
-    write_spectral_signal_text,
-    write_time_signal_text,
 )
 from specfill.weights import PI, make_power_weight
 
@@ -282,27 +279,3 @@ class TestNoise:
         with pytest.raises(ValueError):
             add_spectral_noise(sig, -0.1, 5)
 
-
-class TestWriters:
-    def test_time_signal_text(self, tmp_path):
-        ts = TimeSignal(half_length=2,
-                        samples=np.array([0.5, -1.0, 2.0, -1.0, 0.5]),
-                        truth_center=2.0, label="demo signal")
-        path = tmp_path / "ts.txt"
-        write_time_signal_text(ts, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# demo signal"
-        assert lines[3] == "0 2.0"
-        assert len(lines) == 6
-
-    def test_spectral_signal_text(self, tmp_path):
-        # Small hand-built spectrum keeps the file tiny.
-        values = np.arange(8, dtype=float) + 1j * 0.0
-        spec = SpectralSignal(grid_size=8, values=values, label="tiny")
-        path = tmp_path / "spec.txt"
-        write_spectral_signal_text(spec, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# tiny"
-        assert len(lines) == 9
-        om0, re0, im0 = lines[1].split()
-        assert float(re0) == 0.0 and float(im0) == 0.0
