@@ -88,7 +88,10 @@ def adaptive_quad(f, a, b, *, tol=1e-10, rtol=1e-12, breakpoints=None,
     else:
         inner = np.asarray(breakpoints, dtype=float)
         inner = inner[(inner > a) & (inner < b)]
-        knots = np.unique(np.concatenate([[a], inner, [b]]))
+        # np.sort plus dropping repeats, not np.unique: np.unique imports
+        # numpy.ma, a start-up cost no command otherwise pays.
+        knots = np.sort(np.concatenate([[a], inner, [b]]))
+        knots = knots[np.concatenate([[True], knots[1:] != knots[:-1]])]
     lo = knots[:-1]
     hi = knots[1:]
     vals, errs = _gk15(f, lo, hi)

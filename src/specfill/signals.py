@@ -14,6 +14,12 @@ evaluated on the whole grid bit for bit.  Each generated spectrum carries
 its exact analytic profile as a callable, which downstream error integrals
 use to resolve sub-grid bands near the edges.
 
+The inverse transform checks that its input is Hermitian, then folds the
+two half-grids into one half-length inverse FFT, which yields the real
+sequence two samples per output value.  Spectral noise is flat-magnitude,
+random-phase and Hermitian on the edge band, added on the band's two edge
+slices only.
+
 Both generated families are uniformly well behaved: envelopes are bounded
 trigonometric polynomials, so any finite family drawn from them has
 uniformly vanishing weighted mass near the band edges.
@@ -21,6 +27,7 @@ uniformly vanishing weighted mass near the band edges.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -142,8 +149,9 @@ def _check_grid_size(grid_size: int) -> None:
 def _envelope(seed: int) -> Callable[[np.ndarray], np.ndarray]:
     """Seeded Hermitian trig-polynomial envelope (even real + odd imaginary).
 
-    cos/sin of negated arguments are bit-exact mirrors, so the closure is
-    exactly Hermitian on any symmetric grid.
+    cos/sin of negated arguments are bit-exact mirrors, and the recurrences
+    below negate every sine term exactly, so the closure is exactly
+    Hermitian on any symmetric grid.
     """
     rng = np.random.Generator(np.random.Philox(seed))
     scale = 1.0 / (1.0 + np.arange(ENVELOPE_DEGREE + 1)) ** 2
@@ -153,9 +161,19 @@ def _envelope(seed: int) -> Callable[[np.ndarray], np.ndarray]:
 
     def profile(omega: np.ndarray) -> np.ndarray:
         om = np.asarray(omega, dtype=float)
-        ks = np.arange(ENVELOPE_DEGREE + 1)
-        angles = om[..., None] * ks
-        return (np.cos(angles) @ re_coef) + 1j * (np.sin(angles) @ im_coef)
+        # Chebyshev recurrences f_(k+1) = 2 cos(omega) f_k - f_(k-1) give
+        # cos(k omega) and sin(k omega) from one cos and one sin per sample.
+        cos_prev, cos_k = 1.0, np.cos(om)
+        sin_prev, sin_k = 0.0, np.sin(om)
+        twice_cos = 2.0 * cos_k
+        re = re_coef[0] + re_coef[1] * cos_k
+        im = im_coef[1] * sin_k
+        for k in range(2, ENVELOPE_DEGREE + 1):
+            cos_prev, cos_k = cos_k, twice_cos * cos_k - cos_prev
+            sin_prev, sin_k = sin_k, twice_cos * sin_k - sin_prev
+            re += re_coef[k] * cos_k
+            im += im_coef[k] * sin_k
+        return re + 1j * im
 
     return profile
 
@@ -235,20 +253,39 @@ def from_profile(profile: Callable[[np.ndarray], np.ndarray],
 
 
 def assert_hermitian(spec: SpectralSignal, tol: float = 0.0) -> None:
-    """Raise unless X(-omega) == conj(X(omega)) on the grid (within tol)."""
-    defect = np.max(np.abs(spec.values[::-1].conj() - spec.values))
+    """Raise unless X(-omega) == conj(X(omega)) on the grid (within tol).
+
+    The defect |X_j - conj X_(M-1-j)| is the same at j and M-1-j, so it is
+    computed on the negative half of the grid only.
+    """
+    half = spec.grid_size // 2
+    neg, pos = spec.values[:half], spec.values[half:]
+    defect = np.max(np.abs(neg - pos[::-1].conj()))
     if defect > tol:
         raise ValueError(
             f"spectrum violates Hermitian symmetry (defect {defect:.3e})")
 
 
+@functools.lru_cache(maxsize=1)
+def _fold_twiddle(grid_size: int) -> np.ndarray:
+    """i e^(i theta_m) on the positive half-grid theta_m; read-only."""
+    twiddle = 1j * np.exp(1j * _positive_omegas(grid_size))
+    twiddle.setflags(write=False)
+    return twiddle
+
+
 def inverse_transform(spec: SpectralSignal, half_length: int) -> TimeSignal:
     """x(t) = (1/2pi) integral of X e^(i omega t), trapezoid on the grid.
 
-    On the midpoint grid the trapezoid sum is a phase-shifted inverse DFT,
-    evaluated by FFT.  The imaginary residue is asserted below 1e-10 (a
-    larger residue means Hermitian symmetry was broken upstream) and then
-    discarded.  Requires grid_size >= 8 * (2 * half_length + 1).
+    On the midpoint grid the trapezoid sum is a phase-shifted inverse DFT.
+    A Hermitian spectrum gives a real x, so the two half-grids fold into
+    one array of length M/2, A_m = (P_m + N_m) + i e^(i theta_m) (P_m - N_m)
+    with P = X[M/2:], N = X[:M/2] and theta_m = (m + 1/2) 2 pi / M, and one
+    M/2-point inverse FFT gives x(2s) + i x(2s+1) = (1/2) e^(2 pi i s / M)
+    ifft(A)[s mod M/2].  The fold is only valid for a Hermitian input, so
+    the spectrum is checked first: a defect max |X_j - conj X_(M-1-j)|
+    above 2e-10 is an error (half of it bounds the imaginary part x would
+    have).  Requires grid_size >= 8 * (2 * half_length + 1).
     """
     if half_length < 1:
         raise ValueError(f"half_length must be >= 1, got {half_length}")
@@ -258,17 +295,19 @@ def inverse_transform(spec: SpectralSignal, half_length: int) -> TimeSignal:
             f"grid_size {M} too coarse for half_length {half_length}; "
             f"need at least 8 * (2 * half_length + 1) = "
             f"{8 * (2 * half_length + 1)}")
-    base = np.fft.ifft(spec.values)
-    ts = np.arange(-half_length, half_length + 1)
-    parity = np.where(ts % 2 == 0, 1.0, -1.0)
-    phases = parity * np.exp(1j * PI * ts / M)
-    complex_samples = phases * base[ts % M]
-    residue = float(np.max(np.abs(complex_samples.imag)))
-    if residue > 1e-10:
-        raise ValueError(
-            f"imaginary residue {residue:.3e} exceeds 1e-10; spectrum is "
-            f"not Hermitian")
-    samples = complex_samples.real.copy()
+    assert_hermitian(spec, tol=2e-10)
+    half = M // 2
+    neg, pos = spec.values[:half], spec.values[half:]
+    folded = pos - neg
+    folded *= _fold_twiddle(M)
+    folded += pos + neg
+    base = np.fft.ifft(folded)
+    # Pairs (x(2s), x(2s+1)) for s = floor(-S/2) .. floor(S/2) cover [-S, S].
+    first = -half_length // 2
+    ss = np.arange(first, half_length // 2 + 1)
+    pairs = 0.5 * np.exp(1j * (ss * (2.0 * PI / M))) * base[ss % half]
+    start = -half_length - 2 * first
+    samples = pairs.view(float)[start:start + 2 * half_length + 1].copy()
     return TimeSignal(half_length=half_length, samples=samples,
                       truth_center=float(samples[half_length]),
                       label=f"{spec.label} S={half_length}")
@@ -334,13 +373,33 @@ def class_norm(spec: SpectralSignal, weight: WeightSpec):
     return partials[-1]
 
 
+def _noise_band_count(grid_size: int) -> int:
+    """Samples of the positive half-grid with omega > pi - NOISE_BAND.
+
+    The half-grid ascends, so the band is its tail; the first index in it
+    is estimated in closed form and then settled with the same
+    floating-point comparison as ``_positive_omegas(M) > pi - NOISE_BAND``.
+    """
+    half = grid_size // 2
+    spacing = 2.0 * PI / grid_size
+    edge = PI - NOISE_BAND
+    first = math.ceil(edge / spacing - 0.5)
+    while first < half and not (first + 0.5) * spacing > edge:
+        first += 1
+    while first > 0 and (first - 0.5) * spacing > edge:
+        first -= 1
+    return half - first
+
+
 def add_spectral_noise(spec: SpectralSignal, sigma: float,
                        noise_seed: int) -> SpectralSignal:
     """Add Hermitian edge-band noise with grid L1 norm exactly sigma.
 
-    The noise has flat magnitude on |omega| > pi - 0.05 (where the weighted
-    classes have no mass, so it is maximally adversarial for the kernel) and
-    seeded random phases; sigma = 0 returns the spectrum unchanged.
+    The noise has flat magnitude and seeded random phases on the edge band
+    |omega| > pi - NOISE_BAND, where the weighted classes have little mass,
+    and is zero elsewhere; it is added in place on the band's two edge
+    slices of a copy of the values.  sigma = 0 returns the spectrum
+    unchanged.
     """
     if sigma < 0:
         raise ValueError(f"sigma must be nonnegative, got {sigma}")
@@ -349,20 +408,19 @@ def add_spectral_noise(spec: SpectralSignal, sigma: float,
                               omega_support=spec.omega_support,
                               profile=spec.profile, label=spec.label)
     M = spec.grid_size
-    half = M // 2
-    pos_mask = _positive_omegas(M) > PI - NOISE_BAND
-    count = int(np.count_nonzero(pos_mask))
+    count = _noise_band_count(M)
     if count == 0:
         raise ValueError(
             f"grid_size {M} leaves no samples in the noise band")
     rng = np.random.Generator(np.random.Philox(noise_seed))
     phases = np.exp(1j * rng.uniform(0.0, 2.0 * PI, count))
     amplitude = sigma / (2.0 * count * (2.0 * PI / M))
-    noise = np.zeros(M, dtype=complex)
-    noise[half:][pos_mask] = amplitude * phases
-    noise[:half][pos_mask[::-1]] = np.conj(amplitude * phases)[::-1]
+    band = amplitude * phases
+    values = spec.values.copy()
+    values[M - count:] += band
+    values[:count] += np.conj(band)[::-1]
     return SpectralSignal(
-        grid_size=M, values=spec.values + noise, omega_support=None,
+        grid_size=M, values=values, omega_support=None,
         profile=None,
         label=f"{spec.label} + noise sigma={float(sigma)!r} seed={noise_seed}")
 

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -342,8 +343,16 @@ class TestCosineIntegral:
         assert np.max(np.abs(_cosine_integral(xs) - oracle)) <= 1e-14
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
     # Runtime dependencies are numpy only; scipy and mpmath are test oracles.
+    # numpy.ma costs start-up time in every command that integrates, and
+    # none of them needs it.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "weight": {"family": "general_power", "nu": 1.0, "a": 1.5,
+                   "p": "inf"},
+        "signal": {"kind": "bandlimited", "omega": 2.5, "seed": 3},
+        "n_values": [2], "T": 32, "S": 128, "grid_size": 4096}))
     src = Path(specfill.__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -351,9 +360,16 @@ def test_cli_import_leaves_scipy_unloaded():
     out = subprocess.run(
         [sys.executable, "-c",
          "import sys, specfill.cli; "
-         "print(sorted({'scipy', 'mpmath'} & set(sys.modules)))"],
+         "print(sorted({'scipy', 'mpmath'} & set(sys.modules))); "
+         "code = specfill.cli.main(['validate-weight', '--config', "
+         "sys.argv[1]]); "
+         "print(code, sorted({'scipy', 'mpmath', 'numpy.ma'} "
+         "& set(sys.modules)))",
+         str(config)],
         env=env, capture_output=True, text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    lines = out.stdout.strip().splitlines()
+    assert lines[0] == "[]"
+    assert lines[-1] == "0 []"
 
 
 class TestExports:

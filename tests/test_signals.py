@@ -5,7 +5,12 @@ import pytest
 
 from specfill.signals import (
     DIVERGENT,
+    ENVELOPE_DEGREE,
+    NOISE_BAND,
     SpectralSignal,
+    _envelope,
+    _noise_band_count,
+    _positive_omegas,
     add_spectral_noise,
     assert_hermitian,
     class_norm,
@@ -27,6 +32,49 @@ def flat_signal(grid_size=2 ** 14):
     return from_profile(
         lambda om: np.ones_like(np.asarray(om), dtype=complex),
         grid_size, label="flat")
+
+
+def random_hermitian(grid_size, seed):
+    rng = np.random.default_rng(seed)
+    half = (rng.standard_normal(grid_size // 2)
+            + 1j * rng.standard_normal(grid_size // 2))
+    return SpectralSignal(grid_size=grid_size,
+                          values=np.concatenate([half[::-1].conj(), half]))
+
+
+def full_grid_inverse(values, half_length):
+    """Reference route: one M-point ifft, then the midpoint-grid phases."""
+    M = values.size
+    base = np.fft.ifft(values)
+    ts = np.arange(-half_length, half_length + 1)
+    parity = np.where(ts % 2 == 0, 1.0, -1.0)
+    return (parity * np.exp(1j * PI * ts / M) * base[ts % M]).real
+
+
+def direct_envelope(seed, omega):
+    """Reference route: the envelope from a full cos/sin angle matrix."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    scale = 1.0 / (1.0 + np.arange(ENVELOPE_DEGREE + 1)) ** 2
+    re_coef = rng.uniform(-1.0, 1.0, ENVELOPE_DEGREE + 1) * scale
+    im_coef = rng.uniform(-1.0, 1.0, ENVELOPE_DEGREE + 1) * scale
+    im_coef[0] = 0.0
+    angles = omega[:, None] * np.arange(ENVELOPE_DEGREE + 1)
+    return (np.cos(angles) @ re_coef) + 1j * (np.sin(angles) @ im_coef)
+
+
+def masked_noise_values(spec, sigma, noise_seed):
+    """Reference route: full-grid zeros, filled through the band masks."""
+    M = spec.grid_size
+    half = M // 2
+    pos_mask = _positive_omegas(M) > PI - NOISE_BAND
+    count = int(np.count_nonzero(pos_mask))
+    rng = np.random.Generator(np.random.Philox(noise_seed))
+    phases = np.exp(1j * rng.uniform(0.0, 2.0 * PI, count))
+    amplitude = sigma / (2.0 * count * (2.0 * PI / M))
+    noise = np.zeros(M, dtype=complex)
+    noise[half:][pos_mask] = amplitude * phases
+    noise[:half][pos_mask[::-1]] = np.conj(amplitude * phases)[::-1]
+    return spec.values + noise
 
 
 class TestGrid:
@@ -136,6 +184,14 @@ class TestGenerators:
         assert np.array_equal(sig.values, sig.profile(grid_omegas(grid_size)))
         assert_hermitian(sig, tol=0.0)
 
+    @pytest.mark.parametrize("seed", [0, 3, 8])
+    def test_envelope_recurrence_matches_angle_matrix(self, seed):
+        # Whole grid plus points at the band edges, zero and beyond.
+        om = np.concatenate([grid_omegas(2 ** 14),
+                             [-PI, 0.0, PI, 2.0 * PI, -7.5]])
+        gap = np.abs(_envelope(seed)(om) - direct_envelope(seed, om))
+        assert np.max(gap) <= 1e-14
+
 
 class TestInverseTransform:
     def test_zero_spectrum(self):
@@ -174,6 +230,31 @@ class TestInverseTransform:
         sig = make_bandlimited(PI / 2, 7, 2 ** 10)
         with pytest.raises(ValueError):
             inverse_transform(sig, 512)
+
+    @pytest.mark.parametrize("grid_size", [1024, 2 ** 14, 2 ** 18])
+    @pytest.mark.parametrize("which", [1, 2, 3, "largest_odd",
+                                       "largest_even"])
+    def test_matches_full_grid_route(self, grid_size, which):
+        # Largest S with grid_size >= 8 (2S + 1) is grid_size/16 - 1 (odd).
+        largest = grid_size // 16 - 1
+        half_length = {"largest_odd": largest,
+                       "largest_even": largest - 1}.get(which, which)
+        sig = random_hermitian(grid_size, seed=grid_size + half_length)
+        ts = inverse_transform(sig, half_length)
+        ref = full_grid_inverse(sig.values, half_length)
+        assert ts.samples.shape == ref.shape
+        assert np.max(np.abs(ts.samples - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert ts.truth_center == ts.samples[half_length]
+
+    def test_small_hermitian_defect_rejected(self):
+        # A 1e-9 defect at one bin puts at most 1e-9 / (2M) into Im x, far
+        # below a 1e-10 residue test on x; the input check still sees it.
+        sig = random_hermitian(2 ** 12, seed=5)
+        values = sig.values.copy()
+        values[100] += 1e-9
+        with pytest.raises(ValueError, match="Hermitian"):
+            inverse_transform(SpectralSignal(grid_size=2 ** 12,
+                                             values=values), 8)
 
     def test_hermitian_violation_is_hard_error(self):
         values = np.zeros(2 ** 12, dtype=complex)
@@ -273,6 +354,22 @@ class TestNoise:
         c = add_spectral_noise(sig, 0.1, 6)
         np.testing.assert_array_equal(a.values, b.values)
         assert not np.array_equal(a.values, c.values)
+
+    @pytest.mark.parametrize("make, arg", [(make_bandlimited, PI / 2),
+                                           (make_power_decay, 1.0)])
+    @pytest.mark.parametrize("grid_size", [1024, 2 ** 16])
+    def test_values_equal_masked_route(self, make, arg, grid_size):
+        sig = make(arg, 7, grid_size)
+        noisy = add_spectral_noise(sig, 0.3, 11)
+        # Equal by value: the masked route's "+ 0" turns the mirror's -0.0
+        # imaginary parts into +0.0, the in-place slices leave them.
+        assert np.array_equal(noisy.values, masked_noise_values(sig, 0.3, 11))
+
+    @pytest.mark.parametrize("log2_size", range(10, 23))
+    def test_band_count_matches_mask(self, log2_size):
+        M = 2 ** log2_size
+        mask = _positive_omegas(M) > PI - NOISE_BAND
+        assert _noise_band_count(M) == int(np.count_nonzero(mask))
 
     def test_negative_sigma_rejected(self):
         sig = make_bandlimited(PI / 2, 7, 2 ** 14)
