@@ -47,6 +47,10 @@ _WG = np.array([
     0.129484966168870,
 ])
 
+# Refinement past either limit raises QuadratureError.
+_MAX_ROUNDS = 200
+_MAX_INTERVALS = 200_000
+
 
 def _gk15(f, lo, hi):
     """Kronrod estimates and |K15 - G7| error estimates per interval."""
@@ -59,8 +63,7 @@ def _gk15(f, lo, hi):
     return kron, np.abs(kron - gauss)
 
 
-def adaptive_quad(f, a, b, *, tol=1e-10, rtol=1e-12, breakpoints=None,
-                  max_intervals=200_000, max_rounds=200):
+def adaptive_quad(f, a, b, *, tol=1e-10, rtol=1e-12, breakpoints=None):
     """Integrate a vectorized callable f over [a, b].
 
     The error budget is ``max(tol, rtol * |estimate|)``, so huge integrals
@@ -96,7 +99,7 @@ def adaptive_quad(f, a, b, *, tol=1e-10, rtol=1e-12, breakpoints=None,
     hi = knots[1:]
     vals, errs = _gk15(f, lo, hi)
 
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         total = vals.sum()
         budget = max(tol, rtol * abs(total))
         err_total = errs.sum()
@@ -119,7 +122,7 @@ def adaptive_quad(f, a, b, *, tol=1e-10, rtol=1e-12, breakpoints=None,
         hi = np.concatenate([hi[~split], child_hi])
         vals = np.concatenate([vals[~split], child_vals])
         errs = np.concatenate([errs[~split], child_errs])
-        if lo.size > max_intervals:
+        if lo.size > _MAX_INTERVALS:
             raise QuadratureError(
-                f"exceeded {max_intervals} subintervals without converging")
+                f"exceeded {_MAX_INTERVALS} subintervals without converging")
     raise QuadratureError("exceeded maximum refinement rounds")

@@ -230,20 +230,17 @@ def transfer_mean(spec: KernelSpec, *, tol: float = 1e-12) -> float:
 
 def _middle_band_cos_integral(spec: KernelSpec, t: int, u_a: float,
                               u_b: float, tol: float) -> float:
-    """Integral of W(omega) cos(omega t) over the middle band, t integer.
+    """Integral of W(omega) cos(omega t) over the middle band, t >= 1.
 
     Runs in the log-band coordinate u.  For integer t,
     cos(omega t) = (-1)^t cos((pi - omega) t), and pi - omega is available
     from u at full precision, so the oscillatory phase never suffers
     cancellation.  The initial partition resolves the oscillation (equal
-    phase steps where the gap exceeds ~3/t, log-spaced knots beyond).
+    phase steps where the gap exceeds ~3/t, log-spaced knots beyond).  It
+    is the per-tap reference the fixed panels of :func:`_middle_band_fixed`
+    are tested against.
     """
     beta = spec.weight.companion_power
-
-    if t == 0:
-        bp = np.linspace(u_a, u_b, 17)[1:-1]
-        return adaptive_quad(lambda u: gap_power_density(beta, u), u_a, u_b,
-                             tol=tol, breakpoints=bp)
 
     def f(u):
         return gap_power_density(beta, u) * np.cos(gap_from_u(u) * t)
@@ -458,7 +455,8 @@ def synthesize_taps(spec: KernelSpec, half_length: int,
     inner_edge = PI - 1.0 / n
 
     try:
-        center_mid = _middle_band_cos_integral(spec, 0, u_a, u_b, tol)
+        center_mid = _band_mass_quad(spec.weight.companion_power, u_a, u_b,
+                                     tol)
     except QuadratureError as exc:
         raise QuadratureError(
             f"tap quadrature failed at t=0 (n={n}, "

@@ -4,38 +4,27 @@ The estimate of the missing center value is the tap/sample dot product with
 the center structurally excluded.  Its spectral error bound is the L1 norm
 of (transfer - 1) X over the circle, split into the three bands where the
 transfer function is 1 (contributes nothing), -W, and 0; the noisy-input
-bound adds sigma (kappa + 1) on top.
+bound adds sigma (kappa + 1) on top.  The band integrals run on the
+spectrum's analytic profile, so every bound needs one; grid samples never
+stand in for it.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._quadrature import QuadratureError, adaptive_quad
+from ._quadrature import adaptive_quad
 from .kernel import KernelSpec, KernelTaps, resolve_kernel, synthesize_taps
 from .signals import (
     SpectralSignal,
     TimeSignal,
     add_spectral_noise,
-    grid_omegas,
     inverse_transform,
 )
-from .weights import (
-    PI,
-    WeightSpec,
-    eval_companion,
-    gap_from_u,
-    gap_power_integral,
-    u_from_omega,
-)
-
-
-class GridFallbackWarning(UserWarning):
-    """A sub-grid band was integrated from the nearest grid sample."""
+from .weights import PI, WeightSpec, gap_from_u, u_from_omega
 
 
 #: Column order of the CSV serialization of a report row.
@@ -109,15 +98,6 @@ def robustness_bound(epsilon_est: float, sigma: float, kappa: float) -> float:
     return epsilon_est + sigma * (kappa + 1.0)
 
 
-def _abs_profile(signal: SpectralSignal):
-    profile = signal.profile
-
-    def magnitude(omega):
-        return np.abs(profile(np.asarray(omega, dtype=float)))
-
-    return magnitude
-
-
 def _band_l1_analytic(spec: KernelSpec, signal: SpectralSignal,
                       tol: float) -> tuple[float, float]:
     """(I2, I3) for one side of the spectrum from the analytic profile.
@@ -127,7 +107,11 @@ def _band_l1_analytic(spec: KernelSpec, signal: SpectralSignal,
     blow-up); I3 integrates |X| over the sub-grid outer band directly, which
     is harmless because X carries no singularity.
     """
-    magnitude = _abs_profile(signal)
+    profile = signal.profile
+
+    def magnitude(omega):
+        return np.abs(profile(np.asarray(omega, dtype=float)))
+
     beta = spec.weight.companion_power
     u_a = u_from_omega(PI - 1.0 / spec.n)
     u_b = math.log((2.0 * PI - spec.epsilon_n) / spec.epsilon_n)
@@ -149,62 +133,22 @@ def _band_l1_analytic(spec: KernelSpec, signal: SpectralSignal,
     return i2, i3
 
 
-def _band_l1_grid(spec: KernelSpec, signal: SpectralSignal,
-                  tol: float) -> tuple[float, float]:
-    """(I2, I3) for one side from grid samples, extending the nearest sample
-    across the sub-grid tail; W is still treated analytically."""
-    omegas = grid_omegas(signal.grid_size)
-    absx = np.abs(signal.values)
-    inner_edge = PI - 1.0 / spec.n
-    outer_edge = PI - spec.epsilon_n
-    on_band = (omegas >= inner_edge) & (omegas <= outer_edge)
-    if not np.any(on_band):
-        raise QuadratureError(
-            f"no grid samples on the middle band for n={spec.n}; refine "
-            f"the grid")
-    warnings.warn(
-        "spectrum has no analytic profile; sub-grid bands use the nearest "
-        "grid sample", GridFallbackWarning, stacklevel=3)
-    band_omegas = omegas[on_band]
-    band_absx = absx[on_band]
-    w_plus_one = eval_companion(spec.weight, band_omegas) + 1.0
-    spacing = 2.0 * PI / signal.grid_size
-    i2_resolved = float(np.sum(w_plus_one * band_absx) * spacing)
-    # Sub-grid stretch between the last sample and the outer edge: the last
-    # magnitude times the analytic companion mass plus the plain length.
-    last_omega = band_omegas[-1]
-    last_absx = float(band_absx[-1])
-    u_lo = float(u_from_omega(last_omega))
-    u_hi = math.log((2.0 * PI - spec.epsilon_n) / spec.epsilon_n)
-    tail_mass = (
-        gap_power_integral(spec.weight.companion_power, u_lo, u_hi, tol=tol)
-        + gap_power_integral(0.0, u_lo, u_hi, tol=tol))
-    i2 = i2_resolved + last_absx * tail_mass
-    i3 = last_absx * spec.epsilon_n
-    return i2, i3
-
-
 def spectral_error(spec: KernelSpec, signal: SpectralSignal,
                    *, tol: float = 1e-10) -> RecoveryReport:
     """Spectral L1 error of one kernel against one spectrum, band by band.
 
     The inner band contributes nothing because the transfer function is 1
     there.  I2 and I3 integrate |(transfer - 1) X| over the middle and
-    outer bands, analytically when the spectrum carries its profile,
-    otherwise from grid samples with the nearest sample extended across the
-    sub-grid tail (flagged by GridFallbackWarning).  Declared band-limited
-    spectra inside the inner band short-circuit to an exact zero bound.
+    outer bands from the spectrum's analytic profile; the outer band is far
+    narrower than any grid spacing, so a spectrum without a profile (for
+    example a noisy one) raises ValueError.  A band-limited profile that
+    ends inside the inner band is exactly zero on both, so its bound is 0.
     """
-    inner_edge = PI - 1.0 / spec.n
-    if (signal.omega_support is not None
-            and signal.omega_support <= inner_edge):
-        i2 = i3 = 0.0
-    elif signal.profile is not None:
-        half_i2, half_i3 = _band_l1_analytic(spec, signal, tol)
-        i2, i3 = 2.0 * half_i2, 2.0 * half_i3
-    else:
-        half_i2, half_i3 = _band_l1_grid(spec, signal, tol)
-        i2, i3 = 2.0 * half_i2, 2.0 * half_i3
+    if signal.profile is None:
+        raise ValueError("spectral_error needs the spectrum's analytic "
+                         "profile; this spectrum has none")
+    half_i2, half_i3 = _band_l1_analytic(spec, signal, tol)
+    i2, i3 = 2.0 * half_i2, 2.0 * half_i3
     return RecoveryReport(
         n=spec.n, epsilon_n=spec.epsilon_n, kappa=spec.kappa,
         I2=i2, I3=i3, spectral_bound=(i2 + i3) / (2.0 * PI))

@@ -70,18 +70,15 @@ DIVERGENT = Divergent()
 class SpectralSignal:
     """Samples of a spectrum X on the midpoint frequency grid.
 
-    ``omega_support`` declares a band edge: values are exactly zero beyond
-    it.  ``profile`` is the exact generator closure (omega array -> complex
-    values); None for spectra with no closed form (for example after noise
-    injection).
+    ``profile`` is the exact generator closure (omega array -> complex
+    values), which the spectral error bound integrates; None for spectra
+    with no closed form (for example after noise injection).
     """
 
     grid_size: int
     values: np.ndarray
-    omega_support: float | None = None
     profile: Callable[[np.ndarray], np.ndarray] | None = field(
         default=None, repr=False)
-    label: str = ""
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=complex)
@@ -98,7 +95,6 @@ class TimeSignal:
     half_length: int
     samples: np.ndarray
     truth_center: float
-    label: str = ""
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=float)
@@ -178,19 +174,18 @@ def _envelope(seed: int) -> Callable[[np.ndarray], np.ndarray]:
     return profile
 
 
-def make_bandlimited(omega_support: float, shape_seed: int,
+def make_bandlimited(support: float, shape_seed: int,
                      grid_size: int) -> SpectralSignal:
     """Band-limited spectrum: seeded smooth envelope times a raised cosine.
 
-    The raised-cosine factor vanishes at +-omega_support and the values are
+    The raised-cosine factor vanishes at +-support and the values are
     exactly zero beyond; bit-identical for identical (parameters, seed).
     """
-    if not 0.0 < omega_support < PI:
-        raise ValueError(
-            f"omega_support must lie in (0, pi), got {omega_support}")
+    if not 0.0 < support < PI:
+        raise ValueError(f"support must lie in (0, pi), got {support}")
     _check_grid_size(grid_size)
     envelope = _envelope(shape_seed)
-    support = float(omega_support)
+    support = float(support)
 
     def profile(omega: np.ndarray) -> np.ndarray:
         om = np.asarray(omega, dtype=float)
@@ -203,9 +198,7 @@ def make_bandlimited(omega_support: float, shape_seed: int,
     return SpectralSignal(
         grid_size=grid_size,
         values=_mirror(_in_chunks(profile, _positive_omegas(grid_size))),
-        omega_support=support, profile=profile,
-        label=(f"bandlimited omega_support={support!r} "
-               f"seed={shape_seed} grid_size={grid_size}"))
+        profile=profile)
 
 
 def make_power_decay(nu: float, shape_seed: int,
@@ -235,21 +228,18 @@ def make_power_decay(nu: float, shape_seed: int,
 
     return SpectralSignal(
         grid_size=grid_size, values=_mirror(decay(pos, env)),
-        omega_support=None, profile=profile,
-        label=(f"powerdecay nu={float(nu)!r} seed={shape_seed} "
-               f"grid_size={grid_size}"))
+        profile=profile)
 
 
 def from_profile(profile: Callable[[np.ndarray], np.ndarray],
-                 grid_size: int, omega_support: float | None = None,
-                 label: str = "profile") -> SpectralSignal:
-    """Sample an arbitrary Hermitian closure onto the grid, keeping it."""
+                 grid_size: int) -> SpectralSignal:
+    """Sample an arbitrary Hermitian closure onto the grid, keeping it as
+    the ``profile`` that the spectral error bound integrates."""
     _check_grid_size(grid_size)
     omegas = grid_omegas(grid_size)
     values = np.asarray(profile(omegas), dtype=complex)
     return SpectralSignal(grid_size=grid_size, values=values,
-                          omega_support=omega_support, profile=profile,
-                          label=label)
+                          profile=profile)
 
 
 def assert_hermitian(spec: SpectralSignal, tol: float = 0.0) -> None:
@@ -309,8 +299,7 @@ def inverse_transform(spec: SpectralSignal, half_length: int) -> TimeSignal:
     start = -half_length - 2 * first
     samples = pairs.view(float)[start:start + 2 * half_length + 1].copy()
     return TimeSignal(half_length=half_length, samples=samples,
-                      truth_center=float(samples[half_length]),
-                      label=f"{spec.label} S={half_length}")
+                      truth_center=float(samples[half_length]))
 
 
 def forward_transform(signal: TimeSignal, grid_size: int) -> SpectralSignal:
@@ -325,14 +314,7 @@ def forward_transform(signal: TimeSignal, grid_size: int) -> SpectralSignal:
     parity = np.where(ts % 2 == 0, 1.0, -1.0)
     packed = np.zeros(M, dtype=complex)
     packed[ts % M] = signal.samples * parity * np.exp(-1j * PI * ts / M)
-    return SpectralSignal(grid_size=M, values=np.fft.fft(packed),
-                          omega_support=None, profile=None,
-                          label=f"forward({signal.label}) grid_size={M}")
-
-
-def grid_l1_norm(values: np.ndarray, grid_size: int) -> float:
-    """Grid L1 norm: sum |X| times the grid spacing."""
-    return float(np.sum(np.abs(values)) * (2.0 * PI / grid_size))
+    return SpectralSignal(grid_size=M, values=np.fft.fft(packed))
 
 
 def _tail_decades(grid_size: int) -> np.ndarray:
@@ -404,9 +386,7 @@ def add_spectral_noise(spec: SpectralSignal, sigma: float,
     if sigma < 0:
         raise ValueError(f"sigma must be nonnegative, got {sigma}")
     if sigma == 0.0:
-        return SpectralSignal(grid_size=spec.grid_size, values=spec.values,
-                              omega_support=spec.omega_support,
-                              profile=spec.profile, label=spec.label)
+        return spec
     M = spec.grid_size
     count = _noise_band_count(M)
     if count == 0:
@@ -419,8 +399,5 @@ def add_spectral_noise(spec: SpectralSignal, sigma: float,
     values = spec.values.copy()
     values[M - count:] += band
     values[:count] += np.conj(band)[::-1]
-    return SpectralSignal(
-        grid_size=M, values=values, omega_support=None,
-        profile=None,
-        label=f"{spec.label} + noise sigma={float(sigma)!r} seed={noise_seed}")
+    return SpectralSignal(grid_size=M, values=values)
 

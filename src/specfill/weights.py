@@ -201,23 +201,6 @@ def gap_power_integral(power: float, u_lo: float, u_hi: float,
                          tol=tol, breakpoints=bp)
 
 
-def companion_integral(spec: WeightSpec, lo: float, hi: float,
-                       *, tol: float = 1e-12) -> float:
-    """Integral of W over [lo, hi], -pi < lo <= hi < pi.
-
-    The power-law family uses the closed-form antiderivative
-    ``log((pi + omega)/(pi - omega)) / (2 pi)``; the rest integrate under the
-    log-band substitution.  Quadrature failure raises, never returns silently.
-    """
-    if not (-PI < lo <= hi < PI):
-        raise ValueError(
-            f"integration limits must satisfy -pi < lo <= hi < pi, "
-            f"got [{lo}, {hi}]")
-    return gap_power_integral(spec.companion_power,
-                              float(u_from_omega(lo)),
-                              float(u_from_omega(hi)), tol=tol)
-
-
 # ---------------------------------------------------------------------------
 # Numerical admissibility checks.
 # ---------------------------------------------------------------------------

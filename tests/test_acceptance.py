@@ -120,7 +120,7 @@ def test_c5_negative_control():
     weighted class; its spectral bound must not decay over the sweep."""
     flat = from_profile(
         lambda om: np.ones_like(np.asarray(om), dtype=complex),
-        2 ** 16, label="flat control")
+        2 ** 16)
     bounds = [spectral_error(resolve_kernel(POWER, n), flat).spectral_bound
               for n in (2, 4, 8, 16, 32)]
     assert bounds[-1] >= 0.5 * bounds[0], bounds

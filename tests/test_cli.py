@@ -248,6 +248,21 @@ class TestRecoverCommand:
         assert main(["recover", "--config", str(config)]) == EXIT_CONFIG
         assert "output_path" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, make_out", [
+        ("recover", lambda path: path.mkdir()),
+        ("kernel", lambda path: path.write_text("")),
+    ], ids=["recover-out-is-directory", "kernel-out-is-file"])
+    def test_unwritable_output_exits_config_error(self, tmp_path, capsys,
+                                                  command, make_out):
+        config = write_config(tmp_path)
+        out = tmp_path / "taken"
+        make_out(out)
+        assert main([command, "--config", str(config),
+                     "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: output_path: ")
+        assert "Traceback" not in err
+
 
 class TestRobustnessCommand:
     def test_rows_violations_and_zero_sigma_identity(self, tmp_path):
@@ -286,6 +301,16 @@ class TestRobustnessCommand:
         lines = out.read_text().splitlines()
         assert lines[-1] == "# violations=0"
         assert len(lines) == 4 + 3 + 1
+
+    def test_stderr_stays_empty(self, tmp_path, capsys):
+        # T = 32 leaves far more than the TruncationWarning share in the
+        # last octave; a successful run still prints nothing to stderr.
+        config = write_config(
+            tmp_path,
+            {"n_values": [2], "noise": {"sigma": 1e-9, "seeds": [0]}})
+        assert main(["robustness", "--config", str(config),
+                     "--out", str(tmp_path / "rob.csv")]) == EXIT_OK
+        assert capsys.readouterr().err == ""
 
     def test_overflowing_noise_row_counts_as_violation(self, tmp_path):
         # sigma = 1e308 is finite but overflows the noisy estimate to NaN;

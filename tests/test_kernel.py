@@ -276,13 +276,13 @@ class TestTaps:
     def test_center_tap_failure_names_t0(self, monkeypatch):
         from specfill import kernel as kernel_module
 
-        def explode(spec, t, u_a, u_b, tol):
+        def explode(beta, u_lo, u_hi, tol=1e-13):
             raise QuadratureError("synthetic")
 
-        monkeypatch.setattr(kernel_module, "_middle_band_cos_integral",
-                            explode)
+        # Resolve first: bisection also calls _band_mass_quad.
         spec = resolve_kernel(
             make_general_power_weight(1.0, 1.5, math.inf), 3)
+        monkeypatch.setattr(kernel_module, "_band_mass_quad", explode)
         with pytest.raises(QuadratureError, match="t=0"):
             synthesize_taps(spec, 8)
 

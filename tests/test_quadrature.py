@@ -52,12 +52,15 @@ def test_breakpoints_accepted():
     assert value == pytest.approx(2.0, abs=1e-12)
 
 
-def test_nonconvergence_raises():
+def test_nonconvergence_raises(monkeypatch):
+    from specfill import _quadrature
+
     def jumpy(x):
         return np.where(np.sin(1.0 / np.maximum(x, 1e-300)) > 0, 1.0, -1.0)
 
-    with pytest.raises(QuadratureError):
-        adaptive_quad(jumpy, 0.0, 1.0, tol=1e-14, max_rounds=6)
+    monkeypatch.setattr(_quadrature, "_MAX_ROUNDS", 6)
+    with pytest.raises(QuadratureError, match="refinement rounds"):
+        adaptive_quad(jumpy, 0.0, 1.0, tol=1e-14)
 
 
 def test_nonfinite_limits_rejected():

@@ -9,7 +9,6 @@ from specfill import recovery
 from specfill.kernel import TruncationWarning, resolve_kernel, synthesize_taps
 from specfill.recovery import (
     CSV_COLUMNS,
-    GridFallbackWarning,
     convergence_sweep,
     recover_center,
     robustness_bound,
@@ -42,7 +41,7 @@ def taps2(spec2):
 def flat_spectrum(grid_size=2 ** 16):
     return from_profile(
         lambda om: np.ones_like(np.asarray(om), dtype=complex),
-        grid_size, label="flat")
+        grid_size)
 
 
 class TestRecoverCenter:
@@ -151,14 +150,12 @@ class TestSpectralError:
         assert report.spectral_bound == pytest.approx(recomposed, abs=1e-10)
         assert report.I3 < report.I2
 
-    def test_grid_fallback_warns_and_computes(self, spec2):
+    def test_profileless_spectrum_raises(self, spec2):
         clean = make_bandlimited(PI / 2, 7, 2 ** 16)
         noisy = add_spectral_noise(clean, 1e-3, 5)
         assert noisy.profile is None
-        with pytest.warns(GridFallbackWarning):
-            report = spectral_error(spec2, noisy)
-        assert report.spectral_bound > 0.0
-        assert math.isfinite(report.spectral_bound)
+        with pytest.raises(ValueError, match="profile"):
+            spectral_error(spec2, noisy)
 
 
 class TestRobustnessBound:

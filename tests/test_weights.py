@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 from specfill.weights import (
     PI,
     WeightFamily,
-    companion_integral,
     conjugate_exponent,
     eval_companion,
     eval_weight,
+    gap_power_integral,
     make_direct_weight,
     make_general_power_weight,
     make_power_weight,
+    u_from_omega,
     validate_weight,
 )
 
@@ -117,20 +118,23 @@ class TestEvaluation:
 
 
 class TestCompanionIntegral:
+    """Integrals of W over omega-intervals, through gap_power_integral."""
+
+    @staticmethod
+    def mass(beta, lo, hi):
+        return gap_power_integral(beta, u_from_omega(lo), u_from_omega(hi))
+
     def test_empty_interval(self):
-        spec = make_power_weight(1.0, math.inf)
-        assert companion_integral(spec, 0.0, 0.0) == 0.0
+        assert self.mass(1.0, 0.0, 0.0) == 0.0
 
     def test_even_symmetry(self):
-        spec = make_power_weight(1.0, math.inf)
         b = 2.5
-        two_sided = companion_integral(spec, -b, b)
-        one_sided = companion_integral(spec, 0.0, b)
+        two_sided = self.mass(1.0, -b, b)
+        one_sided = self.mass(1.0, 0.0, b)
         assert two_sided == pytest.approx(2.0 * one_sided, rel=1e-12)
 
     def test_closed_form_log3(self):
-        spec = make_power_weight(1.0, math.inf)
-        value = companion_integral(spec, 0.0, PI / 2)
+        value = self.mass(1.0, 0.0, PI / 2)
         assert value == pytest.approx(math.log(3.0) / (2.0 * PI), rel=1e-13)
         # Brute-force cross-check on the raw integrand.
         brute = simpson(lambda w: 1.0 / ((PI - w) * (PI + w)), 0.0, PI / 2,
@@ -138,11 +142,10 @@ class TestCompanionIntegral:
         assert value == pytest.approx(brute, rel=1e-10)
 
     def test_closed_form_matches_quadrature_family(self):
-        # Same integral through the quadrature path (exponent != 1 squared
-        # against an equivalent construction is not possible; instead check
-        # the general-power path against Simpson on a resolvable interval).
+        # The general-power path (companion exponent 2) against Simpson on a
+        # resolvable interval.
         spec = make_general_power_weight(1.0, 2.0, math.inf)
-        value = companion_integral(spec, 0.2, 1.8)
+        value = self.mass(spec.companion_power, 0.2, 1.8)
         brute = simpson(lambda w: ((PI - w) * (PI + w)) ** -2.0, 0.2, 1.8,
                         8192)
         assert value == pytest.approx(brute, rel=1e-9)
@@ -150,9 +153,8 @@ class TestCompanionIntegral:
     def test_closed_form_vs_brute_force_near_edge(self):
         # Spec invariant: closed form matches brute-force quadrature within
         # 1e-8 relative on [0, pi - 1e-3].
-        spec = make_power_weight(1.0, math.inf)
         hi = PI - 1e-3
-        value = companion_integral(spec, 0.0, hi)
+        value = self.mass(1.0, 0.0, hi)
         # Composite Simpson under the flattening substitution (a brute-force
         # rule, not the antiderivative).
         u_hi = math.log((PI + hi) / (PI - hi))
@@ -165,28 +167,22 @@ class TestCompanionIntegral:
            st.floats(min_value=-3.0, max_value=3.0),
            st.floats(min_value=-3.0, max_value=3.0))
     def test_additivity(self, x, y, z):
-        spec = make_power_weight(1.0, math.inf)
         a, b, c = sorted((x, y, z))
-        whole = companion_integral(spec, a, c)
-        parts = companion_integral(spec, a, b) + companion_integral(spec, b, c)
+        whole = self.mass(1.0, a, c)
+        parts = self.mass(1.0, a, b) + self.mass(1.0, b, c)
         assert whole == pytest.approx(parts, rel=1e-10, abs=1e-14)
 
     def test_divergence_toward_edge(self):
         # Partial integrals must be strictly increasing as the outer limit
         # walks toward the band edge.
-        spec = make_power_weight(1.0, math.inf)
-        values = [companion_integral(spec, 0.0, PI - 10.0 ** -k)
-                  for k in range(1, 9)]
+        values = [self.mass(1.0, 0.0, PI - 10.0 ** -k) for k in range(1, 9)]
         assert all(b > a for a, b in zip(values, values[1:]))
 
-    def test_bad_limits_rejected(self):
-        spec = make_power_weight(1.0, math.inf)
-        with pytest.raises(ValueError):
-            companion_integral(spec, 0.0, PI)
-        with pytest.raises(ValueError):
-            companion_integral(spec, -PI, 0.0)
-        with pytest.raises(ValueError):
-            companion_integral(spec, 1.0, 0.5)
+    def test_reversed_limits_negate(self):
+        # The u-limits are signed: swapping them negates the integral.
+        assert self.mass(2.0, 1.0, 0.5) == pytest.approx(
+            -self.mass(2.0, 0.5, 1.0), rel=1e-14)
+        assert self.mass(1.0, 1.0, 0.5) == -self.mass(1.0, 0.5, 1.0)
 
 
 class TestValidateWeight:
