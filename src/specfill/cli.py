@@ -47,14 +47,12 @@ import hashlib
 import json
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
 from ._quadrature import QuadratureError
 from .kernel import (
-    TruncationWarning,
     normalization_residual,
     resolve_kernel,
     synthesize_taps,
@@ -321,8 +319,7 @@ def cmd_kernel(args) -> int:
         print(f"kernel n={n}: epsilon_n={spec.epsilon_n!r} "
               f"kappa={spec.kappa!r} "
               f"en_residual={normalization_residual(spec)!r} "
-              f"zero_residual={taps.zero_residual!r} "
-              f"tail_ratio={taps.tail_ratio!r}")
+              f"zero_residual={taps.zero_residual!r}")
     return EXIT_OK
 
 
@@ -402,12 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        with warnings.catch_warnings():
-            # The tail share passes its threshold at every practical T, so
-            # the warning carries no information; ``kernel`` prints the
-            # share itself as tail_ratio=.
-            warnings.simplefilter("ignore", TruncationWarning)
-            return args.fn(args)
+        return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -15,7 +15,6 @@ leaks into its own estimate.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,11 +27,20 @@ from .weights import (
     gap_from_u,
     gap_power_density,
     gap_power_integral,
+    u_from_gap,
 )
+
+#: Absolute tolerance of each tap's |K15 - G7| estimate, of the center-tap
+#: quadrature and residual, and of the spectral-bound band integrals.
+QUAD_TOL = 1e-10
+
+#: Absolute tolerance of both band quadratures in :func:`transfer_mean`.
+_MEAN_TOL = 1e-12
 
 
 class TruncationWarning(UserWarning):
-    """Tap array too short for its own tail mass to have converged."""
+    """Nothing issues this.  ``perfbench/tracing.py`` imports it, so it goes
+    when that module does (ROADMAP item 4, the benchmark-only step)."""
 
 
 @dataclass(frozen=True)
@@ -51,25 +59,18 @@ class KernelTaps:
 
     Taps are real and even; the stored center tap is exactly zero, and
     ``zero_residual`` records the magnitude the quadrature produced there
-    before forcing.  ``tail_ratio`` is the share of squared-tap mass in the
-    last octave (half_length/2, half_length]; a large share means the
-    truncation has not converged in the squared-summable sense.
+    before forcing.
     """
 
     spec: KernelSpec
     half_length: int
     taps: np.ndarray
     zero_residual: float
-    tail_ratio: float
 
 
 def _inner_edge_u(n: int) -> float:
     # u at omega = pi - 1/n: (pi + omega)/(pi - omega) = 2 pi n - 1
     return math.log(2.0 * PI * n - 1.0)
-
-
-def _outer_edge_u(epsilon: float) -> float:
-    return math.log((2.0 * PI - epsilon) / epsilon)
 
 
 def _check_n(n: int) -> None:
@@ -177,7 +178,7 @@ def normalization_residual(spec: KernelSpec) -> float:
     the tiny edge distance) and subtracts pi - 1/n.
     """
     u_a = _inner_edge_u(spec.n)
-    u_b = _outer_edge_u(spec.epsilon_n)
+    u_b = u_from_gap(spec.epsilon_n)
     value = gap_power_integral(spec.weight.companion_power, u_a, u_b,
                                tol=1e-13)
     return value - (PI - 1.0 / spec.n)
@@ -206,7 +207,7 @@ def eval_transfer(spec: KernelSpec, omega):
     return out
 
 
-def transfer_mean(spec: KernelSpec, *, tol: float = 1e-12) -> float:
+def transfer_mean(spec: KernelSpec) -> float:
     """(1/2pi) integral of the transfer function over the circle.
 
     Zero for every resolved kernel (the normalization identity).  The inner
@@ -221,10 +222,10 @@ def transfer_mean(spec: KernelSpec, *, tol: float = 1e-12) -> float:
     def f(om):
         return eval_transfer(spec, om)
 
-    inner = adaptive_quad(f, 0.0, inner_edge, tol=tol)
+    inner = adaptive_quad(f, 0.0, inner_edge, tol=_MEAN_TOL)
     middle = -_band_mass_quad(spec.weight.companion_power,
                               _inner_edge_u(spec.n),
-                              _outer_edge_u(spec.epsilon_n), tol)
+                              u_from_gap(spec.epsilon_n), _MEAN_TOL)
     return (inner + middle) / PI
 
 
@@ -251,12 +252,12 @@ def _middle_band_cos_integral(spec: KernelSpec, t: int, u_a: float,
     knots = []
     if gap_a > phase_step:
         gaps = np.arange(gap_a, max(gap_b, phase_step), -phase_step)[1:]
-        knots.append(np.log((2.0 * PI - gaps) / gaps))
+        knots.append(u_from_gap(gaps))
     lo = max(gap_b * (1.0 + 1e-12), 1e-300)
     hi = min(phase_step, gap_a)
     if hi > lo:
         gaps = np.geomspace(hi, lo, 9)
-        knots.append(np.log((2.0 * PI - gaps) / gaps))
+        knots.append(u_from_gap(gaps))
     bp = np.concatenate(knots) if knots else None
     sign = -1.0 if t % 2 else 1.0
     return sign * adaptive_quad(f, u_a, u_b, tol=tol, breakpoints=bp)
@@ -360,12 +361,12 @@ def _middle_band_nodes(spec: KernelSpec, half_length: int):
     """
     beta = spec.weight.companion_power
     gap_a = 1.0 / spec.n
-    u_b = _outer_edge_u(spec.epsilon_n)
+    u_b = u_from_gap(spec.epsilon_n)
     step = _PANEL_PHASE / half_length
     gap_knee = min(gap_a, max(spec.epsilon_n, step / _PANEL_DU))
     gaps = np.linspace(gap_a, gap_knee, math.ceil((gap_a - gap_knee) / step)
                        + 1)
-    u_gap = np.log((2.0 * PI - gaps) / gaps)
+    u_gap = u_from_gap(gaps)
     u_gap[0] = _inner_edge_u(spec.n)
     u_rest = np.linspace(u_gap[-1], u_b,
                          math.ceil((u_b - u_gap[-1]) / _PANEL_DU) + 1)[1:]
@@ -378,13 +379,13 @@ def _middle_band_nodes(spec: KernelSpec, half_length: int):
     return gap_from_u(u), weights
 
 
-def _middle_band_fixed(spec: KernelSpec, half_length: int,
-                       tol: float) -> np.ndarray:
+def _middle_band_fixed(spec: KernelSpec, half_length: int) -> np.ndarray:
     """Integral of W(omega) cos(omega t) over the middle band for every
     t = 1..T, on fixed Gauss-Kronrod panels in the log-band coordinate.
 
     Each tap's K15 sum comes with its embedded G7 sum; when |K15 - G7|
-    exceeds ``tol`` for any tap the worst one is named in the raised error.
+    exceeds ``QUAD_TOL`` for any tap the worst one is named in the raised
+    error.
     """
     gap, weights = _middle_band_nodes(spec, half_length)
     block = _TAP_BLOCK
@@ -408,17 +409,16 @@ def _middle_band_fixed(spec: KernelSpec, half_length: int,
     diff = sums[:, block:].ravel()[:half_length]
     err = np.abs(diff)
     worst = int(np.argmax(err))
-    if err[worst] > tol:
+    if err[worst] > QUAD_TOL:
         raise QuadratureError(
             f"tap quadrature error estimate {err[worst]:.3e} exceeds "
-            f"tolerance {tol:.1e} at t={worst + 1} (n={spec.n}, "
+            f"tolerance {QUAD_TOL:.1e} at t={worst + 1} (n={spec.n}, "
             f"family='{spec.weight.family.value}')")
     t = np.arange(1, half_length + 1)
     return np.where(t % 2 == 1, -1.0, 1.0) * kron
 
 
-def synthesize_taps(spec: KernelSpec, half_length: int,
-                    *, tol: float = 1e-10) -> KernelTaps:
+def synthesize_taps(spec: KernelSpec, half_length: int) -> KernelTaps:
     """Inverse-transform the transfer function into taps on [-T, T].
 
     For t != 0,
@@ -436,27 +436,22 @@ def synthesize_taps(spec: KernelSpec, half_length: int,
     panels in the log-band coordinate, sized to the phase at t = T (at most
     3 rad each where the gap is wide, 0.5 in u toward the outer edge), with
     the sums blocked by angle addition.  The embedded 7-point Gauss rule
-    gives each tap an error estimate |K15 - G7|; one above ``tol`` raises
-    with the worst t.  The center tap always goes through adaptive
+    gives each tap an error estimate |K15 - G7|; one above ``QUAD_TOL``
+    raises with the worst t.  The center tap always goes through adaptive
     quadrature, independently of both routes, so its magnitude, recorded as
     ``zero_residual``, checks the normalization; it is then stored as exact
     zero.
-
-    The true kernel is infinitely supported and its taps decay slowly (the
-    transfer function has jumps), so the squared-tap tail is checked: when
-    the last octave holds more than 1e-6 of the total a TruncationWarning is
-    issued rather than silently truncating.
     """
     if half_length < 1:
         raise ValueError(f"half_length must be at least 1, got {half_length}")
     n = spec.n
     u_a = _inner_edge_u(n)
-    u_b = _outer_edge_u(spec.epsilon_n)
+    u_b = u_from_gap(spec.epsilon_n)
     inner_edge = PI - 1.0 / n
 
     try:
         center_mid = _band_mass_quad(spec.weight.companion_power, u_a, u_b,
-                                     tol)
+                                     QUAD_TOL)
     except QuadratureError as exc:
         raise QuadratureError(
             f"tap quadrature failed at t=0 (n={n}, "
@@ -466,32 +461,18 @@ def synthesize_taps(spec: KernelSpec, half_length: int,
     if spec.weight.companion_power == 1.0:
         mid = _power_law_middle_band(spec, t)
     else:
-        mid = _middle_band_fixed(spec, half_length, tol)
+        mid = _middle_band_fixed(spec, half_length)
     side = (np.sin(inner_edge * t) / t - mid) / PI
 
     zero_residual = float(abs(zero_tap))
-    if zero_residual > tol:
+    if zero_residual > QUAD_TOL:
         raise QuadratureError(
             f"center-tap residual {zero_residual:.3e} exceeds the quadrature "
-            f"tolerance {tol:.1e}; kernel spec is inconsistent")
+            f"tolerance {QUAD_TOL:.1e}; kernel spec is inconsistent")
     taps = np.concatenate((side[::-1], [0.0], side))
-    center = half_length
-
-    squared = taps * taps
-    total = float(squared.sum())
-    octave = float(squared[center + half_length // 2 + 1:].sum()
-                   + squared[:center - half_length // 2].sum())
-    tail_ratio = octave / total if total > 0.0 else 0.0
-    if tail_ratio > 1e-6:
-        warnings.warn(
-            f"squared-tap tail has not converged at half_length="
-            f"{half_length} (last-octave share {tail_ratio:.2e}); the "
-            f"estimate leans on signal decay beyond the window",
-            TruncationWarning, stacklevel=2)
-
     taps.setflags(write=False)
     return KernelTaps(spec=spec, half_length=half_length, taps=taps,
-                      zero_residual=zero_residual, tail_ratio=tail_ratio)
+                      zero_residual=zero_residual)
 
 
 def write_taps_text(taps: KernelTaps, path, *, header: str = "") -> None:

@@ -11,20 +11,26 @@ stand in for it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._quadrature import adaptive_quad
-from .kernel import KernelSpec, KernelTaps, resolve_kernel, synthesize_taps
+from .kernel import (
+    QUAD_TOL,
+    KernelSpec,
+    KernelTaps,
+    _inner_edge_u,
+    resolve_kernel,
+    synthesize_taps,
+)
 from .signals import (
     SpectralSignal,
     TimeSignal,
     add_spectral_noise,
     inverse_transform,
 )
-from .weights import PI, WeightSpec, gap_from_u, u_from_omega
+from .weights import PI, WeightSpec, gap_from_u, u_from_gap
 
 
 #: Column order of the CSV serialization of a report row.
@@ -98,8 +104,8 @@ def robustness_bound(epsilon_est: float, sigma: float, kappa: float) -> float:
     return epsilon_est + sigma * (kappa + 1.0)
 
 
-def _band_l1_analytic(spec: KernelSpec, signal: SpectralSignal,
-                      tol: float) -> tuple[float, float]:
+def _band_l1_analytic(spec: KernelSpec,
+                      signal: SpectralSignal) -> tuple[float, float]:
     """(I2, I3) for one side of the spectrum from the analytic profile.
 
     I2 integrates |(-W - 1) X| over the middle band under the log-band
@@ -113,8 +119,8 @@ def _band_l1_analytic(spec: KernelSpec, signal: SpectralSignal,
         return np.abs(profile(np.asarray(omega, dtype=float)))
 
     beta = spec.weight.companion_power
-    u_a = u_from_omega(PI - 1.0 / spec.n)
-    u_b = math.log((2.0 * PI - spec.epsilon_n) / spec.epsilon_n)
+    u_a = _inner_edge_u(spec.n)
+    u_b = u_from_gap(spec.epsilon_n)
 
     def mid_integrand(u):
         gap = gap_from_u(u)
@@ -124,17 +130,17 @@ def _band_l1_analytic(spec: KernelSpec, signal: SpectralSignal,
         return w_plus_one * magnitude(om) * gap_prod / (2.0 * PI)
 
     bp = np.linspace(u_a, u_b, 33)[1:-1]
-    i2 = adaptive_quad(mid_integrand, u_a, u_b, tol=tol, breakpoints=bp)
+    i2 = adaptive_quad(mid_integrand, u_a, u_b, tol=QUAD_TOL,
+                       breakpoints=bp)
 
     def outer_integrand(gap):
         return magnitude(PI - np.asarray(gap))
 
-    i3 = adaptive_quad(outer_integrand, 0.0, spec.epsilon_n, tol=tol)
+    i3 = adaptive_quad(outer_integrand, 0.0, spec.epsilon_n, tol=QUAD_TOL)
     return i2, i3
 
 
-def spectral_error(spec: KernelSpec, signal: SpectralSignal,
-                   *, tol: float = 1e-10) -> RecoveryReport:
+def spectral_error(spec: KernelSpec, signal: SpectralSignal) -> RecoveryReport:
     """Spectral L1 error of one kernel against one spectrum, band by band.
 
     The inner band contributes nothing because the transfer function is 1
@@ -147,7 +153,7 @@ def spectral_error(spec: KernelSpec, signal: SpectralSignal,
     if signal.profile is None:
         raise ValueError("spectral_error needs the spectrum's analytic "
                          "profile; this spectrum has none")
-    half_i2, half_i3 = _band_l1_analytic(spec, signal, tol)
+    half_i2, half_i3 = _band_l1_analytic(spec, signal)
     i2, i3 = 2.0 * half_i2, 2.0 * half_i3
     return RecoveryReport(
         n=spec.n, epsilon_n=spec.epsilon_n, kappa=spec.kappa,
@@ -173,11 +179,11 @@ def _draws(signal: SpectralSignal, signal_half_length: int,
 
 def _sweep_cell(weight: WeightSpec, signal: SpectralSignal, n: int,
                 tap_half_length: int, signal_half_length: int,
-                noise_sigma: float | None, draws: list[_Draw],
-                tol: float) -> list[RecoveryReport]:
+                noise_sigma: float | None,
+                draws: list[_Draw]) -> list[RecoveryReport]:
     spec = resolve_kernel(weight, n)
-    spectral = spectral_error(spec, signal, tol=tol)
-    taps = synthesize_taps(spec, tap_half_length, tol=tol)
+    spectral = spectral_error(spec, signal)
+    taps = synthesize_taps(spec, tap_half_length)
     robust = None
     if noise_sigma is not None:
         robust = robustness_bound(spectral.spectral_bound, noise_sigma,
@@ -203,8 +209,7 @@ def convergence_sweep(weight: WeightSpec, signal: SpectralSignal,
                       signal_half_length: int, *,
                       noise_sigma: float | None = None,
                       noise_seeds: tuple[int, ...] = (),
-                      base_seed: int | None = None,
-                      tol: float = 1e-10) -> list[RecoveryReport]:
+                      base_seed: int | None = None) -> list[RecoveryReport]:
     """Run kernel resolution, synthesis, and recovery over a band-index sweep.
 
     First, once per noise seed (or once for the clean spectrum when
@@ -228,8 +233,7 @@ def convergence_sweep(weight: WeightSpec, signal: SpectralSignal,
     for n in n_values:
         try:
             reports += _sweep_cell(weight, signal, n, tap_half_length,
-                                   signal_half_length, noise_sigma, draws,
-                                   tol)
+                                   signal_half_length, noise_sigma, draws)
         except Exception as exc:
             raise RuntimeError(f"sweep cell n={n} failed: {exc}") from exc
     return reports

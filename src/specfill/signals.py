@@ -94,7 +94,6 @@ class TimeSignal:
 
     half_length: int
     samples: np.ndarray
-    truth_center: float
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=float)
@@ -102,6 +101,11 @@ class TimeSignal:
         object.__setattr__(self, "samples", samples)
         if samples.shape != (2 * self.half_length + 1,):
             raise ValueError("samples must have shape (2*half_length + 1,)")
+
+    @property
+    def truth_center(self) -> float:
+        """x(0), the value a recovering kernel estimates."""
+        return float(self.samples[self.half_length])
 
 
 def grid_omegas(grid_size: int) -> np.ndarray:
@@ -246,12 +250,12 @@ def assert_hermitian(spec: SpectralSignal, tol: float = 0.0) -> None:
     """Raise unless X(-omega) == conj(X(omega)) on the grid (within tol).
 
     The defect |X_j - conj X_(M-1-j)| is the same at j and M-1-j, so it is
-    computed on the negative half of the grid only.
+    computed on the negative half of the grid only.  A NaN defect fails.
     """
     half = spec.grid_size // 2
     neg, pos = spec.values[:half], spec.values[half:]
     defect = np.max(np.abs(neg - pos[::-1].conj()))
-    if defect > tol:
+    if not defect <= tol:
         raise ValueError(
             f"spectrum violates Hermitian symmetry (defect {defect:.3e})")
 
@@ -298,8 +302,7 @@ def inverse_transform(spec: SpectralSignal, half_length: int) -> TimeSignal:
     pairs = 0.5 * np.exp(1j * (ss * (2.0 * PI / M))) * base[ss % half]
     start = -half_length - 2 * first
     samples = pairs.view(float)[start:start + 2 * half_length + 1].copy()
-    return TimeSignal(half_length=half_length, samples=samples,
-                      truth_center=float(samples[half_length]))
+    return TimeSignal(half_length=half_length, samples=samples)
 
 
 def forward_transform(signal: TimeSignal, grid_size: int) -> SpectralSignal:
@@ -381,7 +384,7 @@ def add_spectral_noise(spec: SpectralSignal, sigma: float,
     |omega| > pi - NOISE_BAND, where the weighted classes have little mass,
     and is zero elsewhere; it is added in place on the band's two edge
     slices of a copy of the values.  sigma = 0 returns the spectrum
-    unchanged.
+    unchanged; a sigma whose band amplitude overflows is a ValueError.
     """
     if sigma < 0:
         raise ValueError(f"sigma must be nonnegative, got {sigma}")
@@ -395,6 +398,10 @@ def add_spectral_noise(spec: SpectralSignal, sigma: float,
     rng = np.random.Generator(np.random.Philox(noise_seed))
     phases = np.exp(1j * rng.uniform(0.0, 2.0 * PI, count))
     amplitude = sigma / (2.0 * count * (2.0 * PI / M))
+    if not math.isfinite(amplitude):
+        raise ValueError(
+            f"sigma={sigma!r} overflows the noise amplitude on the "
+            f"{2 * count} band samples")
     band = amplitude * phases
     values = spec.values.copy()
     values[M - count:] += band

@@ -136,8 +136,9 @@ def make_direct_weight(nu: float) -> WeightSpec:
 # forms that never subtract nearly equal floats.
 # ---------------------------------------------------------------------------
 
-def u_from_omega(omega):
-    return np.log((PI + omega) / (PI - omega))
+def u_from_gap(gap):
+    """u at omega = pi - gap; the gap enters directly, never as pi - omega."""
+    return np.log((2.0 * PI - gap) / gap)
 
 
 def gap_from_u(u):
@@ -193,7 +194,8 @@ def gap_power_integral(power: float, u_lo: float, u_hi: float,
     if u_hi == u_lo:
         return 0.0
     if power == 1.0:
-        return (u_hi - u_lo) / (2.0 * PI)
+        # float(): u-limits from u_from_gap are numpy scalars.
+        return float(u_hi - u_lo) / (2.0 * PI)
 
     npanel = max(8, int(abs(u_hi - u_lo)))
     bp = np.linspace(u_lo, u_hi, npanel + 1)[1:-1]
@@ -204,6 +206,10 @@ def gap_power_integral(power: float, u_lo: float, u_hi: float,
 # ---------------------------------------------------------------------------
 # Numerical admissibility checks.
 # ---------------------------------------------------------------------------
+
+#: Points of the grid on [0, pi) that the symmetry and positivity checks
+#: sample.
+_CHECK_GRID = 1024
 
 #: Geometric tail probes: steps shrinking the edge distance by RATIO each
 #: time.  The divergence check uses 8 steps so a logarithmically divergent
@@ -259,12 +265,13 @@ class WeightValidation:
         return "\n".join(lines)
 
 
-def validate_weight(spec: WeightSpec, grid_size: int = 1024) -> WeightValidation:
+def validate_weight(spec: WeightSpec) -> WeightValidation:
     """Numerically check the admissibility conditions of a weight.
 
     Checks, each reported pass/fail with its computed value:
 
-    * symmetry of h on a grid (exact, h is computed through omega^2 only);
+    * symmetry of h on a 1024-point grid over [0, pi) (exact, h is computed
+      through omega^2 only);
     * positivity of h (infimum over the grid strictly positive);
     * integrability of |W|^q h^(-q) over (-pi, pi): partial integrals over
       expanding symmetric subintervals must stabilize;
@@ -277,11 +284,9 @@ def validate_weight(spec: WeightSpec, grid_size: int = 1024) -> WeightValidation
     above 0.1 means divergent, otherwise inconclusive (which fails
     whichever check needed the opposite verdict).
     """
-    if grid_size < 64:
-        raise ValueError(f"grid_size must be at least 64, got {grid_size}")
     checks = []
 
-    omegas = np.linspace(0.0, PI - PI / grid_size, grid_size)
+    omegas = np.linspace(0.0, PI - PI / _CHECK_GRID, _CHECK_GRID)
     h_pos = eval_weight(spec, omegas)
     h_neg = eval_weight(spec, -omegas)
     sym_ok = bool(np.array_equal(h_pos, h_neg))
@@ -300,8 +305,8 @@ def validate_weight(spec: WeightSpec, grid_size: int = 1024) -> WeightValidation
     deltas = 0.1 * _TAIL_RATIO ** -np.arange(_TAIL_STEPS_FINITE + 1)
     partials = []
     for d in deltas:
-        u_hi = math.log((2.0 * PI - d) / d)
-        partials.append(2.0 * gap_power_integral(s, 0.0, u_hi, tol=1e-11))
+        partials.append(2.0 * gap_power_integral(s, 0.0, u_from_gap(d),
+                                                 tol=1e-11))
     verdict = _classify_tail(partials)
     checks.append(WeightCheck(
         "ratio_integrable", verdict == "finite", partials[-1],
@@ -310,12 +315,12 @@ def validate_weight(spec: WeightSpec, grid_size: int = 1024) -> WeightValidation
     # Companion tail: integral of W over [pi - 0.1, pi - d_k] must grow
     # without stabilizing as d_k -> 0.
     beta = spec.companion_power
-    u_lo = float(u_from_omega(PI - 0.1))
+    u_lo = u_from_gap(0.1)
     tail_deltas = 0.1 * _TAIL_RATIO ** -np.arange(1, _TAIL_STEPS_DIVERGENT + 1)
     tails = []
     for d in tail_deltas:
-        u_hi = math.log((2.0 * PI - d) / d)
-        tails.append(gap_power_integral(beta, u_lo, u_hi, tol=1e-11))
+        tails.append(gap_power_integral(beta, u_lo, u_from_gap(d),
+                                        tol=1e-11))
     verdict = _classify_tail(tails)
     checks.append(WeightCheck(
         "companion_tail_divergent", verdict == "divergent", tails[-1],

@@ -6,13 +6,11 @@ lines; tolerances are pinned in the assertions, not configurable.
 
 import json
 import math
-import warnings
 
 import numpy as np
 
 from specfill.cli import main
 from specfill.kernel import (
-    TruncationWarning,
     resolve_kernel,
     solve_epsilon_n,
     solve_epsilon_n_bisect,
@@ -39,17 +37,11 @@ POWER = make_power_weight(1.0, math.inf)
 N_SET = (2, 4, 8, 16, 32, 64)
 
 
-def _taps(spec, half_length, **kw):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationWarning)
-        return synthesize_taps(spec, half_length, **kw)
-
-
 def test_c1_kernel_zero_center():
     """Pre-forcing |k(0)| residual stays within 1e-8 for n up to 64."""
     worst = 0.0
     for n in N_SET:
-        taps = _taps(resolve_kernel(POWER, n), 8)
+        taps = synthesize_taps(resolve_kernel(POWER, n), 8)
         assert taps.zero_residual <= 1e-8, (n, taps.zero_residual)
         assert taps.taps[taps.half_length] == 0.0
         worst = max(worst, taps.zero_residual)
@@ -91,7 +83,7 @@ def test_c3_exact_in_band_recovery():
     time_signal = inverse_transform(signal, 8192)
     errors = {}
     for T in (4096, 8192):
-        estimate = recover_center(_taps(spec, T), time_signal)
+        estimate = recover_center(synthesize_taps(spec, T), time_signal)
         errors[T] = abs(estimate - time_signal.truth_center)
     assert errors[4096] <= 1e-3, errors
     assert errors[8192] <= errors[4096] / 2.0, errors
@@ -134,7 +126,7 @@ def test_c6_robustness_bound():
     sigma, and the bound eventually grows with n at fixed sigma."""
     clean = make_bandlimited(PI / 2, 7, 2 ** 16)
     spec = resolve_kernel(POWER, 4)
-    taps = _taps(spec, 1024)
+    taps = synthesize_taps(spec, 1024)
     epsilon_est = spectral_error(spec, clean).spectral_bound
     worst = {}
     for sigma in (1e-9, 1e-6):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specfill import recovery
 from specfill.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -180,6 +181,21 @@ class TestKernelCommand:
         summary = capsys.readouterr().out
         assert "epsilon_n=" in summary and "kappa=" in summary
 
+    def test_summary_line_fields(self, tmp_path, capsys):
+        config = write_config(tmp_path, {"n_values": [2, 4]})
+        assert main(["kernel", "--config", str(config),
+                     "--out", str(tmp_path / "kout")]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2
+        for n, line in zip((2, 4), lines):
+            prefix, fields = line.split(": ", 1)
+            assert prefix == f"kernel n={n}"
+            pairs = [field.split("=") for field in fields.split()]
+            assert [name for name, _ in pairs] == [
+                "epsilon_n", "kappa", "en_residual", "zero_residual"]
+            for _, value in pairs:
+                float(value)
+
     def test_epsilon_strictly_decreasing_across_n(self, tmp_path, capsys):
         config = write_config(tmp_path, {"n_values": [2, 4, 8]})
         out = tmp_path / "kout"
@@ -303,8 +319,6 @@ class TestRobustnessCommand:
         assert len(lines) == 4 + 3 + 1
 
     def test_stderr_stays_empty(self, tmp_path, capsys):
-        # T = 32 leaves far more than the TruncationWarning share in the
-        # last octave; a successful run still prints nothing to stderr.
         config = write_config(
             tmp_path,
             {"n_values": [2], "noise": {"sigma": 1e-9, "seeds": [0]}})
@@ -312,12 +326,27 @@ class TestRobustnessCommand:
                      "--out", str(tmp_path / "rob.csv")]) == EXIT_OK
         assert capsys.readouterr().err == ""
 
-    def test_overflowing_noise_row_counts_as_violation(self, tmp_path):
-        # sigma = 1e308 is finite but overflows the noisy estimate to NaN;
-        # such a row is a violation, not a pass.
+    def test_overflowing_noise_row_counts_as_violation(self, tmp_path,
+                                                        capsys):
+        # sigma = 1e308 is finite, but its band amplitude overflows; the
+        # noise stage rejects it before any row exists.
         config = write_config(
             tmp_path,
             {"n_values": [2], "noise": {"sigma": 1e308, "seeds": [0]}})
+        out = tmp_path / "rob.csv"
+        assert main(["robustness", "--config", str(config),
+                     "--out", str(out)]) == EXIT_NUMERICAL
+        assert "sigma=1e+308" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nan_estimate_counts_as_violation(self, tmp_path, monkeypatch):
+        # A NaN error compares false against any bound; the row is a
+        # violation, not a pass.
+        monkeypatch.setattr(recovery, "recover_center",
+                            lambda taps, signal: math.nan)
+        config = write_config(
+            tmp_path,
+            {"n_values": [2], "noise": {"sigma": 1e-9, "seeds": [0]}})
         out = tmp_path / "rob.csv"
         assert main(["robustness", "--config", str(config),
                      "--out", str(out)]) == EXIT_OK

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specfill import recovery
-from specfill.kernel import TruncationWarning, resolve_kernel, synthesize_taps
+from specfill.kernel import resolve_kernel, synthesize_taps
 from specfill.recovery import (
     CSV_COLUMNS,
     convergence_sweep,
@@ -34,8 +34,7 @@ def spec2():
 
 @pytest.fixture(scope="module")
 def taps2(spec2):
-    with pytest.warns(TruncationWarning):
-        return synthesize_taps(spec2, 64)
+    return synthesize_taps(spec2, 64)
 
 
 def flat_spectrum(grid_size=2 ** 16):
@@ -46,27 +45,23 @@ def flat_spectrum(grid_size=2 ** 16):
 
 class TestRecoverCenter:
     def test_zero_signal(self, taps2):
-        zero = TimeSignal(half_length=128, samples=np.zeros(257),
-                          truth_center=0.0)
+        zero = TimeSignal(half_length=128, samples=np.zeros(257))
         assert recover_center(taps2, zero) == 0.0
 
     def test_shifted_delta_picks_one_tap(self, taps2):
         samples = np.zeros(257)
         samples[128 + 5] = 1.0
-        delta = TimeSignal(half_length=128, samples=samples,
-                           truth_center=0.0)
+        delta = TimeSignal(half_length=128, samples=samples)
         assert recover_center(taps2, delta) == taps2.taps[64 + 5]
 
     def test_center_sample_never_leaks(self, taps2):
         samples = np.zeros(257)
         samples[128] = 1e12
-        spiked = TimeSignal(half_length=128, samples=samples,
-                            truth_center=1e12)
+        spiked = TimeSignal(half_length=128, samples=samples)
         assert recover_center(taps2, spiked) == 0.0
 
     def test_window_mismatch_rejected(self, taps2):
-        short = TimeSignal(half_length=32, samples=np.zeros(65),
-                           truth_center=0.0)
+        short = TimeSignal(half_length=32, samples=np.zeros(65))
         with pytest.raises(ValueError):
             recover_center(taps2, short)
 
@@ -77,10 +72,9 @@ class TestRecoverCenter:
         rng = np.random.Generator(np.random.Philox(42))
         x = rng.normal(size=129)
         y = rng.normal(size=129)
-        sig_x = TimeSignal(half_length=64, samples=x, truth_center=x[64])
-        sig_y = TimeSignal(half_length=64, samples=y, truth_center=y[64])
-        combined = TimeSignal(half_length=64, samples=alpha * x + beta * y,
-                              truth_center=0.0)
+        sig_x = TimeSignal(half_length=64, samples=x)
+        sig_y = TimeSignal(half_length=64, samples=y)
+        combined = TimeSignal(half_length=64, samples=alpha * x + beta * y)
         lhs = recover_center(taps2, combined)
         rhs = (alpha * recover_center(taps2, sig_x)
                + beta * recover_center(taps2, sig_y))
@@ -88,8 +82,7 @@ class TestRecoverCenter:
 
     def test_in_band_recovery_accuracy(self, spec2):
         signal = make_bandlimited(PI / 2, 7, 2 ** 16)
-        with pytest.warns(TruncationWarning):
-            taps = synthesize_taps(spec2, 512)
+        taps = synthesize_taps(spec2, 512)
         ts = inverse_transform(signal, 4095)
         estimate = recover_center(taps, ts)
         assert abs(estimate - ts.truth_center) < 1e-6

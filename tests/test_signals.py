@@ -262,6 +262,15 @@ class TestInverseTransform:
         with pytest.raises(ValueError, match="[Hh]ermitian"):
             inverse_transform(broken, 8)
 
+    def test_hermitian_paired_nan_rejected(self):
+        # A NaN bin and its mirror give a NaN defect, which must fail the
+        # check rather than compare false against the tolerance.
+        values = np.ones(2 ** 12, dtype=complex)
+        values[100] = values[2 ** 12 - 1 - 100] = complex(math.nan, 0.0)
+        with pytest.raises(ValueError, match="Hermitian"):
+            inverse_transform(SpectralSignal(grid_size=2 ** 12,
+                                             values=values), 8)
+
 
 class TestRoundTripAndParseval:
     def test_round_trip_error_decreases_and_hits_tolerance(self):
@@ -374,4 +383,9 @@ class TestNoise:
         sig = make_bandlimited(PI / 2, 7, 2 ** 14)
         with pytest.raises(ValueError):
             add_spectral_noise(sig, -0.1, 5)
+
+    def test_overflowing_amplitude_rejected(self):
+        sig = make_bandlimited(PI / 2, 7, 2 ** 14)
+        with pytest.raises(ValueError, match=r"sigma=1e\+308"):
+            add_spectral_noise(sig, 1e308, 5)
 
