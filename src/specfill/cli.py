@@ -34,7 +34,8 @@ Config schema (JSON)::
 infinity).  ``p`` accepts a number or the string ``"inf"``.  ``signal.kind``
 is ``bandlimited`` (needs ``omega``) or ``powerdecay`` (needs ``nu``); both
 need ``seed``.  ``noise`` is optional for ``recover``, required for
-``robustness``.  Every number must be finite.
+``robustness``.  Every number must be finite.  A key the schema does not
+name, at any level, is an error.
 
 Tap exports: ``taps_n<k>.txt`` (two columns: t, k(t), one header comment
 line) and ``taps_n<k>.f64`` (flat little-endian float64, t = -T..T).
@@ -138,6 +139,21 @@ class ExperimentConfig:
 #: What a config field of each structured kind is called in errors.
 _KIND_NAMES = {dict: "an object", list: "a list", str: "a string"}
 
+#: The keys each config object may hold; any other key is an error.
+_FIELDS = {
+    "config": ("weight", "signal", "n_values", "T", "S", "grid_size",
+               "noise", "output_path"),
+    "weight": ("family", "nu", "a", "p"),
+    "signal": ("kind", "omega", "nu", "seed"),
+    "noise": ("sigma", "seeds"),
+}
+
+
+def _reject_unknown(mapping: dict, where: str) -> None:
+    for key in mapping:
+        if key not in _FIELDS[where]:
+            raise ConfigError(f"{where}.{key}: unknown field")
+
 
 def _require(mapping: dict, key: str, kind, where: str):
     if key not in mapping:
@@ -182,6 +198,7 @@ def _parse_p(raw, where: str) -> float:
 
 
 def _parse_weight(raw: dict) -> WeightSpec:
+    _reject_unknown(raw, "weight")
     family = _require(raw, "family", str, "weight")
     nu = _require(raw, "nu", float, "weight")
     try:
@@ -205,9 +222,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
     """Validate a raw config mapping; failures name the offending field."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
+    _reject_unknown(raw, "config")
     weight = _parse_weight(_require(raw, "weight", dict, "config"))
 
     sig = _require(raw, "signal", dict, "config")
+    _reject_unknown(sig, "signal")
     kind = _require(sig, "kind", str, "signal")
     if kind not in ("bandlimited", "powerdecay"):
         raise ConfigError(f"signal.kind: unknown kind {kind!r}")
@@ -252,6 +271,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     noise_seeds: tuple[int, ...] = ()
     if "noise" in raw:
         noise = _require(raw, "noise", dict, "config")
+        _reject_unknown(noise, "noise")
         noise_sigma = _require(noise, "sigma", float, "noise")
         if noise_sigma < 0:
             raise ConfigError(f"noise.sigma: must be nonnegative, "
@@ -361,10 +381,7 @@ def cmd_robustness(args) -> int:
     rows = _run_sweep(config)
     # A NaN error or bound compares false both ways; it counts as a
     # violation, never as a pass.
-    violations = sum(
-        1 for r in rows
-        if r.abs_error is not None and r.robust_bound is not None
-        and not r.abs_error <= r.robust_bound)
+    violations = sum(1 for r in rows if not r.abs_error <= r.robust_bound)
     _write_reports_csv(out, config, rows,
                        trailer=f"# violations={violations}")
     print(f"robustness: wrote {len(rows)} rows to {out}; "

@@ -45,27 +45,34 @@ class TruncationWarning(UserWarning):
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """A resolved kernel: weight, band index n, outer width, sup constant."""
+    """A resolved kernel: weight, band index n and outer width eps_n."""
 
     weight: WeightSpec
     n: int
     epsilon_n: float
-    kappa: float
+
+    @property
+    def kappa(self) -> float:
+        """Sup of |transfer| over the circle (:func:`compute_kappa`)."""
+        return compute_kappa(self.weight, self.epsilon_n)
 
 
 @dataclass(frozen=True)
 class KernelTaps:
-    """Time-domain taps k(t) for |t| <= half_length.
+    """Time-domain taps k(t) for t = -T..T, stored in that order.
 
     Taps are real and even; the stored center tap is exactly zero, and
     ``zero_residual`` records the magnitude the quadrature produced there
     before forcing.
     """
 
-    spec: KernelSpec
-    half_length: int
     taps: np.ndarray
     zero_residual: float
+
+    @property
+    def half_length(self) -> int:
+        """T, the largest |t| with a stored tap."""
+        return self.taps.size // 2
 
 
 def _inner_edge_u(n: int) -> float:
@@ -154,10 +161,8 @@ def _band_mass_quad(beta: float, u_lo: float, u_hi: float,
 
 
 def resolve_kernel(weight: WeightSpec, n: int) -> KernelSpec:
-    """Solve the normalization and the sup constant for one band index."""
-    eps = solve_epsilon_n(weight, n)
-    return KernelSpec(weight=weight, n=n, epsilon_n=eps,
-                      kappa=compute_kappa(weight, eps))
+    """Solve the normalization equation for one band index."""
+    return KernelSpec(weight=weight, n=n, epsilon_n=solve_epsilon_n(weight, n))
 
 
 def compute_kappa(weight: WeightSpec, epsilon: float) -> float:
@@ -471,8 +476,7 @@ def synthesize_taps(spec: KernelSpec, half_length: int) -> KernelTaps:
             f"tolerance {QUAD_TOL:.1e}; kernel spec is inconsistent")
     taps = np.concatenate((side[::-1], [0.0], side))
     taps.setflags(write=False)
-    return KernelTaps(spec=spec, half_length=half_length, taps=taps,
-                      zero_residual=zero_residual)
+    return KernelTaps(taps=taps, zero_residual=zero_residual)
 
 
 def write_taps_text(taps: KernelTaps, path, *, header: str = "") -> None:

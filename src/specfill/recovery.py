@@ -11,7 +11,7 @@ stand in for it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -33,37 +33,43 @@ from .signals import (
 from .weights import PI, WeightSpec, gap_from_u, u_from_gap
 
 
-#: Column order of the CSV serialization of a report row.
-CSV_COLUMNS = ("n", "epsilon_n", "kappa", "estimate", "truth", "abs_error",
-               "spectral_bound", "I2", "I3", "robust_bound", "zero_residual",
-               "T", "S", "seed")
+@dataclass(frozen=True)
+class SpectralError:
+    """The L1 masses of (transfer - 1) X over the middle band (``I2``) and
+    the outer band (``I3``); the inner band contributes nothing."""
+
+    I2: float
+    I3: float
+
+    @property
+    def spectral_bound(self) -> float:
+        """(I2 + I3) / 2 pi, a bound on the untruncated kernel's error."""
+        return (self.I2 + self.I3) / (2.0 * PI)
 
 
 @dataclass(frozen=True)
 class RecoveryReport:
-    """One recovery run: estimate, truth, and the spectral error split.
+    """One CSV row: a kernel, one seed's estimate and truth, and the bounds.
 
-    ``I2`` and ``I3`` are the L1 masses of (transfer - 1) X over the middle
-    and outer bands (the inner band contributes nothing).
-    ``spectral_bound`` equals (I2 + I3) / 2 pi and upper-bounds the recovery
-    error of the untruncated kernel.  ``robust_bound`` is
-    epsilon_est + sigma (kappa + 1) when noise parameters were supplied.
+    The fields are the CSV columns, in order.  ``T`` and ``S`` are the tap
+    and signal half-lengths.  ``robust_bound`` is spectral_bound +
+    sigma (kappa + 1), or None (an empty cell) when the run has no noise.
     """
 
     n: int
     epsilon_n: float
     kappa: float
+    estimate: float
+    truth: float
+    abs_error: float
+    spectral_bound: float
     I2: float
     I3: float
-    spectral_bound: float
-    estimate: float | None = None
-    truth: float | None = None
-    abs_error: float | None = None
-    robust_bound: float | None = None
-    zero_residual: float | None = None
-    tap_half_length: int | None = None
-    signal_half_length: int | None = None
-    seed: int | None = None
+    robust_bound: float | None
+    zero_residual: float
+    T: int
+    S: int
+    seed: int | None
 
     def csv_row(self) -> list[str]:
         def fmt(x):
@@ -73,11 +79,11 @@ class RecoveryReport:
                 return repr(float(x))
             return str(x)
 
-        return [fmt(x) for x in (
-            self.n, self.epsilon_n, self.kappa, self.estimate, self.truth,
-            self.abs_error, self.spectral_bound, self.I2, self.I3,
-            self.robust_bound, self.zero_residual, self.tap_half_length,
-            self.signal_half_length, self.seed)]
+        return [fmt(getattr(self, name)) for name in CSV_COLUMNS]
+
+
+#: Column order of the CSV serialization of a report row.
+CSV_COLUMNS = tuple(f.name for f in fields(RecoveryReport))
 
 
 def recover_center(taps: KernelTaps, signal: TimeSignal) -> float:
@@ -140,8 +146,9 @@ def _band_l1_analytic(spec: KernelSpec,
     return i2, i3
 
 
-def spectral_error(spec: KernelSpec, signal: SpectralSignal) -> RecoveryReport:
-    """Spectral L1 error of one kernel against one spectrum, band by band.
+def spectral_error(spec: KernelSpec, signal: SpectralSignal) -> SpectralError:
+    """Spectral L1 error of one kernel against one spectrum, band by band:
+    the :class:`SpectralError` holding I2, I3 and their spectral bound.
 
     The inner band contributes nothing because the transfer function is 1
     there.  I2 and I3 integrate |(transfer - 1) X| over the middle and
@@ -154,10 +161,7 @@ def spectral_error(spec: KernelSpec, signal: SpectralSignal) -> RecoveryReport:
         raise ValueError("spectral_error needs the spectrum's analytic "
                          "profile; this spectrum has none")
     half_i2, half_i3 = _band_l1_analytic(spec, signal)
-    i2, i3 = 2.0 * half_i2, 2.0 * half_i3
-    return RecoveryReport(
-        n=spec.n, epsilon_n=spec.epsilon_n, kappa=spec.kappa,
-        I2=i2, I3=i3, spectral_bound=(i2 + i3) / (2.0 * PI))
+    return SpectralError(I2=2.0 * half_i2, I3=2.0 * half_i3)
 
 
 #: One seed and its time signal.
@@ -193,14 +197,13 @@ def _sweep_cell(weight: WeightSpec, signal: SpectralSignal, n: int,
     for seed, time_sig in draws:
         estimate = recover_center(taps, time_sig)
         truth = time_sig.truth_center
-        reports.append(replace(
-            spectral,
-            estimate=estimate, truth=truth,
-            abs_error=abs(truth - estimate),
-            robust_bound=robust, zero_residual=taps.zero_residual,
-            tap_half_length=tap_half_length,
-            signal_half_length=signal_half_length,
-            seed=seed))
+        reports.append(RecoveryReport(
+            n=n, epsilon_n=spec.epsilon_n, kappa=spec.kappa,
+            estimate=estimate, truth=truth, abs_error=abs(truth - estimate),
+            spectral_bound=spectral.spectral_bound,
+            I2=spectral.I2, I3=spectral.I3, robust_bound=robust,
+            zero_residual=taps.zero_residual, T=tap_half_length,
+            S=signal_half_length, seed=seed))
     return reports
 
 

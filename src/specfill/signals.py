@@ -42,40 +42,23 @@ ENVELOPE_DEGREE = 8
 #: Spectral noise is confined to the band |omega| > pi - NOISE_BAND.
 NOISE_BAND = 0.05
 
-# Grid samples per profile evaluation.  The chunk's angle matrices stay
-# cache-sized, and OpenBLAS runs its matrix-vector products on one thread.
-# At 65536 rows it threads them, and generating a 2^20 grid took twice the
-# CPU time on a 2-core machine.
+# Grid samples per profile evaluation, so that the envelope recurrence's
+# temporaries stay cache-sized.  On a 2-core Xeon VM one 2^20-point
+# make_power_decay took 0.082-0.092 s CPU chunked and 0.095-0.109 s in one
+# piece, at the same peak RSS.
 _CHUNK_ROWS = 4096
-
-
-class Divergent:
-    """Singleton marker for a weighted norm that fails to stabilize."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "DIVERGENT"
-
-
-DIVERGENT = Divergent()
 
 
 @dataclass(frozen=True, eq=False)
 class SpectralSignal:
     """Samples of a spectrum X on the midpoint frequency grid.
 
-    ``profile`` is the exact generator closure (omega array -> complex
-    values), which the spectral error bound integrates; None for spectra
-    with no closed form (for example after noise injection).
+    ``values`` is one-dimensional with a positive even length, the grid
+    size M.  ``profile`` is the exact generator closure (omega array ->
+    complex values), which the spectral error bound integrates; None for
+    spectra with no closed form (for example after noise injection).
     """
 
-    grid_size: int
     values: np.ndarray
     profile: Callable[[np.ndarray], np.ndarray] | None = field(
         default=None, repr=False)
@@ -84,23 +67,37 @@ class SpectralSignal:
         vals = np.asarray(self.values, dtype=complex)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-        if vals.shape != (self.grid_size,):
-            raise ValueError("values must have shape (grid_size,)")
+        if vals.ndim != 1 or vals.size == 0 or vals.size % 2:
+            raise ValueError(f"values must be one-dimensional with a "
+                             f"positive even length, got shape {vals.shape}")
+
+    @property
+    def grid_size(self) -> int:
+        """M, the number of grid samples."""
+        return self.values.size
 
 
 @dataclass(frozen=True, eq=False)
 class TimeSignal:
-    """Real samples x(t) on t in [-S, S] with the center value retained."""
+    """Real samples x(t) on t in [-S, S] with the center value retained.
 
-    half_length: int
+    ``samples`` is one-dimensional with an odd length 2S + 1.
+    """
+
     samples: np.ndarray
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=float)
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
-        if samples.shape != (2 * self.half_length + 1,):
-            raise ValueError("samples must have shape (2*half_length + 1,)")
+        if samples.ndim != 1 or samples.size % 2 != 1:
+            raise ValueError(f"samples must be one-dimensional with an odd "
+                             f"length, got shape {samples.shape}")
+
+    @property
+    def half_length(self) -> int:
+        """S, the largest |t| with a stored sample."""
+        return self.samples.size // 2
 
     @property
     def truth_center(self) -> float:
@@ -200,7 +197,6 @@ def make_bandlimited(support: float, shape_seed: int,
         return np.where(inside, envelope(om) * rolloff, 0.0 + 0.0j)
 
     return SpectralSignal(
-        grid_size=grid_size,
         values=_mirror(_in_chunks(profile, _positive_omegas(grid_size))),
         profile=profile)
 
@@ -230,9 +226,7 @@ def make_power_decay(nu: float, shape_seed: int,
         om = np.asarray(omega, dtype=float)
         return decay(om, envelope(om))
 
-    return SpectralSignal(
-        grid_size=grid_size, values=_mirror(decay(pos, env)),
-        profile=profile)
+    return SpectralSignal(values=_mirror(decay(pos, env)), profile=profile)
 
 
 def from_profile(profile: Callable[[np.ndarray], np.ndarray],
@@ -242,8 +236,7 @@ def from_profile(profile: Callable[[np.ndarray], np.ndarray],
     _check_grid_size(grid_size)
     omegas = grid_omegas(grid_size)
     values = np.asarray(profile(omegas), dtype=complex)
-    return SpectralSignal(grid_size=grid_size, values=values,
-                          profile=profile)
+    return SpectralSignal(values=values, profile=profile)
 
 
 def assert_hermitian(spec: SpectralSignal, tol: float = 0.0) -> None:
@@ -279,7 +272,9 @@ def inverse_transform(spec: SpectralSignal, half_length: int) -> TimeSignal:
     ifft(A)[s mod M/2].  The fold is only valid for a Hermitian input, so
     the spectrum is checked first: a defect max |X_j - conj X_(M-1-j)|
     above 2e-10 is an error (half of it bounds the imaginary part x would
-    have).  Requires grid_size >= 8 * (2 * half_length + 1).
+    have).  Requires grid_size >= 8 * (2 * half_length + 1).  A spectrum
+    whose transform overflows, leaving a sample of the window infinite or
+    NaN, is a ValueError.
     """
     if half_length < 1:
         raise ValueError(f"half_length must be >= 1, got {half_length}")
@@ -292,17 +287,25 @@ def inverse_transform(spec: SpectralSignal, half_length: int) -> TimeSignal:
     assert_hermitian(spec, tol=2e-10)
     half = M // 2
     neg, pos = spec.values[:half], spec.values[half:]
-    folded = pos - neg
-    folded *= _fold_twiddle(M)
-    folded += pos + neg
-    base = np.fft.ifft(folded)
-    # Pairs (x(2s), x(2s+1)) for s = floor(-S/2) .. floor(S/2) cover [-S, S].
-    first = -half_length // 2
-    ss = np.arange(first, half_length // 2 + 1)
-    pairs = 0.5 * np.exp(1j * (ss * (2.0 * PI / M))) * base[ss % half]
+    # A finite spectrum can still overflow the sums; the check below
+    # reports that, so numpy's own warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        folded = pos - neg
+        folded *= _fold_twiddle(M)
+        folded += pos + neg
+        base = np.fft.ifft(folded)
+        # Pairs (x(2s), x(2s+1)) for s = floor(-S/2) .. floor(S/2) cover
+        # [-S, S].
+        first = -half_length // 2
+        ss = np.arange(first, half_length // 2 + 1)
+        pairs = 0.5 * np.exp(1j * (ss * (2.0 * PI / M))) * base[ss % half]
     start = -half_length - 2 * first
     samples = pairs.view(float)[start:start + 2 * half_length + 1].copy()
-    return TimeSignal(half_length=half_length, samples=samples)
+    if not np.all(np.isfinite(samples)):
+        raise ValueError(
+            f"inverse transform overflows: the window of half-length "
+            f"{half_length} holds non-finite samples")
+    return TimeSignal(samples=samples)
 
 
 def forward_transform(signal: TimeSignal, grid_size: int) -> SpectralSignal:
@@ -317,7 +320,7 @@ def forward_transform(signal: TimeSignal, grid_size: int) -> SpectralSignal:
     parity = np.where(ts % 2 == 0, 1.0, -1.0)
     packed = np.zeros(M, dtype=complex)
     packed[ts % M] = signal.samples * parity * np.exp(-1j * PI * ts / M)
-    return SpectralSignal(grid_size=M, values=np.fft.fft(packed))
+    return SpectralSignal(values=np.fft.fft(packed))
 
 
 def _tail_decades(grid_size: int) -> np.ndarray:
@@ -329,14 +332,13 @@ def _tail_decades(grid_size: int) -> np.ndarray:
     return np.array(deltas)
 
 
-def class_norm(spec: SpectralSignal, weight: WeightSpec):
-    """Weighted spectral norm of X against a weight, or DIVERGENT.
+def class_norm(spec: SpectralSignal, weight: WeightSpec) -> float:
+    """Weighted spectral norm of X against a weight; inf when it diverges.
 
     Finite p: the grid integral of h |X|^p.  p = inf: the grid essential
     sup of h |X|.  Both are scanned over nested windows approaching the
     band edges; a value that keeps growing toward the edge instead of
-    stabilizing (or overflows) is reported as the DIVERGENT marker rather
-    than a float.
+    stabilizing (or overflows) is reported as ``math.inf``.
     """
     omegas = grid_omegas(spec.grid_size)
     absx = np.abs(spec.values)
@@ -354,7 +356,7 @@ def class_norm(spec: SpectralSignal, weight: WeightSpec):
                     for d in deltas]
 
     if _classify_tail(partials) == "divergent":
-        return DIVERGENT
+        return math.inf
     return partials[-1]
 
 
@@ -406,5 +408,5 @@ def add_spectral_noise(spec: SpectralSignal, sigma: float,
     values = spec.values.copy()
     values[M - count:] += band
     values[:count] += np.conj(band)[::-1]
-    return SpectralSignal(grid_size=M, values=values)
+    return SpectralSignal(values=values)
 

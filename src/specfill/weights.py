@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quadrature import adaptive_quad
+from ._quadrature import QuadratureError, adaptive_quad
 
 PI = math.pi
 INF = math.inf
@@ -50,16 +50,19 @@ class WeightFamily(enum.Enum):
 class WeightSpec:
     """An immutable weight/companion pair with its target norm index.
 
-    ``q`` is the conjugate exponent ``(1 - 1/p)^(-1)`` stored precomputed
-    (``q = 1`` when ``p`` is infinite).  ``a`` is the companion exponent and
-    is only meaningful for the GENERAL_POWER family.
+    ``a`` is the companion exponent and is only meaningful for the
+    GENERAL_POWER family.
     """
 
     family: WeightFamily
     nu: float
     p: float
-    q: float
     a: float | None = None
+
+    @property
+    def q(self) -> float:
+        """The conjugate exponent of ``p`` (:func:`conjugate_exponent`)."""
+        return conjugate_exponent(self.p)
 
     @property
     def companion_power(self) -> float:
@@ -99,8 +102,7 @@ def make_power_weight(nu: float, p: float) -> WeightSpec:
         raise ValueError(
             f"power-law weight with nu={nu} requires p > 1/nu = {1.0 / nu}, "
             f"got p={p}")
-    return WeightSpec(WeightFamily.POWER_LAW, float(nu), float(p),
-                      conjugate_exponent(p))
+    return WeightSpec(WeightFamily.POWER_LAW, float(nu), float(p))
 
 
 def make_general_power_weight(nu: float, a: float, p: float) -> WeightSpec:
@@ -114,7 +116,7 @@ def make_general_power_weight(nu: float, a: float, p: float) -> WeightSpec:
         raise ValueError(f"nu must be positive, got {nu}")
     _check_p(p)
     return WeightSpec(WeightFamily.GENERAL_POWER, float(nu), float(p),
-                      conjugate_exponent(p), a=float(a))
+                      a=float(a))
 
 
 def make_direct_weight(nu: float) -> WeightSpec:
@@ -125,7 +127,7 @@ def make_direct_weight(nu: float) -> WeightSpec:
     """
     if nu < 0:
         raise ValueError(f"nu must be nonnegative, got {nu}")
-    return WeightSpec(WeightFamily.DIRECT, float(nu), INF, 1.0)
+    return WeightSpec(WeightFamily.DIRECT, float(nu), INF)
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +191,11 @@ def gap_power_integral(power: float, u_lo: float, u_hi: float,
                        *, tol: float = 1e-12) -> float:
     """Integral of (pi^2 - omega^2)^(-power) d(omega) between two u-limits.
 
-    Exact for power = 1; adaptive quadrature in u otherwise.
+    Exact for power = 1; adaptive quadrature in u otherwise.  An infinite
+    or NaN limit is a QuadratureError.
     """
+    if not (math.isfinite(u_lo) and math.isfinite(u_hi)):
+        raise QuadratureError("integration limits must be finite")
     if u_hi == u_lo:
         return 0.0
     if power == 1.0:

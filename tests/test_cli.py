@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import specfill
 from specfill import recovery
 from specfill.cli import (
     EXIT_CONFIG,
@@ -94,6 +99,11 @@ class TestConfigParsing:
         ({"weight": 5}, "weight"),
         ({"signal": 7}, "signal"),
         ({"weight": "family"}, "weight"),
+        ({"nosie": 1}, "config.nosie: unknown field"),
+        ({"weight": {"q": 2.0}}, "weight.q: unknown field"),
+        ({"signal": {"omgea": 1.0}}, "signal.omgea: unknown field"),
+        ({"noise": {"sigma": 0.1, "seeds": [1], "seed": 1}},
+         "noise.seed: unknown field"),
     ])
     def test_invalid_configs_name_the_field(self, tmp_path, overrides,
                                             fragment):
@@ -337,6 +347,31 @@ class TestRobustnessCommand:
         assert main(["robustness", "--config", str(config),
                      "--out", str(out)]) == EXIT_NUMERICAL
         assert "sigma=1e+308" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_transform_exits_numerical(self, tmp_path):
+        # sigma = 1e306 gives a finite band amplitude, but the inverse
+        # transform of the noisy spectrum overflows.  A fresh process keeps
+        # the default warning filters, so any numpy warning would show on
+        # its stderr.
+        config = write_config(
+            tmp_path,
+            {"n_values": [2], "noise": {"sigma": 1e306, "seeds": [0]}})
+        out = tmp_path / "rob.csv"
+        src = Path(specfill.__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (str(src), env.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "specfill", "robustness",
+             "--config", str(config), "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == EXIT_NUMERICAL
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("numerical failure in stage "
+                                   "'robustness': inverse transform "
+                                   "overflows")
         assert not out.exists()
 
     def test_nan_estimate_counts_as_violation(self, tmp_path, monkeypatch):

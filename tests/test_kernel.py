@@ -80,8 +80,7 @@ class TestEpsilonSolve:
         weight = make_general_power_weight(1.0, 1.5, math.inf)
         eps = solve_epsilon_n(weight, 3)
         assert 0.0 < eps < 1.0 / 3.0
-        spec = KernelSpec(weight=weight, n=3, epsilon_n=eps,
-                          kappa=compute_kappa(weight, eps))
+        spec = KernelSpec(weight=weight, n=3, epsilon_n=eps)
         assert abs(normalization_residual(spec)) < 1e-10
 
     def test_small_n_rejected(self):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from specfill import recovery
 from specfill.kernel import resolve_kernel, synthesize_taps
 from specfill.recovery import (
     CSV_COLUMNS,
+    RecoveryReport,
     convergence_sweep,
     recover_center,
     robustness_bound,
@@ -45,23 +47,23 @@ def flat_spectrum(grid_size=2 ** 16):
 
 class TestRecoverCenter:
     def test_zero_signal(self, taps2):
-        zero = TimeSignal(half_length=128, samples=np.zeros(257))
+        zero = TimeSignal(samples=np.zeros(257))
         assert recover_center(taps2, zero) == 0.0
 
     def test_shifted_delta_picks_one_tap(self, taps2):
         samples = np.zeros(257)
         samples[128 + 5] = 1.0
-        delta = TimeSignal(half_length=128, samples=samples)
+        delta = TimeSignal(samples=samples)
         assert recover_center(taps2, delta) == taps2.taps[64 + 5]
 
     def test_center_sample_never_leaks(self, taps2):
         samples = np.zeros(257)
         samples[128] = 1e12
-        spiked = TimeSignal(half_length=128, samples=samples)
+        spiked = TimeSignal(samples=samples)
         assert recover_center(taps2, spiked) == 0.0
 
     def test_window_mismatch_rejected(self, taps2):
-        short = TimeSignal(half_length=32, samples=np.zeros(65))
+        short = TimeSignal(samples=np.zeros(65))
         with pytest.raises(ValueError):
             recover_center(taps2, short)
 
@@ -72,9 +74,9 @@ class TestRecoverCenter:
         rng = np.random.Generator(np.random.Philox(42))
         x = rng.normal(size=129)
         y = rng.normal(size=129)
-        sig_x = TimeSignal(half_length=64, samples=x)
-        sig_y = TimeSignal(half_length=64, samples=y)
-        combined = TimeSignal(half_length=64, samples=alpha * x + beta * y)
+        sig_x = TimeSignal(samples=x)
+        sig_y = TimeSignal(samples=y)
+        combined = TimeSignal(samples=alpha * x + beta * y)
         lhs = recover_center(taps2, combined)
         rhs = (alpha * recover_center(taps2, sig_x)
                + beta * recover_center(taps2, sig_y))
@@ -238,12 +240,21 @@ class TestConvergenceSweep:
 
 
 class TestCsvRow:
-    def test_column_count_and_blanks(self):
+    def test_no_noise_row(self):
         signal = make_bandlimited(PI / 2, 7, 2 ** 14)
-        report = spectral_error(resolve_kernel(POWER, 2), signal)
+        [report] = convergence_sweep(POWER, signal, [2], 32, 256,
+                                     base_seed=7)
         row = report.csv_row()
         assert len(row) == len(CSV_COLUMNS)
-        # Unset optional fields serialize as empty cells.
-        assert row[CSV_COLUMNS.index("estimate")] == ""
+        # A run without noise has no robust bound: its cell is empty.
         assert row[CSV_COLUMNS.index("robust_bound")] == ""
-        assert row[CSV_COLUMNS.index("n")] == "2"
+        assert row[CSV_COLUMNS.index("estimate")] == repr(report.estimate)
+        assert [row[CSV_COLUMNS.index(name)]
+                for name in ("n", "T", "S", "seed")] == ["2", "32", "256", "7"]
+
+    def test_columns_are_the_field_names_in_order(self):
+        assert CSV_COLUMNS == tuple(f.name for f in fields(RecoveryReport))
+        assert CSV_COLUMNS == (
+            "n", "epsilon_n", "kappa", "estimate", "truth", "abs_error",
+            "spectral_bound", "I2", "I3", "robust_bound", "zero_residual",
+            "T", "S", "seed")

@@ -1,13 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from specfill.signals import (
-    DIVERGENT,
     ENVELOPE_DEGREE,
     NOISE_BAND,
     SpectralSignal,
+    TimeSignal,
     _envelope,
     _noise_band_count,
     _positive_omegas,
@@ -37,8 +38,7 @@ def random_hermitian(grid_size, seed):
     rng = np.random.default_rng(seed)
     half = (rng.standard_normal(grid_size // 2)
             + 1j * rng.standard_normal(grid_size // 2))
-    return SpectralSignal(grid_size=grid_size,
-                          values=np.concatenate([half[::-1].conj(), half]))
+    return SpectralSignal(values=np.concatenate([half[::-1].conj(), half]))
 
 
 def full_grid_inverse(values, half_length):
@@ -119,7 +119,7 @@ class TestGenerators:
     def test_bandlimited_class_norm_finite(self):
         sig = make_bandlimited(PI / 2, 7, 2 ** 14)
         value = class_norm(sig, W_P2)
-        assert value is not DIVERGENT
+        assert math.isfinite(value)
         # Brute-force Riemann oracle at 4x grid density via the profile.
         m4 = 4 * 2 ** 14
         om4 = grid_omegas(m4)
@@ -151,7 +151,7 @@ class TestGenerators:
         # capped at 1; oracle is the plain grid maximum.
         sig = make_power_decay(1.0, 3, 2 ** 14)
         value = class_norm(sig, W_INF)
-        assert value is not DIVERGENT
+        assert math.isfinite(value)
         om = grid_omegas(2 ** 14)
         h = 1.0 / ((PI - om) * (PI + om))
         oracle = float(np.max(h * np.abs(sig.values)))
@@ -192,17 +192,30 @@ class TestGenerators:
         assert np.max(gap) <= 1e-14
 
 
+class TestSignalTypes:
+    @pytest.mark.parametrize("values", [
+        np.zeros((2, 8)), np.zeros(7), np.zeros(0)],
+        ids=["two-dimensional", "odd-length", "empty"])
+    def test_spectral_signal_rejects_bad_values(self, values):
+        with pytest.raises(ValueError, match="positive even length"):
+            SpectralSignal(values=values)
+
+    @pytest.mark.parametrize("samples", [np.zeros(8), np.zeros((3, 3))],
+                             ids=["even-length", "two-dimensional"])
+    def test_time_signal_rejects_bad_samples(self, samples):
+        with pytest.raises(ValueError, match="odd length"):
+            TimeSignal(samples=samples)
+
+
 class TestInverseTransform:
     def test_zero_spectrum(self):
-        sig = SpectralSignal(grid_size=2 ** 12,
-                             values=np.zeros(2 ** 12, dtype=complex))
+        sig = SpectralSignal(values=np.zeros(2 ** 12, dtype=complex))
         ts = inverse_transform(sig, 8)
         assert np.all(ts.samples == 0.0)
         assert ts.truth_center == 0.0
 
     def test_unit_spectrum_is_delta(self):
-        sig = SpectralSignal(grid_size=2 ** 12,
-                             values=np.ones(2 ** 12, dtype=complex))
+        sig = SpectralSignal(values=np.ones(2 ** 12, dtype=complex))
         ts = inverse_transform(sig, 16)
         assert ts.samples[16] == pytest.approx(1.0, abs=1e-14)
         off = np.delete(ts.samples, 16)
@@ -211,9 +224,7 @@ class TestInverseTransform:
     def test_ideal_band_indicator_is_sinc(self):
         M = 2 ** 15
         om = grid_omegas(M)
-        sig = SpectralSignal(
-            grid_size=M,
-            values=(np.abs(om) <= PI / 2).astype(complex))
+        sig = SpectralSignal(values=(np.abs(om) <= PI / 2).astype(complex))
         ts = inverse_transform(sig, 16)
         assert ts.samples[16] == pytest.approx(0.5, abs=1e-13)
         for t in (1, 2, 5, 9, 16):
@@ -252,13 +263,12 @@ class TestInverseTransform:
         values = sig.values.copy()
         values[100] += 1e-9
         with pytest.raises(ValueError, match="Hermitian"):
-            inverse_transform(SpectralSignal(grid_size=2 ** 12,
-                                             values=values), 8)
+            inverse_transform(SpectralSignal(values=values), 8)
 
     def test_hermitian_violation_is_hard_error(self):
         values = np.zeros(2 ** 12, dtype=complex)
         values[100] = 5.0 + 3.0j
-        broken = SpectralSignal(grid_size=2 ** 12, values=values)
+        broken = SpectralSignal(values=values)
         with pytest.raises(ValueError, match="[Hh]ermitian"):
             inverse_transform(broken, 8)
 
@@ -268,8 +278,16 @@ class TestInverseTransform:
         values = np.ones(2 ** 12, dtype=complex)
         values[100] = values[2 ** 12 - 1 - 100] = complex(math.nan, 0.0)
         with pytest.raises(ValueError, match="Hermitian"):
-            inverse_transform(SpectralSignal(grid_size=2 ** 12,
-                                             values=values), 8)
+            inverse_transform(SpectralSignal(values=values), 8)
+
+
+    def test_overflowing_transform_rejected(self):
+        # Each value is finite, but their sum in the transform is not.
+        sig = SpectralSignal(values=np.full(2 ** 12, 1e306, dtype=complex))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows"):
+                inverse_transform(sig, 8)
 
 
 class TestRoundTripAndParseval:
@@ -307,25 +325,19 @@ class TestRoundTripAndParseval:
 
 class TestClassNorm:
     def test_zero_signal(self):
-        sig = SpectralSignal(grid_size=2 ** 14,
-                             values=np.zeros(2 ** 14, dtype=complex))
+        sig = SpectralSignal(values=np.zeros(2 ** 14, dtype=complex))
         assert class_norm(sig, W_INF) == 0.0
 
     def test_flat_signal_divergent(self):
-        assert class_norm(flat_signal(), W_INF) is DIVERGENT
+        assert class_norm(flat_signal(), W_INF) == math.inf
 
     def test_flat_signal_divergent_finite_p(self):
-        assert class_norm(flat_signal(), W_P2) is DIVERGENT
-
-    def test_divergent_marker_is_not_a_float(self):
-        marker = class_norm(flat_signal(), W_INF)
-        assert not isinstance(marker, float)
-        assert repr(marker) == "DIVERGENT"
+        assert class_norm(flat_signal(), W_P2) == math.inf
 
     def test_noisy_sum_divergent(self):
         clean = make_bandlimited(PI / 2, 7, 2 ** 14)
         noisy = add_spectral_noise(clean, 0.3, 11)
-        assert class_norm(noisy, W_INF) is DIVERGENT
+        assert class_norm(noisy, W_INF) == math.inf
 
 
 class TestNoise:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specfill._quadrature import QuadratureError
 from specfill.weights import (
     PI,
     WeightFamily,
@@ -162,6 +163,16 @@ class TestCompanionIntegral:
         brute = simpson(lambda u: np.full_like(u, 1.0 / (2.0 * PI)),
                         0.0, u_hi, 1 << 15)
         assert value == pytest.approx(brute, rel=1e-8)
+
+    @pytest.mark.parametrize("power", [1.0, 2.0])
+    @pytest.mark.parametrize("u_lo, u_hi", [
+        (0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan),
+        (math.nan, math.nan)])
+    def test_non_finite_limits_rejected(self, power, u_lo, u_hi):
+        # u = inf is omega = pi; both the closed form and the quadrature
+        # route report it before doing any arithmetic on the limits.
+        with pytest.raises(QuadratureError, match="limits must be finite"):
+            gap_power_integral(power, u_lo, u_hi)
 
     @settings(max_examples=60, deadline=None)
     @given(st.floats(min_value=-3.0, max_value=3.0),
