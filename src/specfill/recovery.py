@@ -27,8 +27,8 @@ from .kernel import (
 from .signals import (
     SpectralSignal,
     TimeSignal,
-    add_spectral_noise,
     inverse_transform,
+    noisy_inverse_transforms,
 )
 from .weights import PI, WeightSpec, gap_from_u, u_from_gap
 
@@ -171,14 +171,10 @@ _Draw = tuple[int | None, TimeSignal]
 def _draws(signal: SpectralSignal, signal_half_length: int,
            noise_sigma: float | None, seeds: tuple[int, ...],
            base_seed: int | None) -> list[_Draw]:
-    draws = []
-    for seed in (seeds if noise_sigma is not None else (base_seed,)):
-        spectrum = (signal if noise_sigma is None
-                    else add_spectral_noise(signal, noise_sigma, seed))
-        draws.append((seed, inverse_transform(spectrum, signal_half_length)))
-        # Free this noisy grid before the next one is drawn.
-        del spectrum
-    return draws
+    if noise_sigma is None:
+        return [(base_seed, inverse_transform(signal, signal_half_length))]
+    return list(zip(seeds, noisy_inverse_transforms(
+        signal, signal_half_length, noise_sigma, seeds)))
 
 
 def _sweep_cell(weight: WeightSpec, signal: SpectralSignal, n: int,
@@ -215,13 +211,16 @@ def convergence_sweep(weight: WeightSpec, signal: SpectralSignal,
                       base_seed: int | None = None) -> list[RecoveryReport]:
     """Run kernel resolution, synthesis, and recovery over a band-index sweep.
 
-    First, once per noise seed (or once for the clean spectrum when
-    ``noise_sigma`` is None): draw the noisy spectrum and inverse-transform
-    it at ``signal_half_length``; none of this depends on n.  Then, for each
-    n: resolve the kernel, synthesize taps at ``tap_half_length``, and
-    assemble one report per seed carrying the estimate, truth, spectral
-    error split, and constants.  The report order is (n ascending, seed
-    ascending).  Errors from the per-n stages propagate tagged with their n.
+    First, the time signals at ``signal_half_length``, none of which
+    depends on n: with ``noise_sigma`` None, one inverse transform of the
+    clean spectrum; otherwise one per noise seed, each drawn by patching the
+    noise band into one fold of the clean spectrum and inverse-transforming
+    it in place (:func:`signals.noisy_inverse_transforms`, bit for bit the
+    transform of the noisy spectrum).  Then, for each n: resolve the
+    kernel, synthesize taps at ``tap_half_length``, and assemble one report
+    per seed carrying the estimate, truth, spectral error split, and
+    constants.  The report order is (n ascending, seed ascending).  Errors
+    from the per-n stages propagate tagged with their n.
     """
     if sorted(n_values) != list(n_values):
         raise ValueError("n_values must be sorted ascending")

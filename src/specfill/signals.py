@@ -7,18 +7,21 @@ finite windows [-S, S]; window-growth assertions in the tests stand in for
 the infinite objects.
 
 Generators are deterministic functions of (parameters, seed) built on the
-counter-based Philox bit generator.  They evaluate their profile once, on
-the positive half of the grid in row chunks, and fill the negative half by
-the exact mirror ``half[::-1].conj()``; the grid values equal the profile
-evaluated on the whole grid bit for bit.  Each generated spectrum carries
-its exact analytic profile as a callable, which downstream error integrals
-use to resolve sub-grid bands near the edges.
+counter-based Philox bit generator.  They evaluate their profile once, in
+row chunks, straight into the positive half of one preallocated grid, and
+fill the negative half in place by the exact mirror ``conj(half[::-1])``;
+the grid values equal the profile evaluated on the whole grid bit for bit.
+Each generated spectrum carries its exact analytic profile as a callable,
+which downstream error integrals use to resolve sub-grid bands near the
+edges.
 
 The inverse transform checks that its input is Hermitian, then folds the
-two half-grids into one half-length inverse FFT, which yields the real
-sequence two samples per output value.  Spectral noise is flat-magnitude,
-random-phase and Hermitian on the edge band, added on the band's two edge
-slices only.
+two half-grids into one half-length inverse FFT, run in place, which yields
+the real sequence two samples per output value.  Spectral noise is
+flat-magnitude, random-phase and Hermitian on the edge band, added on the
+band's two edge slices only.  A sweep over noise seeds checks and folds the
+clean spectrum once; each seed then patches only the fold entries the band
+reaches and runs one in-place inverse FFT, with no noisy grid built.
 
 Both generated families are uniformly well behaved: envelopes are bounded
 trigonometric polynomials, so any finite family drawn from them has
@@ -27,7 +30,6 @@ uniformly vanishing weighted mass near the band edges.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -123,18 +125,20 @@ def _positive_omegas(grid_size: int) -> np.ndarray:
 
 
 def _in_chunks(fn: Callable[[np.ndarray], np.ndarray],
-               omegas: np.ndarray) -> np.ndarray:
-    """fn(omegas) evaluated _CHUNK_ROWS samples at a time."""
-    out = np.empty(omegas.shape, dtype=complex)
+               omegas: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """fn(omegas) evaluated _CHUNK_ROWS samples at a time into ``out``."""
     for start in range(0, omegas.size, _CHUNK_ROWS):
         stop = start + _CHUNK_ROWS
         out[start:stop] = fn(omegas[start:stop])
     return out
 
 
-def _mirror(half: np.ndarray) -> np.ndarray:
-    """Full-grid values from the positive half by Hermitian symmetry."""
-    return np.concatenate([half[::-1].conj(), half])
+def _mirror_into(values: np.ndarray) -> np.ndarray:
+    """Fill the negative half of ``values`` from its positive half by
+    Hermitian symmetry, in place; returns ``values``."""
+    half = values.size // 2
+    np.conjugate(values[half:][::-1], out=values[:half])
+    return values
 
 
 def _check_grid_size(grid_size: int) -> None:
@@ -196,9 +200,9 @@ def make_bandlimited(support: float, shape_seed: int,
                            0.0)
         return np.where(inside, envelope(om) * rolloff, 0.0 + 0.0j)
 
-    return SpectralSignal(
-        values=_mirror(_in_chunks(profile, _positive_omegas(grid_size))),
-        profile=profile)
+    values = np.empty(grid_size, dtype=complex)
+    _in_chunks(profile, _positive_omegas(grid_size), values[grid_size // 2:])
+    return SpectralSignal(values=_mirror_into(values), profile=profile)
 
 
 def make_power_decay(nu: float, shape_seed: int,
@@ -214,19 +218,22 @@ def make_power_decay(nu: float, shape_seed: int,
     _check_grid_size(grid_size)
     envelope = _envelope(shape_seed)
     pos = _positive_omegas(grid_size)
-    env = _in_chunks(envelope, pos)
+    values = np.empty(grid_size, dtype=complex)
+    env = _in_chunks(envelope, pos, values[grid_size // 2:])
     # |g| is even on the grid, so the positive half holds its maximum.
     norm = float(np.max(np.abs(env)))
 
-    def decay(om: np.ndarray, env: np.ndarray) -> np.ndarray:
+    def decay(om: np.ndarray, env: np.ndarray,
+              out: np.ndarray | None = None) -> np.ndarray:
         gap = ((PI - om) * (PI + om)) ** nu
-        return gap * env / norm
+        return np.divide(gap * env, norm, out=out)
 
     def profile(omega: np.ndarray) -> np.ndarray:
         om = np.asarray(omega, dtype=float)
         return decay(om, envelope(om))
 
-    return SpectralSignal(values=_mirror(decay(pos, env)), profile=profile)
+    decay(pos, env, out=env)
+    return SpectralSignal(values=_mirror_into(values), profile=profile)
 
 
 def from_profile(profile: Callable[[np.ndarray], np.ndarray],
@@ -239,6 +246,19 @@ def from_profile(profile: Callable[[np.ndarray], np.ndarray],
     return SpectralSignal(values=values, profile=profile)
 
 
+def _hermitian_defect(neg: np.ndarray, pos: np.ndarray) -> float:
+    """max |N_j - conj P_(k-1-j)| between a slice ``neg`` of the negative
+    half-grid and the mirror of an equally long slice ``pos`` of the
+    positive half-grid; NaN if any pair holds a NaN."""
+    return np.max(np.abs(neg - pos[::-1].conj()))
+
+
+def _require_hermitian(defect: float, tol: float) -> None:
+    if not defect <= tol:
+        raise ValueError(
+            f"spectrum violates Hermitian symmetry (defect {defect:.3e})")
+
+
 def assert_hermitian(spec: SpectralSignal, tol: float = 0.0) -> None:
     """Raise unless X(-omega) == conj(X(omega)) on the grid (within tol).
 
@@ -246,19 +266,54 @@ def assert_hermitian(spec: SpectralSignal, tol: float = 0.0) -> None:
     computed on the negative half of the grid only.  A NaN defect fails.
     """
     half = spec.grid_size // 2
-    neg, pos = spec.values[:half], spec.values[half:]
-    defect = np.max(np.abs(neg - pos[::-1].conj()))
-    if not defect <= tol:
-        raise ValueError(
-            f"spectrum violates Hermitian symmetry (defect {defect:.3e})")
+    _require_hermitian(
+        _hermitian_defect(spec.values[:half], spec.values[half:]), tol)
 
 
-@functools.lru_cache(maxsize=1)
+#: Largest Hermitian defect the inverse transform accepts; half of it
+#: bounds the imaginary part the transformed sequence would have.
+_HERMITIAN_TOL = 2e-10
+
+
 def _fold_twiddle(grid_size: int) -> np.ndarray:
-    """i e^(i theta_m) on the positive half-grid theta_m; read-only."""
-    twiddle = 1j * np.exp(1j * _positive_omegas(grid_size))
-    twiddle.setflags(write=False)
-    return twiddle
+    """i e^(i theta_m) on the positive half-grid theta_m."""
+    return 1j * np.exp(1j * _positive_omegas(grid_size))
+
+
+def _fold(neg: np.ndarray, pos: np.ndarray, twiddle: np.ndarray,
+          out: np.ndarray | None = None) -> np.ndarray:
+    """(P - N) twiddle + (P + N) elementwise, into ``out`` when given."""
+    folded = np.subtract(pos, neg, out=out)
+    folded *= twiddle
+    folded += pos + neg
+    return folded
+
+
+def _check_window(grid_size: int, half_length: int) -> None:
+    if half_length < 1:
+        raise ValueError(f"half_length must be >= 1, got {half_length}")
+    if grid_size < 8 * (2 * half_length + 1):
+        raise ValueError(
+            f"grid_size {grid_size} too coarse for half_length "
+            f"{half_length}; need at least 8 * (2 * half_length + 1) = "
+            f"{8 * (2 * half_length + 1)}")
+
+
+def _window(base: np.ndarray, half_length: int) -> TimeSignal:
+    """x(t) on [-S, S] from ``base``, the inverse FFT of a fold."""
+    half = base.size
+    M = 2 * half
+    # Pairs (x(2s), x(2s+1)) for s = floor(-S/2) .. floor(S/2) cover [-S, S].
+    first = -half_length // 2
+    ss = np.arange(first, half_length // 2 + 1)
+    pairs = 0.5 * np.exp(1j * (ss * (2.0 * PI / M))) * base[ss % half]
+    start = -half_length - 2 * first
+    samples = pairs.view(float)[start:start + 2 * half_length + 1].copy()
+    if not np.all(np.isfinite(samples)):
+        raise ValueError(
+            f"inverse transform overflows: the window of half-length "
+            f"{half_length} holds non-finite samples")
+    return TimeSignal(samples=samples)
 
 
 def inverse_transform(spec: SpectralSignal, half_length: int) -> TimeSignal:
@@ -268,44 +323,23 @@ def inverse_transform(spec: SpectralSignal, half_length: int) -> TimeSignal:
     A Hermitian spectrum gives a real x, so the two half-grids fold into
     one array of length M/2, A_m = (P_m + N_m) + i e^(i theta_m) (P_m - N_m)
     with P = X[M/2:], N = X[:M/2] and theta_m = (m + 1/2) 2 pi / M, and one
-    M/2-point inverse FFT gives x(2s) + i x(2s+1) = (1/2) e^(2 pi i s / M)
-    ifft(A)[s mod M/2].  The fold is only valid for a Hermitian input, so
-    the spectrum is checked first: a defect max |X_j - conj X_(M-1-j)|
-    above 2e-10 is an error (half of it bounds the imaginary part x would
-    have).  Requires grid_size >= 8 * (2 * half_length + 1).  A spectrum
-    whose transform overflows, leaving a sample of the window infinite or
-    NaN, is a ValueError.
+    in-place M/2-point inverse FFT gives x(2s) + i x(2s+1) =
+    (1/2) e^(2 pi i s / M) ifft(A)[s mod M/2].  The fold is only valid for
+    a Hermitian input, so the spectrum is checked first: a defect
+    max |X_j - conj X_(M-1-j)| above 2e-10 is an error.  Requires
+    grid_size >= 8 * (2 * half_length + 1).  A spectrum whose transform
+    overflows, leaving a sample of the window infinite or NaN, is a
+    ValueError.
     """
-    if half_length < 1:
-        raise ValueError(f"half_length must be >= 1, got {half_length}")
-    M = spec.grid_size
-    if M < 8 * (2 * half_length + 1):
-        raise ValueError(
-            f"grid_size {M} too coarse for half_length {half_length}; "
-            f"need at least 8 * (2 * half_length + 1) = "
-            f"{8 * (2 * half_length + 1)}")
-    assert_hermitian(spec, tol=2e-10)
-    half = M // 2
+    _check_window(spec.grid_size, half_length)
+    assert_hermitian(spec, tol=_HERMITIAN_TOL)
+    half = spec.grid_size // 2
     neg, pos = spec.values[:half], spec.values[half:]
-    # A finite spectrum can still overflow the sums; the check below
-    # reports that, so numpy's own warnings would only repeat it.
+    # A finite spectrum can still overflow the sums; _window reports that,
+    # so numpy's own warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
-        folded = pos - neg
-        folded *= _fold_twiddle(M)
-        folded += pos + neg
-        base = np.fft.ifft(folded)
-        # Pairs (x(2s), x(2s+1)) for s = floor(-S/2) .. floor(S/2) cover
-        # [-S, S].
-        first = -half_length // 2
-        ss = np.arange(first, half_length // 2 + 1)
-        pairs = 0.5 * np.exp(1j * (ss * (2.0 * PI / M))) * base[ss % half]
-    start = -half_length - 2 * first
-    samples = pairs.view(float)[start:start + 2 * half_length + 1].copy()
-    if not np.all(np.isfinite(samples)):
-        raise ValueError(
-            f"inverse transform overflows: the window of half-length "
-            f"{half_length} holds non-finite samples")
-    return TimeSignal(samples=samples)
+        folded = _fold(neg, pos, _fold_twiddle(spec.grid_size))
+        return _window(np.fft.ifft(folded, out=folded), half_length)
 
 
 def forward_transform(signal: TimeSignal, grid_size: int) -> SpectralSignal:
@@ -378,6 +412,28 @@ def _noise_band_count(grid_size: int) -> int:
     return half - first
 
 
+def _noise_band(grid_size: int, sigma: float, noise_seed: int) -> np.ndarray:
+    """The noise on the positive half of the band, ascending in omega:
+    flat amplitude, so that the Hermitian noise has grid L1 norm sigma, and
+    seeded random phases.  The negative half carries its mirror
+    ``conj(band)[::-1]``.  A negative sigma, a grid with no band samples
+    and an amplitude that overflows are ValueErrors."""
+    if sigma < 0:
+        raise ValueError(f"sigma must be nonnegative, got {sigma}")
+    count = _noise_band_count(grid_size)
+    if count == 0:
+        raise ValueError(
+            f"grid_size {grid_size} leaves no samples in the noise band")
+    rng = np.random.Generator(np.random.Philox(noise_seed))
+    phases = np.exp(1j * rng.uniform(0.0, 2.0 * PI, count))
+    amplitude = sigma / (2.0 * count * (2.0 * PI / grid_size))
+    if not math.isfinite(amplitude):
+        raise ValueError(
+            f"sigma={sigma!r} overflows the noise amplitude on the "
+            f"{2 * count} band samples")
+    return amplitude * phases
+
+
 def add_spectral_noise(spec: SpectralSignal, sigma: float,
                        noise_seed: int) -> SpectralSignal:
     """Add Hermitian edge-band noise with grid L1 norm exactly sigma.
@@ -386,27 +442,65 @@ def add_spectral_noise(spec: SpectralSignal, sigma: float,
     |omega| > pi - NOISE_BAND, where the weighted classes have little mass,
     and is zero elsewhere; it is added in place on the band's two edge
     slices of a copy of the values.  sigma = 0 returns the spectrum
-    unchanged; a sigma whose band amplitude overflows is a ValueError.
+    unchanged; a sigma whose band amplitude overflows is a ValueError.  A
+    sweep over seeds takes :func:`noisy_inverse_transforms`, which yields
+    the transforms of these spectra without building them.
     """
-    if sigma < 0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
     if sigma == 0.0:
         return spec
-    M = spec.grid_size
-    count = _noise_band_count(M)
-    if count == 0:
-        raise ValueError(
-            f"grid_size {M} leaves no samples in the noise band")
-    rng = np.random.Generator(np.random.Philox(noise_seed))
-    phases = np.exp(1j * rng.uniform(0.0, 2.0 * PI, count))
-    amplitude = sigma / (2.0 * count * (2.0 * PI / M))
-    if not math.isfinite(amplitude):
-        raise ValueError(
-            f"sigma={sigma!r} overflows the noise amplitude on the "
-            f"{2 * count} band samples")
-    band = amplitude * phases
+    band = _noise_band(spec.grid_size, sigma, noise_seed)
     values = spec.values.copy()
-    values[M - count:] += band
-    values[:count] += np.conj(band)[::-1]
+    values[values.size - band.size:] += band
+    values[:band.size] += np.conj(band)[::-1]
     return SpectralSignal(values=values)
 
+
+def noisy_inverse_transforms(spec: SpectralSignal, half_length: int,
+                             sigma: float,
+                             seeds: tuple[int, ...]) -> list[TimeSignal]:
+    """``inverse_transform(add_spectral_noise(spec, sigma, seed),
+    half_length)`` for each seed, bit for bit, with no noisy grid built.
+
+    The noise band sits at both ends of the fold: the top ``count`` bins of
+    P = X[M/2:] and the bottom ``count`` bins of N = X[:M/2] enter fold
+    entries M/2 - count .. M/2 - 1 and 0 .. count - 1.  So the clean
+    spectrum is folded once; each seed copies that fold into one reused
+    buffer, overwrites only those 2 count entries with the fold of the
+    noisy band values, and runs one in-place inverse FFT.  The Hermitian
+    check is split the same way: the clean defect outside the band once,
+    the noisy defect of the band pairs per seed.  Errors are those of the
+    per-seed route.
+    """
+    if sigma == 0.0:
+        return [inverse_transform(spec, half_length)] * len(seeds)
+    M = spec.grid_size
+    _check_window(M, half_length)
+    half = M // 2
+    # M >= 8 (2 half_length + 1) makes count < half / 2, so the two band
+    # slices of the fold never overlap.
+    count = _noise_band_count(M)
+    lo, hi = slice(0, count), slice(half - count, half)
+    neg, pos = spec.values[:half], spec.values[half:]
+    rest_defect = _hermitian_defect(neg[count:], pos[:half - count])
+    draws = []
+    # As in inverse_transform, _window reports an overflow.
+    with np.errstate(over="ignore", invalid="ignore"):
+        twiddle = _fold_twiddle(M)
+        clean = _fold(neg, pos, twiddle)
+        # Each seed needs only the band slices; free the rest before the
+        # buffer and the FFT scratch are allocated.
+        twiddle_lo, twiddle_hi = twiddle[lo].copy(), twiddle[hi].copy()
+        del twiddle
+        buf = np.empty_like(clean)
+        for seed in seeds:
+            band = _noise_band(M, sigma, seed)
+            neg_lo = neg[lo] + np.conj(band)[::-1]
+            pos_hi = pos[hi] + band
+            _require_hermitian(
+                np.maximum(rest_defect, _hermitian_defect(neg_lo, pos_hi)),
+                _HERMITIAN_TOL)
+            np.copyto(buf, clean)
+            _fold(neg_lo, pos[lo], twiddle_lo, out=buf[lo])
+            _fold(neg[hi], pos_hi, twiddle_hi, out=buf[hi])
+            draws.append(_window(np.fft.ifft(buf, out=buf), half_length))
+    return draws

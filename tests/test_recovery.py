@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specfill import recovery
 from specfill.kernel import resolve_kernel, synthesize_taps
 from specfill.recovery import (
     CSV_COLUMNS,
@@ -194,21 +193,24 @@ class TestConvergenceSweep:
 
     @pytest.mark.parametrize("n_values", [[2], [2, 3, 4]])
     def test_one_inverse_transform_per_seed(self, monkeypatch, n_values):
-        windows = []
+        lengths = []
+        ifft = np.fft.ifft
 
-        def counting(spectrum, half_length):
-            windows.append(half_length)
-            return inverse_transform(spectrum, half_length)
+        def counting(a, *args, **kwargs):
+            lengths.append(len(a))
+            return ifft(a, *args, **kwargs)
 
-        monkeypatch.setattr(recovery, "inverse_transform", counting)
+        # The signals layer reaches ifft through the numpy module, so the
+        # count covers both the noisy sweep and inverse_transform.
+        monkeypatch.setattr(np.fft, "ifft", counting)
         signal = make_power_decay(1.0, 3, 2 ** 14)
         seeds = (0, 1, 2)
         convergence_sweep(POWER, signal, n_values, 32, 256,
                           noise_sigma=1e-6, noise_seeds=seeds)
-        assert windows == [256] * len(seeds)
-        windows.clear()
+        assert lengths == [2 ** 13] * len(seeds)
+        lengths.clear()
         convergence_sweep(POWER, signal, n_values, 32, 256, base_seed=3)
-        assert windows == [256]
+        assert lengths == [2 ** 13]
 
     def test_shared_draws_match_per_cell_route(self):
         # Reference: draw and transform the noisy spectrum inside every

@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -21,6 +22,7 @@ from specfill.signals import (
     inverse_transform,
     make_bandlimited,
     make_power_decay,
+    noisy_inverse_transforms,
 )
 from specfill.weights import PI, make_power_weight
 
@@ -59,6 +61,12 @@ def direct_envelope(seed, omega):
     im_coef[0] = 0.0
     angles = omega[:, None] * np.arange(ENVELOPE_DEGREE + 1)
     return (np.cos(angles) @ re_coef) + 1j * (np.sin(angles) @ im_coef)
+
+
+@functools.lru_cache(maxsize=None)
+def generated(make, grid_size):
+    return make({make_bandlimited: 2.5, make_power_decay: 1.0}[make], 7,
+                grid_size)
 
 
 def masked_noise_values(spec, sigma, noise_seed):
@@ -401,3 +409,49 @@ class TestNoise:
         with pytest.raises(ValueError, match=r"sigma=1e\+308"):
             add_spectral_noise(sig, 1e308, 5)
 
+
+class TestNoisyInverseTransforms:
+    @pytest.mark.parametrize("sigma", [0.0, 1e-6, 0.3])
+    @pytest.mark.parametrize("make", [make_bandlimited, make_power_decay])
+    @pytest.mark.parametrize("which", [1, 2, 3, "second_largest", "largest"])
+    @pytest.mark.parametrize("log2_size", [10, 12, 14, 16, 18])
+    def test_equals_per_seed_route_byte_for_byte(self, log2_size, which,
+                                                 make, sigma):
+        M = 2 ** log2_size
+        # Largest S with M >= 8 (2S + 1) is M/16 - 1.
+        half_length = {"largest": M // 16 - 1,
+                       "second_largest": M // 16 - 2}.get(which, which)
+        sig = generated(make, M)
+        seeds = (4, 0, 9)
+        draws = noisy_inverse_transforms(sig, half_length, sigma, seeds)
+        assert len(draws) == len(seeds)
+        for seed, draw in zip(seeds, draws):
+            ref = inverse_transform(add_spectral_noise(sig, sigma, seed),
+                                    half_length)
+            assert draw.samples.tobytes() == ref.samples.tobytes()
+
+    @pytest.mark.parametrize("index, nan_pair", [
+        (100, False), (2, False), (2, True)],
+        ids=["defect-outside-band", "defect-in-band", "nan-pair-in-band"])
+    def test_non_hermitian_spectrum_rejected(self, index, nan_pair):
+        # The clean spectrum is checked once outside the noise band, the
+        # noisy band pairs once per seed; a fault in either part fails.
+        M = 2 ** 12
+        values = random_hermitian(M, seed=5).values.copy()
+        if nan_pair:
+            values[index] = values[M - 1 - index] = complex(math.nan, 0.0)
+        else:
+            values[index] += 1e-9
+        with pytest.raises(ValueError, match="Hermitian"):
+            noisy_inverse_transforms(SpectralSignal(values=values), 8, 1e-6,
+                                     (0,))
+
+    def test_overflowing_transform_rejected(self):
+        # The band amplitude (about 1e307) is finite; the sum over the
+        # band in the transform is not.
+        sig = make_bandlimited(PI / 2, 7, 2 ** 14)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match="inverse transform overflows"):
+                noisy_inverse_transforms(sig, 8, 1e306, (5,))
