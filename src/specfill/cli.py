@@ -33,9 +33,10 @@ Config schema (JSON)::
 (needs ``nu`` and ``a``), ``direct`` (needs ``nu``; ``p`` is forced to
 infinity).  ``p`` accepts a number or the string ``"inf"``.  ``signal.kind``
 is ``bandlimited`` (needs ``omega``) or ``powerdecay`` (needs ``nu``); both
-need ``seed``.  ``noise`` is optional for ``recover``, required for
-``robustness``.  Every number must be finite.  A key the schema does not
-name, at any level, is an error.
+need ``seed``.  ``grid_size`` is a power of two from 1024 to 2^24 with
+``grid_size >= 8 * (2 * S + 1)``.  ``noise`` is optional for ``recover``,
+required for ``robustness``.  Every number must be finite.  A key the
+schema does not name, at any level, is an error.
 
 Tap exports: ``taps_n<k>.txt`` (two columns: t, k(t), one header comment
 line) and ``taps_n<k>.f64`` (flat little-endian float64, t = -T..T).
@@ -73,6 +74,11 @@ from .weights import (
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
+
+#: Largest accepted ``grid_size`` (256 MiB of complex grid values).  T and
+#: S are at most grid_size / 16, so this one cap bounds every array a
+#: command builds.
+MAX_GRID_SIZE = 2 ** 24
 
 
 class ConfigError(ValueError):
@@ -266,6 +272,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if grid_size < 1024 or grid_size & (grid_size - 1):
         raise ConfigError(
             f"grid_size: must be a power of two >= 1024, got {grid_size}")
+    if grid_size > MAX_GRID_SIZE:
+        raise ConfigError(
+            f"grid_size: must be <= 2^24 = {MAX_GRID_SIZE}, got {grid_size}")
 
     noise_sigma = None
     noise_seeds: tuple[int, ...] = ()

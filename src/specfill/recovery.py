@@ -214,9 +214,10 @@ def convergence_sweep(weight: WeightSpec, signal: SpectralSignal,
     First, the time signals at ``signal_half_length``, none of which
     depends on n: with ``noise_sigma`` None, one inverse transform of the
     clean spectrum; otherwise one per noise seed, each drawn by patching the
-    noise band into one fold of the clean spectrum and inverse-transforming
-    it in place (:func:`signals.noisy_inverse_transforms`, bit for bit the
-    transform of the noisy spectrum).  Then, for each n: resolve the
+    noise band into one fold of the clean spectrum, in place, and running
+    one column-split inverse FFT that forms only the window's outputs
+    (:func:`signals.noisy_inverse_transforms`, bit for bit the transform of
+    the noisy spectrum).  Then, for each n: resolve the
     kernel, synthesize taps at ``tap_half_length``, and assemble one report
     per seed carrying the estimate, truth, spectral error split, and
     constants.  The report order is (n ascending, seed ascending).  Errors

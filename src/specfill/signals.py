@@ -16,12 +16,15 @@ which downstream error integrals use to resolve sub-grid bands near the
 edges.
 
 The inverse transform checks that its input is Hermitian, then folds the
-two half-grids into one half-length inverse FFT, run in place, which yields
-the real sequence two samples per output value.  Spectral noise is
-flat-magnitude, random-phase and Hermitian on the edge band, added on the
-band's two edge slices only.  A sweep over noise seeds checks and folds the
-clean spectrum once; each seed then patches only the fold entries the band
-reaches and runs one in-place inverse FFT, with no noisy grid built.
+two half-grids into one half-length array whose inverse DFT yields the real
+sequence two samples per output value.  Only the outputs the window reads
+are formed: the fold is split into D interleaved columns of P points, one
+inverse FFT transforms every column, and each output combines its D column
+values.  Spectral noise is flat-magnitude, random-phase and Hermitian on
+the edge band, added on the band's two edge slices only.  A sweep over
+noise seeds checks and folds the clean spectrum once; each seed then
+patches only the fold entries the band reaches, in place, and runs one
+column-split inverse FFT into a reused output, with no noisy grid built.
 
 Both generated families are uniformly well behaved: envelopes are bounded
 trigonometric polynomials, so any finite family drawn from them has
@@ -276,8 +279,14 @@ _HERMITIAN_TOL = 2e-10
 
 
 def _fold_twiddle(grid_size: int) -> np.ndarray:
-    """i e^(i theta_m) on the positive half-grid theta_m."""
-    return 1j * np.exp(1j * _positive_omegas(grid_size))
+    """i e^(i theta_m) = -sin theta_m + i cos theta_m on the positive
+    half-grid theta_m."""
+    theta = _positive_omegas(grid_size)
+    twiddle = np.empty(theta.size, dtype=complex)
+    np.sin(theta, out=twiddle.real)
+    np.negative(twiddle.real, out=twiddle.real)
+    np.cos(theta, out=twiddle.imag)
+    return twiddle
 
 
 def _fold(neg: np.ndarray, pos: np.ndarray, twiddle: np.ndarray,
@@ -299,21 +308,60 @@ def _check_window(grid_size: int, half_length: int) -> None:
             f"{8 * (2 * half_length + 1)}")
 
 
-def _window(base: np.ndarray, half_length: int) -> TimeSignal:
-    """x(t) on [-S, S] from ``base``, the inverse FFT of a fold."""
-    half = base.size
-    M = 2 * half
-    # Pairs (x(2s), x(2s+1)) for s = floor(-S/2) .. floor(S/2) cover [-S, S].
+def _split_shape(grid_size: int, half_length: int) -> tuple[int, int]:
+    """(P, D): the fold's M/2 entries inverse-transformed as D interleaved
+    columns of P points each.
+
+    The window reads the fold's inverse FFT at the S + 1 indices
+    s = floor(-S/2) .. floor(S/2).  D is the largest power of two that
+    divides M/2 and leaves P >= S + 1, so those indices stay distinct
+    modulo P; on a grid with no power-of-two factor in M/2, D = 1.
+    """
+    half = grid_size // 2
+    D = 1
+    while half % (2 * D) == 0 and half // (2 * D) >= half_length + 1:
+        D *= 2
+    return half // D, D
+
+
+def _window_reader(grid_size: int,
+                   half_length: int) -> Callable[[np.ndarray], TimeSignal]:
+    """The map from a fold of an M-point grid to x(t) on [-S, S].
+
+    Writing L = M/2 and splitting the fold's index as m = D q + r (shape
+    (P, D) from :func:`_split_shape`), the inverse FFT of the fold at s is
+    (1/D) sum_r e^(2 pi i r s / L) Z[s mod P, r], where column r of Z
+    (``columns``) is the P-point inverse FFT of fold[r::D].  With the pair
+    phase (1/2) e^(2 pi i s / M) of :func:`inverse_transform` folded in,
+    x(2s) + i x(2s+1) = sum_r phases[s, r] Z[s mod P, r] with
+    phases[s, r] = (0.5 / D) e^(2 pi i s (2r + 1) / M).  The phases and Z
+    are built once per reader, so a sweep shares them across its folds;
+    each call runs one inverse FFT into Z and leaves the fold unchanged.
+    """
+    P, D = _split_shape(grid_size, half_length)
+    # Pairs (x(2s), x(2s+1)) for s = floor(-S/2) .. floor(S/2) cover [-S, S];
+    # the `below` values s < 0 read the last rows of Z, the rest the first.
     first = -half_length // 2
+    below = -first
     ss = np.arange(first, half_length // 2 + 1)
-    pairs = 0.5 * np.exp(1j * (ss * (2.0 * PI / M))) * base[ss % half]
+    phases = (0.5 / D) * np.exp(
+        1j * (2.0 * PI / grid_size) * np.outer(ss, 2 * np.arange(D) + 1))
+    columns = np.empty((P, D), dtype=complex)
     start = -half_length - 2 * first
-    samples = pairs.view(float)[start:start + 2 * half_length + 1].copy()
-    if not np.all(np.isfinite(samples)):
-        raise ValueError(
-            f"inverse transform overflows: the window of half-length "
-            f"{half_length} holds non-finite samples")
-    return TimeSignal(samples=samples)
+
+    def read(fold: np.ndarray) -> TimeSignal:
+        np.fft.ifft(fold.reshape(P, D), axis=0, out=columns)
+        pairs = np.concatenate([
+            (phases[:below] * columns[P - below:]).sum(axis=1),
+            (phases[below:] * columns[:ss.size - below]).sum(axis=1)])
+        samples = pairs.view(float)[start:start + 2 * half_length + 1].copy()
+        if not np.all(np.isfinite(samples)):
+            raise ValueError(
+                f"inverse transform overflows: the window of half-length "
+                f"{half_length} holds non-finite samples")
+        return TimeSignal(samples=samples)
+
+    return read
 
 
 def inverse_transform(spec: SpectralSignal, half_length: int) -> TimeSignal:
@@ -322,10 +370,13 @@ def inverse_transform(spec: SpectralSignal, half_length: int) -> TimeSignal:
     On the midpoint grid the trapezoid sum is a phase-shifted inverse DFT.
     A Hermitian spectrum gives a real x, so the two half-grids fold into
     one array of length M/2, A_m = (P_m + N_m) + i e^(i theta_m) (P_m - N_m)
-    with P = X[M/2:], N = X[:M/2] and theta_m = (m + 1/2) 2 pi / M, and one
-    in-place M/2-point inverse FFT gives x(2s) + i x(2s+1) =
-    (1/2) e^(2 pi i s / M) ifft(A)[s mod M/2].  The fold is only valid for
-    a Hermitian input, so the spectrum is checked first: a defect
+    with P = X[M/2:], N = X[:M/2] and theta_m = (m + 1/2) 2 pi / M, and
+    x(2s) + i x(2s+1) = (1/2) e^(2 pi i s / M) ifft(A)[s mod M/2].  Only
+    the S + 1 outputs the window reads are formed: A is split into D
+    interleaved columns of P >= S + 1 points, one inverse FFT transforms
+    every column, and each output combines its D column values (see
+    :func:`_window_reader`).  The fold is only valid for a Hermitian
+    input, so the spectrum is checked first: a defect
     max |X_j - conj X_(M-1-j)| above 2e-10 is an error.  Requires
     grid_size >= 8 * (2 * half_length + 1).  A spectrum whose transform
     overflows, leaving a sample of the window infinite or NaN, is a
@@ -335,11 +386,11 @@ def inverse_transform(spec: SpectralSignal, half_length: int) -> TimeSignal:
     assert_hermitian(spec, tol=_HERMITIAN_TOL)
     half = spec.grid_size // 2
     neg, pos = spec.values[:half], spec.values[half:]
-    # A finite spectrum can still overflow the sums; _window reports that,
-    # so numpy's own warnings would only repeat it.
+    # A finite spectrum can still overflow the sums; the window reader
+    # reports that, so numpy's own warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
         folded = _fold(neg, pos, _fold_twiddle(spec.grid_size))
-        return _window(np.fft.ifft(folded, out=folded), half_length)
+        return _window_reader(spec.grid_size, half_length)(folded)
 
 
 def forward_transform(signal: TimeSignal, grid_size: int) -> SpectralSignal:
@@ -464,12 +515,13 @@ def noisy_inverse_transforms(spec: SpectralSignal, half_length: int,
     The noise band sits at both ends of the fold: the top ``count`` bins of
     P = X[M/2:] and the bottom ``count`` bins of N = X[:M/2] enter fold
     entries M/2 - count .. M/2 - 1 and 0 .. count - 1.  So the clean
-    spectrum is folded once; each seed copies that fold into one reused
-    buffer, overwrites only those 2 count entries with the fold of the
-    noisy band values, and runs one in-place inverse FFT.  The Hermitian
-    check is split the same way: the clean defect outside the band once,
-    the noisy defect of the band pairs per seed.  Errors are those of the
-    per-seed route.
+    spectrum is folded once, and one window reader (its phases and its
+    inverse FFT output) serves every seed.  Each seed overwrites only those
+    2 count fold entries with the fold of its noisy band values, computed
+    from the clean spectrum, and runs the reader's one inverse FFT, which
+    leaves the fold unchanged.  The Hermitian check is split the same way:
+    the clean defect outside the band once, the noisy defect of the band
+    pairs per seed.  Errors are those of the per-seed route.
     """
     if sigma == 0.0:
         return [inverse_transform(spec, half_length)] * len(seeds)
@@ -483,15 +535,15 @@ def noisy_inverse_transforms(spec: SpectralSignal, half_length: int,
     neg, pos = spec.values[:half], spec.values[half:]
     rest_defect = _hermitian_defect(neg[count:], pos[:half - count])
     draws = []
-    # As in inverse_transform, _window reports an overflow.
+    # As in inverse_transform, the window reader reports an overflow.
     with np.errstate(over="ignore", invalid="ignore"):
         twiddle = _fold_twiddle(M)
-        clean = _fold(neg, pos, twiddle)
+        fold = _fold(neg, pos, twiddle)
         # Each seed needs only the band slices; free the rest before the
-        # buffer and the FFT scratch are allocated.
+        # reader is built.
         twiddle_lo, twiddle_hi = twiddle[lo].copy(), twiddle[hi].copy()
         del twiddle
-        buf = np.empty_like(clean)
+        read = _window_reader(M, half_length)
         for seed in seeds:
             band = _noise_band(M, sigma, seed)
             neg_lo = neg[lo] + np.conj(band)[::-1]
@@ -499,8 +551,7 @@ def noisy_inverse_transforms(spec: SpectralSignal, half_length: int,
             _require_hermitian(
                 np.maximum(rest_defect, _hermitian_defect(neg_lo, pos_hi)),
                 _HERMITIAN_TOL)
-            np.copyto(buf, clean)
-            _fold(neg_lo, pos[lo], twiddle_lo, out=buf[lo])
-            _fold(neg[hi], pos_hi, twiddle_hi, out=buf[hi])
-            draws.append(_window(np.fft.ifft(buf, out=buf), half_length))
+            _fold(neg_lo, pos[lo], twiddle_lo, out=fold[lo])
+            _fold(neg[hi], pos_hi, twiddle_hi, out=fold[hi])
+            draws.append(read(fold))
     return draws

@@ -111,6 +111,17 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=fragment):
             load_config(path)
 
+    def test_oversized_grid_exits_config_error(self, tmp_path, capsys):
+        # 2^40 passes every other grid check; the cap rejects it before
+        # any array is allocated.
+        config = write_config(tmp_path, {"grid_size": 2 ** 40})
+        assert main(["recover", "--config", str(config),
+                     "--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"grid_size: must be <= 2^24 = {2 ** 24}, got {2 ** 40}" in err
+        path = write_config(tmp_path, {"grid_size": 2 ** 24})
+        assert load_config(path).grid_size == 2 ** 24
+
     @pytest.mark.parametrize("command, overrides, field", [
         ("robustness", {"noise": {"sigma": math.nan, "seeds": [0]}},
          "noise.sigma"),
@@ -350,13 +361,13 @@ class TestRobustnessCommand:
         assert not out.exists()
 
     def test_overflowing_transform_exits_numerical(self, tmp_path):
-        # sigma = 1e306 gives a finite band amplitude, but the inverse
-        # transform of the noisy spectrum overflows.  A fresh process keeps
-        # the default warning filters, so any numpy warning would show on
-        # its stderr.
+        # sigma = 1e307 gives a finite band amplitude (about 1e308), but
+        # the inverse transform of the noisy spectrum overflows.  A fresh
+        # process keeps the default warning filters, so any numpy warning
+        # would show on its stderr.
         config = write_config(
             tmp_path,
-            {"n_values": [2], "noise": {"sigma": 1e306, "seeds": [0]}})
+            {"n_values": [2], "noise": {"sigma": 1e307, "seeds": [0]}})
         out = tmp_path / "rob.csv"
         src = Path(specfill.__file__).resolve().parent.parent
         env = dict(os.environ)

@@ -193,12 +193,17 @@ class TestConvergenceSweep:
 
     @pytest.mark.parametrize("n_values", [[2], [2, 3, 4]])
     def test_one_inverse_transform_per_seed(self, monkeypatch, n_values):
-        lengths = []
+        shapes = []
         ifft = np.fft.ifft
 
         def counting(a, *args, **kwargs):
-            lengths.append(len(a))
+            shapes.append(np.shape(a))
             return ifft(a, *args, **kwargs)
+
+        def split_fold(shape):
+            # The fold's M/2 entries as D columns of P >= S + 1 points.
+            return (len(shape) == 2 and shape[0] * shape[1] == 2 ** 13
+                    and shape[0] >= 256 + 1)
 
         # The signals layer reaches ifft through the numpy module, so the
         # count covers both the noisy sweep and inverse_transform.
@@ -207,10 +212,12 @@ class TestConvergenceSweep:
         seeds = (0, 1, 2)
         convergence_sweep(POWER, signal, n_values, 32, 256,
                           noise_sigma=1e-6, noise_seeds=seeds)
-        assert lengths == [2 ** 13] * len(seeds)
-        lengths.clear()
+        assert len(shapes) == len(seeds)
+        assert all(split_fold(shape) for shape in shapes)
+        shapes.clear()
         convergence_sweep(POWER, signal, n_values, 32, 256, base_seed=3)
-        assert lengths == [2 ** 13]
+        assert len(shapes) == 1
+        assert split_fold(shapes[0])
 
     def test_shared_draws_match_per_cell_route(self):
         # Reference: draw and transform the noisy spectrum inside every

@@ -13,6 +13,7 @@ from specfill.signals import (
     _envelope,
     _noise_band_count,
     _positive_omegas,
+    _split_shape,
     add_spectral_noise,
     assert_hermitian,
     class_norm,
@@ -249,7 +250,11 @@ class TestInverseTransform:
         with pytest.raises(ValueError):
             inverse_transform(sig, 512)
 
-    @pytest.mark.parametrize("grid_size", [1024, 2 ** 14, 2 ** 18])
+    # Even grids that are not powers of two: at 3 * 2^12 every column
+    # transform has a factor 3 in its length P, and at 2 * 4099 the fold's
+    # length 4099 is odd, so D = 1 and one column is the whole fold.
+    @pytest.mark.parametrize("grid_size", [1024, 2 ** 14, 2 ** 18,
+                                           3 * 2 ** 12, 2 * 4099])
     @pytest.mark.parametrize("which", [1, 2, 3, "largest_odd",
                                        "largest_even"])
     def test_matches_full_grid_route(self, grid_size, which):
@@ -288,14 +293,39 @@ class TestInverseTransform:
         with pytest.raises(ValueError, match="Hermitian"):
             inverse_transform(SpectralSignal(values=values), 8)
 
+    @pytest.mark.parametrize("grid_size, half_length, shape", [
+        (2 ** 10, 2 ** 10 // 16 - 1, (64, 8)),
+        (2 ** 18, 2 ** 18 // 16 - 1, (16384, 8)),
+        (2 ** 20, 2 ** 20 // 16 - 1, (65536, 8)),
+        (2 ** 20, 32768, (65536, 8)),
+        (2 ** 14, 256, (512, 16)),
+        (3 * 2 ** 12, 1, (3, 2048)),
+        (2 * 4099, 511, (4099, 1)),
+    ])
+    def test_split_shape(self, grid_size, half_length, shape):
+        # The largest power-of-two D dividing M/2 with P = M/(2D) >= S + 1.
+        assert _split_shape(grid_size, half_length) == shape
 
     def test_overflowing_transform_rejected(self):
-        # Each value is finite, but their sum in the transform is not.
-        sig = SpectralSignal(values=np.full(2 ** 12, 1e306, dtype=complex))
+        # Each value is finite, but the fold's sums X(w) + X(-w) are not.
+        sig = SpectralSignal(values=np.full(2 ** 12, 1.5e308, dtype=complex))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="overflows"):
                 inverse_transform(sig, 8)
+
+    def test_large_flat_spectrum_is_finite_delta(self):
+        # Every |x(t)| <= max |X|, and each column transform sums only P
+        # terms of the fold, not all M/2, so a flat 1e306 spectrum gives
+        # 1e306 at t = 0 and zero elsewhere with no intermediate overflow.
+        sig = SpectralSignal(values=np.full(2 ** 12, 1e306, dtype=complex))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ts = inverse_transform(sig, 8)
+        expected = np.zeros(17)
+        expected[8] = 1e306
+        np.testing.assert_allclose(ts.samples, expected, rtol=0.0,
+                                   atol=1e306 * 1e-15)
 
 
 class TestRoundTripAndParseval:
@@ -447,11 +477,26 @@ class TestNoisyInverseTransforms:
                                      (0,))
 
     def test_overflowing_transform_rejected(self):
-        # The band amplitude (about 1e307) is finite; the sum over the
-        # band in the transform is not.
+        # The band amplitude (about 1e308) is finite; the fold's sums of
+        # the band values are not.
         sig = make_bandlimited(PI / 2, 7, 2 ** 14)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError,
                                match="inverse transform overflows"):
-                noisy_inverse_transforms(sig, 8, 1e306, (5,))
+                noisy_inverse_transforms(sig, 8, 1e307, (5,))
+
+    def test_large_sigma_window_is_finite_and_linear(self):
+        # At sigma = 1e306 (band amplitude about 1e307) the clean signal is
+        # lost to rounding, and the window is 1e306 times the window of
+        # unit noise alone.
+        sig = make_bandlimited(PI / 2, 7, 2 ** 14)
+        zero = SpectralSignal(values=np.zeros(2 ** 14, dtype=complex))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (big,) = noisy_inverse_transforms(sig, 8, 1e306, (5,))
+        (unit,) = noisy_inverse_transforms(zero, 8, 1.0, (5,))
+        scale = np.max(np.abs(big.samples))
+        assert np.isfinite(scale)
+        assert (np.max(np.abs(big.samples - 1e306 * unit.samples))
+                <= 1e-14 * scale)
