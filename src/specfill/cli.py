@@ -30,13 +30,20 @@ Config schema (JSON)::
     }
 
 ``weight.family`` is one of ``power_law`` (needs ``nu``), ``general_power``
-(needs ``nu`` and ``a``), ``direct`` (needs ``nu``; ``p`` is forced to
-infinity).  ``p`` accepts a number or the string ``"inf"``.  ``signal.kind``
-is ``bandlimited`` (needs ``omega``) or ``powerdecay`` (needs ``nu``); both
-need ``seed``.  ``grid_size`` is a power of two from 1024 to 2^24 with
-``grid_size >= 8 * (2 * S + 1)``.  ``noise`` is optional for ``recover``,
-required for ``robustness``.  Every number must be finite.  A key the
-schema does not name, at any level, is an error.
+(needs ``nu`` and ``a``), ``direct`` (needs ``nu``; ``p`` must be
+``"inf"``).  ``p`` accepts a number or the string ``"inf"``, its default.
+Only ``general_power`` takes ``a``; the other families accept it only as
+``null``.  ``signal.kind`` is ``bandlimited`` (needs ``omega``, takes no
+``nu``) or ``powerdecay`` (needs ``nu``, takes no ``omega``); both need
+``seed``.  A field the chosen family or kind would ignore is an error, so
+the config hash records only what the run used.  ``grid_size`` is a power
+of two from 1024 to 2^24 with ``grid_size >= 8 * (2 * S + 1)``.  ``noise``
+is optional for ``recover``, required for ``robustness``.  Every number
+must be finite.  A key the schema does not name, at any level, is an
+error.
+
+The CLI runs OpenBLAS on one thread unless ``OPENBLAS_NUM_THREADS`` is
+set: its idle worker would spin on a second core that no command uses.
 
 Tap exports: ``taps_n<k>.txt`` (two columns: t, k(t), one header comment
 line) and ``taps_n<k>.f64`` (flat little-endian float64, t = -T..T).
@@ -48,9 +55,18 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+
+# Must run before numpy loads, which the first package import below does.
+# On import, OpenBLAS otherwise starts a worker thread that spin-waits on a
+# second core, costing every CLI process about 0.06 s of CPU; no specfill
+# call needs it, as the tap products are sized for one thread.  A value
+# the user exported still wins.  The pin stays out of the package
+# __init__ so that library importers keep their own BLAS policy.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import __version__
 from ._quadrature import QuadratureError
@@ -206,22 +222,29 @@ def _parse_p(raw, where: str) -> float:
 def _parse_weight(raw: dict) -> WeightSpec:
     _reject_unknown(raw, "weight")
     family = _require(raw, "family", str, "weight")
+    if family not in ("power_law", "general_power", "direct"):
+        raise ConfigError(f"weight.family: unknown family {family!r}")
     nu = _require(raw, "nu", float, "weight")
+    p = _parse_p(raw.get("p", "inf"), "weight")
+    # A field the family would drop is an error, so the config hash never
+    # records a value the run did not use.  A null a is what to_dict
+    # writes for the families without one.
+    if family == "general_power":
+        a = _require(raw, "a", float, "weight")
+    elif raw.get("a") is not None:
+        raise ConfigError(f"weight.a: family {family!r} takes no a, "
+                          f"got {raw['a']!r}")
+    if family == "direct" and p != math.inf:
+        raise ConfigError(f'weight.p: family {family!r} needs p = "inf", '
+                          f"got {raw['p']!r}")
     try:
         if family == "power_law":
-            return make_power_weight(nu, _parse_p(raw.get("p", "inf"),
-                                                  "weight"))
+            return make_power_weight(nu, p)
         if family == "general_power":
-            return make_general_power_weight(
-                nu, _require(raw, "a", float, "weight"),
-                _parse_p(raw.get("p", "inf"), "weight"))
-        if family == "direct":
-            return make_direct_weight(nu)
-    except ConfigError:
-        raise
+            return make_general_power_weight(nu, a, p)
+        return make_direct_weight(nu)
     except ValueError as exc:
         raise ConfigError(f"weight: {exc}") from exc
-    raise ConfigError(f"weight.family: unknown family {family!r}")
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
@@ -237,6 +260,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if kind not in ("bandlimited", "powerdecay"):
         raise ConfigError(f"signal.kind: unknown kind {kind!r}")
     seed = _require(sig, "seed", int, "signal")
+    dropped = "nu" if kind == "bandlimited" else "omega"
+    if dropped in sig:
+        raise ConfigError(f"signal.{dropped}: kind {kind!r} takes no "
+                          f"{dropped}, got {sig[dropped]!r}")
     omega = nu = None
     if kind == "bandlimited":
         omega = _require(sig, "omega", float, "signal")

@@ -49,6 +49,27 @@ JSON_VALUES = st.recursive(
     max_leaves=8)
 
 
+def run_fresh(*args, **env_overrides):
+    """Run ``python *args`` in a fresh interpreter that imports specfill
+    from this checkout, with OPENBLAS_NUM_THREADS unset unless given."""
+    src = Path(specfill.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    # This process imported specfill.cli, which set it.
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(src), env.get("PYTHONPATH"))))
+    env.update(env_overrides)
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def print_fresh(code, **env_overrides):
+    """What ``python -c code`` prints in a fresh interpreter."""
+    proc = run_fresh("-c", code, **env_overrides)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
 def write_config(tmp_path, overrides=None, name="config.json", drop=()):
     raw = json.loads(json.dumps(BASE_CONFIG))
     for key in drop:
@@ -69,6 +90,20 @@ class TestConfigParsing:
         path = write_config(tmp_path, {"noise": {"sigma": 1e-6,
                                                  "seeds": [2, 0, 1]}})
         config = load_config(path)
+        again = parse_config(config.to_dict())
+        assert again == config
+        assert again.config_hash() == config.config_hash()
+
+    @pytest.mark.parametrize("weight, signal", [
+        ({"family": "general_power", "nu": 1.0, "a": 1.5, "p": 4.0},
+         {"kind": "powerdecay", "nu": 1.0, "seed": 3}),
+        ({"family": "direct", "nu": 1.0}, BASE_CONFIG["signal"]),
+    ])
+    def test_round_trip_other_families(self, weight, signal):
+        # to_dict writes "a": null and "p": "inf" for direct, and
+        # parse_config must take both back.
+        config = parse_config({**BASE_CONFIG, "weight": weight,
+                               "signal": signal})
         again = parse_config(config.to_dict())
         assert again == config
         assert again.config_hash() == config.config_hash()
@@ -104,6 +139,15 @@ class TestConfigParsing:
         ({"signal": {"omgea": 1.0}}, "signal.omgea: unknown field"),
         ({"noise": {"sigma": 0.1, "seeds": [1], "seed": 1}},
          "noise.seed: unknown field"),
+        ({"weight": {"a": 2.0}}, "weight.a: family 'power_law' takes no a"),
+        ({"weight": {"family": "direct", "a": 2.0}},
+         "weight.a: family 'direct' takes no a"),
+        ({"weight": {"family": "direct", "p": 2}},
+         "weight.p: family 'direct' needs p"),
+        ({"signal": {"kind": "powerdecay", "nu": 1.0}},
+         "signal.omega: kind 'powerdecay' takes no omega"),
+        ({"signal": {"nu": 1.0}},
+         "signal.nu: kind 'bandlimited' takes no nu"),
     ])
     def test_invalid_configs_name_the_field(self, tmp_path, overrides,
                                             fragment):
@@ -309,7 +353,8 @@ class TestRobustnessCommand:
         config = write_config(
             tmp_path,
             {"signal": {"kind": "powerdecay", "nu": 1.0, "seed": 3},
-             "n_values": [2], "noise": {"sigma": 0.0, "seeds": [0, 1]}})
+             "n_values": [2], "noise": {"sigma": 0.0, "seeds": [0, 1]}},
+            drop=("signal",))
         out = tmp_path / "rob.csv"
         assert main(["robustness", "--config", str(config),
                      "--out", str(out)]) == EXIT_OK
@@ -369,14 +414,8 @@ class TestRobustnessCommand:
             tmp_path,
             {"n_values": [2], "noise": {"sigma": 1e307, "seeds": [0]}})
         out = tmp_path / "rob.csv"
-        src = Path(specfill.__file__).resolve().parent.parent
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, (str(src), env.get("PYTHONPATH"))))
-        proc = subprocess.run(
-            [sys.executable, "-m", "specfill", "robustness",
-             "--config", str(config), "--out", str(out)],
-            env=env, capture_output=True, text=True, timeout=60)
+        proc = run_fresh("-m", "specfill", "robustness",
+                         "--config", str(config), "--out", str(out))
         assert proc.returncode == EXIT_NUMERICAL
         lines = proc.stderr.splitlines()
         assert len(lines) == 1
@@ -406,6 +445,30 @@ class TestRobustnessCommand:
         assert main(["robustness", "--config", str(config),
                      "--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
         assert "noise" in capsys.readouterr().err
+
+
+class TestBlasThreadPin:
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="needs Linux /proc thread listing")
+    def test_cli_import_starts_no_blas_thread(self):
+        # Without the pin, numpy's OpenBLAS starts a spinning worker
+        # thread on import and this reads 2.
+        assert print_fresh(
+            "import os, specfill.cli; "
+            "print(len(os.listdir('/proc/self/task')))") == "1"
+
+    def test_exported_value_wins(self):
+        assert print_fresh(
+            "import os, specfill.cli; "
+            "print(os.environ['OPENBLAS_NUM_THREADS'])",
+            OPENBLAS_NUM_THREADS="2") == "2"
+
+    def test_package_import_loads_no_numpy(self):
+        # The pin in specfill.cli only works if nothing imported before
+        # it (the package __init__, or __main__) loads numpy.
+        assert print_fresh(
+            "import sys, specfill; "
+            "print('numpy' in sys.modules)") == "False"
 
 
 class TestValidateWeightCommand:
