@@ -40,7 +40,8 @@ _MEAN_TOL = 1e-12
 
 class TruncationWarning(UserWarning):
     """Nothing issues this.  ``perfbench/tracing.py`` imports it, so it goes
-    when that module does (ROADMAP item 4, the benchmark-only step)."""
+    when that module does (ROADMAP item 2, step 2, the benchmark-only
+    step)."""
 
 
 @dataclass(frozen=True)
@@ -280,12 +281,15 @@ _CI_MAX_TERMS = 100
 def _cosine_integral(x: np.ndarray) -> np.ndarray:
     """Ci(x) = -integral from x to infinity of cos(s)/s ds, for x > 0.
 
-    Vectorized after Numerical Recipes section 6.8 (``cisi``).  At x <= 2
-    the power series gamma + log(x) + sum (-1)^k x^(2k) / (2k (2k)!)
-    (Abramowitz & Stegun 5.2.16) is summed by Horner's rule; above that,
-    Ci(x) = -Re E1(ix) with E1 from its continued fraction (A&S 5.1.22) by
-    the modified Lentz method, which takes at most about 85 terms at x = 2
-    and fewer as x grows.  Absolute error is a few ulps of |Ci(x)|.
+    Vectorized after Numerical Recipes section 6.8 (``cisi``), for an array
+    of any shape.  At x <= 2 the power series
+    gamma + log(x) + sum (-1)^k x^(2k) / (2k (2k)!) (Abramowitz & Stegun
+    5.2.16) is summed by Horner's rule; above that, Ci(x) = -Re E1(ix) with
+    E1 from its continued fraction (A&S 5.1.22) by the modified Lentz
+    method.  Each argument leaves the recurrence at the first term whose
+    factor is within 1e-15 of one, so large arguments stop after a few
+    terms while those near x = 2 still take about 85.  Absolute error is a
+    few ulps of |Ci(x)|.
     """
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
@@ -299,24 +303,32 @@ def _cosine_integral(x: np.ndarray) -> np.ndarray:
     out[small] = _EULER_GAMMA + np.log(xs) + acc * z
 
     xl = x[~small]
+    h_final = np.empty(xl.shape, dtype=complex)
+    # The arguments still in the recurrence, as positions in xl.
+    idx = np.arange(xl.size)
     b = 1.0 + 1j * xl
     c = np.full(xl.shape, 1e300 + 0j)
     d = 1.0 / b
     h = d
     for i in range(2, _CI_MAX_TERMS):
+        if not idx.size:
+            break
         a = -(i - 1.0) ** 2
         b = b + 2.0
         d = 1.0 / (a * d + b)
         c = b + a / c
         delta = c * d
         h = h * delta
-        if np.all(np.abs(delta - 1.0) <= 1e-15):
-            break
-    else:
+        done = np.abs(delta - 1.0) <= 1e-15
+        if done.any():
+            h_final[idx[done]] = h[done]
+            keep = ~done
+            b, c, d, h, idx = b[keep], c[keep], d[keep], h[keep], idx[keep]
+    if idx.size:
         raise QuadratureError(
             f"cosine-integral continued fraction did not converge in "
             f"{_CI_MAX_TERMS} terms")
-    out[~small] = -((np.cos(xl) - 1j * np.sin(xl)) * h).real
+    out[~small] = -((np.cos(xl) - 1j * np.sin(xl)) * h_final).real
     return out
 
 
@@ -326,13 +338,15 @@ def _power_law_middle_band(spec: KernelSpec, t: np.ndarray) -> np.ndarray:
 
     With g = pi - omega the companion splits into partial fractions,
     W = (1/2pi) (1/g + 1/(2pi - g)), and cos(omega t) = (-1)^t cos(g t), so
-    each fraction integrates to a difference of cosine integrals.
+    each fraction integrates to a difference of cosine integrals.  The four
+    argument rows (gap_a t, eps_n t, (2pi - eps_n) t, (2pi - gap_a) t) go
+    through one :func:`_cosine_integral` call, one per n.
     """
     gap_a = 1.0 / spec.n
     gap_b = spec.epsilon_n
-    ci_sum = (_cosine_integral(gap_a * t) - _cosine_integral(gap_b * t)
-              + _cosine_integral((2.0 * PI - gap_b) * t)
-              - _cosine_integral((2.0 * PI - gap_a) * t))
+    gaps = np.array([gap_a, gap_b, 2.0 * PI - gap_b, 2.0 * PI - gap_a])
+    ci = _cosine_integral(gaps[:, None] * t)
+    ci_sum = ci[0] - ci[1] + ci[2] - ci[3]
     sign = np.where(t % 2 == 1, -1.0, 1.0)
     return sign * ci_sum / (2.0 * PI)
 
@@ -485,8 +499,8 @@ def write_taps_text(taps: KernelTaps, path, *, header: str = "") -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if header:
             fh.write(f"# {header}\n")
-        for t in range(-T, T + 1):
-            fh.write(f"{t} {float(taps.taps[t + T])!r}\n")
+        fh.writelines(f"{t} {v!r}\n"
+                      for t, v in zip(range(-T, T + 1), taps.taps.tolist()))
 
 
 def write_taps_binary(taps: KernelTaps, path) -> None:

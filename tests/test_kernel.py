@@ -346,6 +346,22 @@ class TestCosineIntegral:
                            for x in xs])
         assert np.max(np.abs(_cosine_integral(xs) - oracle)) <= 1e-14
 
+    @pytest.mark.parametrize("xs", [
+        np.linspace(1e-3, 2.0, 50),          # series only
+        np.geomspace(np.nextafter(2.0, 3.0), 1e5, 50),  # fraction only
+        # The slowest and a fast argument leave the recurrence apart.
+        np.array([np.nextafter(2.0, 3.0), 1e5] * 3),
+    ], ids=["all-series", "all-fraction", "mixed-exits"])
+    def test_one_side_or_staggered_exits(self, xs):
+        assert np.max(np.abs(_cosine_integral(xs) - sici(xs)[1])) <= 1e-14
+
+    def test_unconverged_fraction_names_the_term_limit(self, monkeypatch):
+        from specfill import kernel as kernel_module
+
+        monkeypatch.setattr(kernel_module, "_CI_MAX_TERMS", 5)
+        with pytest.raises(QuadratureError, match="in 5 terms"):
+            _cosine_integral(np.array([1.0, 3.0, 1e5]))
+
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path):
     # Runtime dependencies are numpy only; scipy and mpmath are test oracles.
