@@ -359,8 +359,8 @@ def _power_law_middle_band(spec: KernelSpec, t: np.ndarray) -> np.ndarray:
 # cos(g t) = cos(g t0) cos(g s) - sin(g t0) sin(g s), _NODE_CHUNK nodes and
 # _TAP_BLOCK values of t0 at a time, so no T-by-nodes matrix is ever formed
 # and trig work is (T/B + B) per node rather than T.  Each matrix product is
-# 64 x 32 x 128: small enough that OpenBLAS keeps it on one thread, which
-# costs less CPU than threaded products this small.
+# 64 x 32 x 128, too small to gain from more than one thread; the CLI runs
+# OpenBLAS on one thread.
 _PANEL_PHASE = 3.0
 _PANEL_DU = 0.5
 _TAP_BLOCK = 64
@@ -493,14 +493,34 @@ def synthesize_taps(spec: KernelSpec, half_length: int) -> KernelTaps:
     return KernelTaps(taps=taps, zero_residual=zero_residual)
 
 
+#: Values per formatting block of :func:`write_taps_text`, whose kept rows
+#: are then a few joined strings rather than one string object per tap.
+_TEXT_BLOCK = 512
+
+
 def write_taps_text(taps: KernelTaps, path, *, header: str = "") -> None:
-    """Two-column text export: t and k(t), one row per tap."""
+    """Two-column text export: t and k(t), one row per tap.
+
+    The taps are even, so each value's text is formed once and serves the
+    rows of -t and t.  Blocks of ``_TEXT_BLOCK`` values are formatted from
+    the largest |t| down: a block's -t rows are written at once, and its
+    t rows are kept as one string until the rows t >= 0 follow, in
+    ascending order.
+    """
     T = taps.half_length
+    ascending = []
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if header:
             fh.write(f"# {header}\n")
-        fh.writelines(f"{t} {v!r}\n"
-                      for t, v in zip(range(-T, T + 1), taps.taps.tolist()))
+        for stop in range(T + 1, 0, -_TEXT_BLOCK):
+            ts = range(max(stop - _TEXT_BLOCK, 0), stop)
+            block = taps.taps[T + ts.start:T + stop].tolist()
+            values = [repr(v) for v in block]
+            fh.writelines(f"{-t} {v}\n"
+                          for t, v in zip(ts[::-1], values[::-1]) if t)
+            ascending.append("".join(f"{t} {v}\n"
+                                     for t, v in zip(ts, values)))
+        fh.writelines(ascending[::-1])
 
 
 def write_taps_binary(taps: KernelTaps, path) -> None:

@@ -18,13 +18,14 @@ edges.
 The inverse transform checks that its input is Hermitian, then folds the
 two half-grids into one half-length array whose inverse DFT yields the real
 sequence two samples per output value.  Only the outputs the window reads
-are formed: the fold is split into D interleaved columns of P points, one
-inverse FFT transforms every column, and each output combines its D column
-values.  Spectral noise is flat-magnitude, random-phase and Hermitian on
-the edge band, added on the band's two edge slices only.  A sweep over
-noise seeds checks and folds the clean spectrum once; each seed then
-patches only the fold entries the band reaches, in place, and runs one
-column-split inverse FFT into a reused output, with no noisy grid built.
+are formed: the fold is held in row layout, a C-contiguous (D, P) array
+whose row r is fold[r::D], one inverse FFT transforms every row along its
+contiguous points, and each output combines its D row values.  Spectral
+noise is flat-magnitude, random-phase and Hermitian on the edge band, added
+on the band's two edge slices only.  A sweep over noise seeds checks and
+folds the clean spectrum once; each seed then patches only the block of
+entries at each end of every row that the band reaches, in place, and runs
+one row-split inverse FFT into a reused output, with no noisy grid built.
 
 Both generated families are uniformly well behaved: envelopes are bounded
 trigonometric polynomials, so any finite family drawn from them has
@@ -278,15 +279,25 @@ def assert_hermitian(spec: SpectralSignal, tol: float = 0.0) -> None:
 _HERMITIAN_TOL = 2e-10
 
 
-def _fold_twiddle(grid_size: int) -> np.ndarray:
+def _fold_twiddle(grid_size: int, P: int, D: int) -> np.ndarray:
     """i e^(i theta_m) = -sin theta_m + i cos theta_m on the positive
-    half-grid theta_m."""
-    theta = _positive_omegas(grid_size)
-    twiddle = np.empty(theta.size, dtype=complex)
-    np.sin(theta, out=twiddle.real)
-    np.negative(twiddle.real, out=twiddle.real)
-    np.cos(theta, out=twiddle.imag)
-    return twiddle
+    half-grid theta_m = (m + 1/2) h, h = 2 pi / M, in the fold's row layout:
+    a (D, P) array holding m = D q + r at [r, q].
+
+    It is the outer product of i e^(i (r + 1/2) h) and e^(i q D h), so trig
+    runs on D + P points rather than M/2.
+    """
+    h = 2.0 * PI / grid_size
+    head_angle = (np.arange(D) + 0.5) * h
+    head = np.empty(D, dtype=complex)
+    np.sin(head_angle, out=head.real)
+    np.negative(head.real, out=head.real)
+    np.cos(head_angle, out=head.imag)
+    step_angle = np.arange(P) * (D * h)
+    step = np.empty(P, dtype=complex)
+    np.cos(step_angle, out=step.real)
+    np.sin(step_angle, out=step.imag)
+    return np.multiply.outer(head, step)
 
 
 def _fold(neg: np.ndarray, pos: np.ndarray, twiddle: np.ndarray,
@@ -296,6 +307,20 @@ def _fold(neg: np.ndarray, pos: np.ndarray, twiddle: np.ndarray,
     folded *= twiddle
     folded += pos + neg
     return folded
+
+
+def _fold_rows(neg: np.ndarray, pos: np.ndarray, twiddle: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """The fold of ``neg`` and ``pos`` in row layout: for a (D, P)
+    ``twiddle`` in the layout of :func:`_fold_twiddle`, a (D, P) array
+    whose row r is fold[r::D], into ``out`` when given and else into a new
+    C-contiguous array.  It is written once, through the transpose, from
+    the (P, D) reshapes of ``neg`` and ``pos``."""
+    D, P = twiddle.shape
+    if out is None:
+        out = np.empty((D, P), dtype=complex)
+    _fold(neg.reshape(P, D), pos.reshape(P, D), twiddle.T, out=out.T)
+    return out
 
 
 def _check_window(grid_size: int, half_length: int) -> None:
@@ -310,12 +335,15 @@ def _check_window(grid_size: int, half_length: int) -> None:
 
 def _split_shape(grid_size: int, half_length: int) -> tuple[int, int]:
     """(P, D): the fold's M/2 entries inverse-transformed as D interleaved
-    columns of P points each.
+    rows of P points each.
 
     The window reads the fold's inverse FFT at the S + 1 indices
-    s = floor(-S/2) .. floor(S/2).  D is the largest power of two that
-    divides M/2 and leaves P >= S + 1, so those indices stay distinct
-    modulo P; on a grid with no power-of-two factor in M/2, D = 1.
+    s = floor(-S/2) .. floor(S/2).  The split is exact for any P, because
+    each row's P-point inverse FFT is P-periodic in s.  D is the largest
+    power of two that divides M/2 and leaves P >= S + 1, so the window's
+    indices fit in one period: each row yields them as two contiguous
+    slices, and the D (S + 1) phased terms cost at most one pass over the
+    fold.  On a grid with no power-of-two factor in M/2, D = 1.
     """
     half = grid_size // 2
     D = 1
@@ -326,34 +354,42 @@ def _split_shape(grid_size: int, half_length: int) -> tuple[int, int]:
 
 def _window_reader(grid_size: int,
                    half_length: int) -> Callable[[np.ndarray], TimeSignal]:
-    """The map from a fold of an M-point grid to x(t) on [-S, S].
+    """The map from a fold of an M-point grid, in the row layout of
+    :func:`_fold_rows`, to x(t) on [-S, S].
 
     Writing L = M/2 and splitting the fold's index as m = D q + r (shape
-    (P, D) from :func:`_split_shape`), the inverse FFT of the fold at s is
-    (1/D) sum_r e^(2 pi i r s / L) Z[s mod P, r], where column r of Z
-    (``columns``) is the P-point inverse FFT of fold[r::D].  With the pair
-    phase (1/2) e^(2 pi i s / M) of :func:`inverse_transform` folded in,
-    x(2s) + i x(2s+1) = sum_r phases[s, r] Z[s mod P, r] with
-    phases[s, r] = (0.5 / D) e^(2 pi i s (2r + 1) / M).  The phases and Z
+    from :func:`_split_shape`), the inverse FFT of the fold at s is
+    (1/D) sum_r e^(2 pi i r s / L) Z[r, s mod P], where row r of Z
+    (``rows``) is the P-point inverse FFT of row r of the fold, fold[r::D].
+    With the pair phase (1/2) e^(2 pi i s / M) of :func:`inverse_transform`
+    folded in, x(2s) + i x(2s+1) = sum_r phases[r, s] Z[r, s mod P] with
+    phases[r, s] = (0.5 / D) e^(2 pi i s (2r + 1) / M).  The phases and Z
     are built once per reader, so a sweep shares them across its folds;
-    each call runs one inverse FFT into Z and leaves the fold unchanged.
+    each call runs one inverse FFT along the fold's contiguous rows into Z
+    and leaves the fold unchanged.
     """
     P, D = _split_shape(grid_size, half_length)
     # Pairs (x(2s), x(2s+1)) for s = floor(-S/2) .. floor(S/2) cover [-S, S];
-    # the `below` values s < 0 read the last rows of Z, the rest the first.
+    # the `below` values s < 0 read the last entries of each row of Z, the
+    # rest the first.
     first = -half_length // 2
     below = -first
     ss = np.arange(first, half_length // 2 + 1)
-    phases = (0.5 / D) * np.exp(
-        1j * (2.0 * PI / grid_size) * np.outer(ss, 2 * np.arange(D) + 1))
-    columns = np.empty((P, D), dtype=complex)
+    # Built through a real angle array and in-place ops, so the reader's
+    # set-up keeps at most one (D, S + 1) temporary beside the phases.
+    angle = np.outer(2 * np.arange(D) + 1, ss) * (2.0 * PI / grid_size)
+    phases = np.empty(angle.shape, dtype=complex)
+    np.cos(angle, out=phases.real)
+    np.sin(angle, out=phases.imag)
+    phases *= 0.5 / D
+    rows = np.empty((D, P), dtype=complex)
     start = -half_length - 2 * first
 
     def read(fold: np.ndarray) -> TimeSignal:
-        np.fft.ifft(fold.reshape(P, D), axis=0, out=columns)
+        np.fft.ifft(fold, axis=1, out=rows)
         pairs = np.concatenate([
-            (phases[:below] * columns[P - below:]).sum(axis=1),
-            (phases[below:] * columns[:ss.size - below]).sum(axis=1)])
+            (phases[:, :below] * rows[:, P - below:]).sum(axis=0),
+            (phases[:, below:] * rows[:, :ss.size - below]).sum(axis=0)])
         samples = pairs.view(float)[start:start + 2 * half_length + 1].copy()
         if not np.all(np.isfinite(samples)):
             raise ValueError(
@@ -372,9 +408,9 @@ def inverse_transform(spec: SpectralSignal, half_length: int) -> TimeSignal:
     one array of length M/2, A_m = (P_m + N_m) + i e^(i theta_m) (P_m - N_m)
     with P = X[M/2:], N = X[:M/2] and theta_m = (m + 1/2) 2 pi / M, and
     x(2s) + i x(2s+1) = (1/2) e^(2 pi i s / M) ifft(A)[s mod M/2].  Only
-    the S + 1 outputs the window reads are formed: A is split into D
-    interleaved columns of P >= S + 1 points, one inverse FFT transforms
-    every column, and each output combines its D column values (see
+    the S + 1 outputs the window reads are formed: A is held as D
+    contiguous rows of P >= S + 1 points, row r = A[r::D], one inverse FFT
+    transforms every row, and each output combines its D row values (see
     :func:`_window_reader`).  The fold is only valid for a Hermitian
     input, so the spectrum is checked first: a defect
     max |X_j - conj X_(M-1-j)| above 2e-10 is an error.  Requires
@@ -382,15 +418,16 @@ def inverse_transform(spec: SpectralSignal, half_length: int) -> TimeSignal:
     overflows, leaving a sample of the window infinite or NaN, is a
     ValueError.
     """
-    _check_window(spec.grid_size, half_length)
+    M = spec.grid_size
+    _check_window(M, half_length)
     assert_hermitian(spec, tol=_HERMITIAN_TOL)
-    half = spec.grid_size // 2
-    neg, pos = spec.values[:half], spec.values[half:]
+    P, D = _split_shape(M, half_length)
+    neg, pos = spec.values[:M // 2], spec.values[M // 2:]
     # A finite spectrum can still overflow the sums; the window reader
     # reports that, so numpy's own warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
-        folded = _fold(neg, pos, _fold_twiddle(spec.grid_size))
-        return _window_reader(spec.grid_size, half_length)(folded)
+        fold = _fold_rows(neg, pos, _fold_twiddle(M, P, D))
+        return _window_reader(M, half_length)(fold)
 
 
 def forward_transform(signal: TimeSignal, grid_size: int) -> SpectralSignal:
@@ -463,6 +500,18 @@ def _noise_band_count(grid_size: int) -> int:
     return half - first
 
 
+def _band_width(grid_size: int, half_length: int) -> int:
+    """ceil(count / D): the entries at each end of every fold row, in the
+    split of :func:`_split_shape`, that the noise band reaches.
+
+    The band is about 1/63 of the fold, so the width is about P / 63 + 1,
+    and P >= S + 1 >= 2 keeps it at most P / 2: the blocks at the two ends
+    never overlap.
+    """
+    D = _split_shape(grid_size, half_length)[1]
+    return -(-_noise_band_count(grid_size) // D)
+
+
 def _noise_band(grid_size: int, sigma: float, noise_seed: int) -> np.ndarray:
     """The noise on the positive half of the band, ascending in omega:
     flat amplitude, so that the Hermitian noise has grid L1 norm sigma, and
@@ -514,44 +563,51 @@ def noisy_inverse_transforms(spec: SpectralSignal, half_length: int,
 
     The noise band sits at both ends of the fold: the top ``count`` bins of
     P = X[M/2:] and the bottom ``count`` bins of N = X[:M/2] enter fold
-    entries M/2 - count .. M/2 - 1 and 0 .. count - 1.  So the clean
+    entries M/2 - count .. M/2 - 1 and 0 .. count - 1.  In the row layout
+    of :func:`_fold_rows` those are the first and the last
+    ``width = ceil(count / D)`` entries of every row.  So the clean
     spectrum is folded once, and one window reader (its phases and its
     inverse FFT output) serves every seed.  Each seed overwrites only those
-    2 count fold entries with the fold of its noisy band values, computed
+    two (D, width) blocks with the fold of its noisy band values, computed
     from the clean spectrum, and runs the reader's one inverse FFT, which
-    leaves the fold unchanged.  The Hermitian check is split the same way:
-    the clean defect outside the band once, the noisy defect of the band
-    pairs per seed.  Errors are those of the per-seed route.
+    leaves the fold unchanged; the D width - count entries of each block
+    that the band misses are refolded from clean values, so they keep their
+    bits.  The Hermitian check is split the same way: the clean defect
+    outside the band once, the noisy defect of the block pairs per seed.
+    Errors are those of the per-seed route.
     """
     if sigma == 0.0:
         return [inverse_transform(spec, half_length)] * len(seeds)
     M = spec.grid_size
     _check_window(M, half_length)
     half = M // 2
-    # M >= 8 (2 half_length + 1) makes count < half / 2, so the two band
-    # slices of the fold never overlap.
+    P, D = _split_shape(M, half_length)
     count = _noise_band_count(M)
-    lo, hi = slice(0, count), slice(half - count, half)
+    width = _band_width(M, half_length)
+    lo, hi = slice(0, width * D), slice(half - width * D, half)
     neg, pos = spec.values[:half], spec.values[half:]
     rest_defect = _hermitian_defect(neg[count:], pos[:half - count])
     draws = []
     # As in inverse_transform, the window reader reports an overflow.
     with np.errstate(over="ignore", invalid="ignore"):
-        twiddle = _fold_twiddle(M)
-        fold = _fold(neg, pos, twiddle)
-        # Each seed needs only the band slices; free the rest before the
+        twiddle = _fold_twiddle(M, P, D)
+        fold = _fold_rows(neg, pos, twiddle)
+        # Each seed needs only the band blocks; free the rest before the
         # reader is built.
-        twiddle_lo, twiddle_hi = twiddle[lo].copy(), twiddle[hi].copy()
+        twiddle_lo = twiddle[:, :width].copy()
+        twiddle_hi = twiddle[:, P - width:].copy()
         del twiddle
         read = _window_reader(M, half_length)
         for seed in seeds:
             band = _noise_band(M, sigma, seed)
-            neg_lo = neg[lo] + np.conj(band)[::-1]
-            pos_hi = pos[hi] + band
+            neg_lo = neg[lo].copy()
+            neg_lo[:count] += np.conj(band)[::-1]
+            pos_hi = pos[hi].copy()
+            pos_hi[-count:] += band
             _require_hermitian(
                 np.maximum(rest_defect, _hermitian_defect(neg_lo, pos_hi)),
                 _HERMITIAN_TOL)
-            _fold(neg_lo, pos[lo], twiddle_lo, out=fold[lo])
-            _fold(neg[hi], pos_hi, twiddle_hi, out=fold[hi])
+            _fold_rows(neg_lo, pos[lo], twiddle_lo, out=fold[:, :width])
+            _fold_rows(neg[hi], pos_hi, twiddle_hi, out=fold[:, P - width:])
             draws.append(read(fold))
     return draws

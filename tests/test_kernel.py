@@ -407,6 +407,20 @@ class TestExports:
         # Center row is exactly zero in text form.
         assert lines[1 + 16] == "0 0.0"
 
+    # T = 1100 spans three formatting blocks, the last holding t = 0 only.
+    @pytest.mark.parametrize("T", [1, 40, 1100])
+    def test_text_rows_mirror(self, spec2, tmp_path, T):
+        # Rows run t = -T .. T, and the row for -t carries the same value
+        # text as the row for t.
+        taps = synthesize_taps(spec2, T)
+        path = tmp_path / "taps.txt"
+        write_taps_text(taps, path)
+        rows = [line.split() for line in path.read_text().splitlines()]
+        assert [int(t) for t, _ in rows] == list(range(-T, T + 1))
+        text = [v for _, v in rows]
+        assert text == [repr(v) for v in taps.taps.tolist()]
+        assert text[:T] == text[T + 1:][::-1]
+
     def test_binary_roundtrip(self, spec2, tmp_path):
         taps = synthesize_taps(spec2, 16)
         path = tmp_path / "taps.f64"

@@ -201,9 +201,9 @@ class TestConvergenceSweep:
             return ifft(a, *args, **kwargs)
 
         def split_fold(shape):
-            # The fold's M/2 entries as D columns of P >= S + 1 points.
+            # The fold's M/2 entries as D rows of P >= S + 1 points.
             return (len(shape) == 2 and shape[0] * shape[1] == 2 ** 13
-                    and shape[0] >= 256 + 1)
+                    and shape[1] >= 256 + 1)
 
         # The signals layer reaches ifft through the numpy module, so the
         # count covers both the noisy sweep and inverse_transform.

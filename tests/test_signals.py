@@ -10,10 +10,14 @@ from specfill.signals import (
     NOISE_BAND,
     SpectralSignal,
     TimeSignal,
+    _band_width,
     _envelope,
+    _fold_rows,
+    _fold_twiddle,
     _noise_band_count,
     _positive_omegas,
     _split_shape,
+    _window_reader,
     add_spectral_noise,
     assert_hermitian,
     class_norm,
@@ -83,6 +87,14 @@ def masked_noise_values(spec, sigma, noise_seed):
     noise[half:][pos_mask] = amplitude * phases
     noise[:half][pos_mask[::-1]] = np.conj(amplitude * phases)[::-1]
     return spec.values + noise
+
+
+# (M, S) splits beyond the power-of-two byte-equality grid: count % D != 0
+# with several entries per row in the band (3 * 2^12, S = 100 and
+# 5 * 2^10, S = 50), D = 1 (2 * 4099, S = 511) and P = 3 (3 * 2^12, S = 1);
+# 2^14 at its largest S is a power-of-two grid for comparison.
+ODD_SPLITS = [(3 * 2 ** 12, 100), (5 * 2 ** 10, 50), (2 * 4099, 511),
+              (3 * 2 ** 12, 1), (2 ** 14, 1023)]
 
 
 class TestGrid:
@@ -250,9 +262,9 @@ class TestInverseTransform:
         with pytest.raises(ValueError):
             inverse_transform(sig, 512)
 
-    # Even grids that are not powers of two: at 3 * 2^12 every column
+    # Even grids that are not powers of two: at 3 * 2^12 every row
     # transform has a factor 3 in its length P, and at 2 * 4099 the fold's
-    # length 4099 is odd, so D = 1 and one column is the whole fold.
+    # length 4099 is odd, so D = 1 and one row is the whole fold.
     @pytest.mark.parametrize("grid_size", [1024, 2 ** 14, 2 ** 18,
                                            3 * 2 ** 12, 2 * 4099])
     @pytest.mark.parametrize("which", [1, 2, 3, "largest_odd",
@@ -306,6 +318,35 @@ class TestInverseTransform:
         # The largest power-of-two D dividing M/2 with P = M/(2D) >= S + 1.
         assert _split_shape(grid_size, half_length) == shape
 
+    @pytest.mark.parametrize("grid_size, half_length", ODD_SPLITS)
+    def test_reader_leaves_fold_unchanged(self, grid_size, half_length):
+        # A sweep runs one reader on one fold per seed, so a read must not
+        # disturb the fold: two reads give the same bytes, and those of
+        # inverse_transform.
+        sig = random_hermitian(grid_size, seed=grid_size + half_length)
+        P, D = _split_shape(grid_size, half_length)
+        half = grid_size // 2
+        fold = _fold_rows(sig.values[:half], sig.values[half:],
+                          _fold_twiddle(grid_size, P, D))
+        assert fold.shape == (D, P) and fold.flags.c_contiguous
+        before = fold.tobytes()
+        read = _window_reader(grid_size, half_length)
+        first, second = read(fold), read(fold)
+        assert fold.tobytes() == before
+        assert first.samples.tobytes() == second.samples.tobytes()
+        assert (first.samples.tobytes()
+                == inverse_transform(sig, half_length).samples.tobytes())
+
+    @pytest.mark.parametrize("grid_size, half_length", ODD_SPLITS)
+    def test_fold_twiddle_matches_direct_trig(self, grid_size, half_length):
+        # Row r, entry q holds i e^(i theta_m) at m = D q + r.
+        P, D = _split_shape(grid_size, half_length)
+        theta = _positive_omegas(grid_size)
+        direct = -np.sin(theta) + 1j * np.cos(theta)
+        twiddle = _fold_twiddle(grid_size, P, D)
+        assert twiddle.shape == (D, P)
+        assert np.max(np.abs(twiddle.T.reshape(-1) - direct)) <= 1e-15
+
     def test_overflowing_transform_rejected(self):
         # Each value is finite, but the fold's sums X(w) + X(-w) are not.
         sig = SpectralSignal(values=np.full(2 ** 12, 1.5e308, dtype=complex))
@@ -315,7 +356,7 @@ class TestInverseTransform:
                 inverse_transform(sig, 8)
 
     def test_large_flat_spectrum_is_finite_delta(self):
-        # Every |x(t)| <= max |X|, and each column transform sums only P
+        # Every |x(t)| <= max |X|, and each row transform sums only P
         # terms of the fold, not all M/2, so a flat 1e306 spectrum gives
         # 1e306 at t = 0 and zero elsewhere with no intermediate overflow.
         sig = SpectralSignal(values=np.full(2 ** 12, 1e306, dtype=complex))
@@ -459,6 +500,33 @@ class TestNoisyInverseTransforms:
             ref = inverse_transform(add_spectral_noise(sig, sigma, seed),
                                     half_length)
             assert draw.samples.tobytes() == ref.samples.tobytes()
+
+    @pytest.mark.parametrize("sigma", [1e-6, 0.3])
+    @pytest.mark.parametrize("grid_size, half_length", ODD_SPLITS)
+    def test_equals_per_seed_route_on_odd_splits(self, grid_size,
+                                                 half_length, sigma):
+        sig = random_hermitian(grid_size, seed=grid_size + half_length)
+        seeds = (4, 0, 9)
+        draws = noisy_inverse_transforms(sig, half_length, sigma, seeds)
+        for seed, draw in zip(seeds, draws):
+            ref = inverse_transform(add_spectral_noise(sig, sigma, seed),
+                                    half_length)
+            assert draw.samples.tobytes() == ref.samples.tobytes()
+
+    @pytest.mark.parametrize("grid_size", [
+        *(2 ** k for k in range(10, 21)), 3 * 2 ** 12, 5 * 2 ** 10,
+        2 * 4099, 2 * 1025])
+    def test_band_blocks_cover_band_and_never_overlap(self, grid_size):
+        # Each seed rewrites the first and the last `width` entries of every
+        # fold row; together they must hold the band's count entries at
+        # each end of the fold, and stay apart, at every valid S.
+        count = _noise_band_count(grid_size)
+        for half_length in range(1, grid_size // 16):
+            P, D = _split_shape(grid_size, half_length)
+            width = _band_width(grid_size, half_length)
+            assert width * D >= count
+            assert (width - 1) * D < count
+            assert 2 * width <= P
 
     @pytest.mark.parametrize("index, nan_pair", [
         (100, False), (2, False), (2, True)],
