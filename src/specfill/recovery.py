@@ -220,8 +220,9 @@ def convergence_sweep(weight: WeightSpec, signal: SpectralSignal,
     bit for bit the transform of the noisy spectrum).  Then, for each n:
     resolve the kernel, synthesize taps at ``tap_half_length``, and
     assemble one report per seed carrying the estimate, truth, spectral
-    error split, and constants.  The report order is (n ascending, seed ascending).  Errors
-    from the per-n stages propagate tagged with their n.
+    error split, and constants.  The report order is (n ascending, seed
+    ascending).  Errors from the per-n stages propagate tagged with their
+    n.
     """
     if sorted(n_values) != list(n_values):
         raise ValueError("n_values must be sorted ascending")

@@ -20,7 +20,9 @@ two half-grids into one half-length array whose inverse DFT yields the real
 sequence two samples per output value.  Only the outputs the window reads
 are formed: the fold is held in row layout, a C-contiguous (D, P) array
 whose row r is fold[r::D], one inverse FFT transforms every row along its
-contiguous points, and each output combines its D row values.  Spectral
+contiguous points, and each output combines its D row values.  The check
+and the fold run in blocks of grid entries, so no temporary grows with the
+grid; the fold and the FFT output are the only half-grid arrays.  Spectral
 noise is flat-magnitude, random-phase and Hermitian on the edge band, added
 on the band's two edge slices only.  A sweep over noise seeds checks and
 folds the clean spectrum once; each seed then patches only the block of
@@ -250,11 +252,23 @@ def from_profile(profile: Callable[[np.ndarray], np.ndarray],
     return SpectralSignal(values=values, profile=profile)
 
 
+#: Grid entries per block of the Hermitian check and of the fold, whose
+#: temporaries then hold one block rather than a half-grid.
+_BLOCK = 2 ** 14
+
+
 def _hermitian_defect(neg: np.ndarray, pos: np.ndarray) -> float:
     """max |N_j - conj P_(k-1-j)| between a slice ``neg`` of the negative
     half-grid and the mirror of an equally long slice ``pos`` of the
-    positive half-grid; NaN if any pair holds a NaN."""
-    return np.max(np.abs(neg - pos[::-1].conj()))
+    positive half-grid, ``_BLOCK`` pairs at a time; NaN if any pair holds
+    a NaN."""
+    mirror = pos[::-1]
+    defect = np.float64(0.0)
+    for j in range(0, neg.size, _BLOCK):
+        block = slice(j, j + _BLOCK)
+        defect = np.maximum(
+            defect, np.max(np.abs(neg[block] - mirror[block].conj())))
+    return defect
 
 
 def _require_hermitian(defect: float, tol: float) -> None:
@@ -279,13 +293,13 @@ def assert_hermitian(spec: SpectralSignal, tol: float = 0.0) -> None:
 _HERMITIAN_TOL = 2e-10
 
 
-def _fold_twiddle(grid_size: int, P: int, D: int) -> np.ndarray:
-    """i e^(i theta_m) = -sin theta_m + i cos theta_m on the positive
-    half-grid theta_m = (m + 1/2) h, h = 2 pi / M, in the fold's row layout:
-    a (D, P) array holding m = D q + r at [r, q].
-
-    It is the outer product of i e^(i (r + 1/2) h) and e^(i q D h), so trig
-    runs on D + P points rather than M/2.
+def _fold_twiddle(grid_size: int, P: int,
+                  D: int) -> tuple[np.ndarray, np.ndarray]:
+    """The factors of i e^(i theta_m) = -sin theta_m + i cos theta_m on the
+    positive half-grid theta_m = (m + 1/2) h, h = 2 pi / M, in the fold's
+    row layout: at m = D q + r it is head[r] step[q], with
+    head = i e^(i (r + 1/2) h) (D values) and step = e^(i q D h) (P values).
+    Trig runs on D + P points rather than M/2.
     """
     h = 2.0 * PI / grid_size
     head_angle = (np.arange(D) + 0.5) * h
@@ -297,29 +311,31 @@ def _fold_twiddle(grid_size: int, P: int, D: int) -> np.ndarray:
     step = np.empty(P, dtype=complex)
     np.cos(step_angle, out=step.real)
     np.sin(step_angle, out=step.imag)
-    return np.multiply.outer(head, step)
+    return head, step
 
 
-def _fold(neg: np.ndarray, pos: np.ndarray, twiddle: np.ndarray,
-          out: np.ndarray | None = None) -> np.ndarray:
-    """(P - N) twiddle + (P + N) elementwise, into ``out`` when given."""
-    folded = np.subtract(pos, neg, out=out)
-    folded *= twiddle
-    folded += pos + neg
-    return folded
-
-
-def _fold_rows(neg: np.ndarray, pos: np.ndarray, twiddle: np.ndarray,
-               out: np.ndarray | None = None) -> np.ndarray:
-    """The fold of ``neg`` and ``pos`` in row layout: for a (D, P)
-    ``twiddle`` in the layout of :func:`_fold_twiddle`, a (D, P) array
-    whose row r is fold[r::D], into ``out`` when given and else into a new
-    C-contiguous array.  It is written once, through the transpose, from
-    the (P, D) reshapes of ``neg`` and ``pos``."""
-    D, P = twiddle.shape
+def _fold_rows(neg: np.ndarray, pos: np.ndarray, head: np.ndarray,
+               step: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The fold (pos - neg) twiddle + (pos + neg) in row layout: for the
+    twiddle factors ``head`` and ``step`` of :func:`_fold_twiddle`, a
+    (D, P) array whose row r is fold[r::D], into ``out`` when given and
+    else into a new C-contiguous array.  It is written once, through the
+    transpose, from the (P, D) reshapes of ``neg`` and ``pos``, and about
+    ``_BLOCK`` entries at a time, so the twiddle is never formed in full."""
+    D, P = head.size, step.size
     if out is None:
         out = np.empty((D, P), dtype=complex)
-    _fold(neg.reshape(P, D), pos.reshape(P, D), twiddle.T, out=out.T)
+    neg, pos = neg.reshape(P, D), pos.reshape(P, D)
+    # Near-equal blocks, so none holds a single entry while P >= 2: numpy
+    # forms the complex product of a one-entry array on a path of its own,
+    # whose rounding can differ, and a sweep's band blocks must reproduce
+    # the bits of the whole fold.
+    blocks = -(-P // max(_BLOCK // D, 1))
+    for k in range(blocks):
+        q = slice(k * P // blocks, (k + 1) * P // blocks)
+        folded = np.subtract(pos[q], neg[q], out=out[:, q].T)
+        folded *= np.multiply.outer(head, step[q]).T
+        folded += pos[q] + neg[q]
     return out
 
 
@@ -363,10 +379,11 @@ def _window_reader(grid_size: int,
     (``rows``) is the P-point inverse FFT of row r of the fold, fold[r::D].
     With the pair phase (1/2) e^(2 pi i s / M) of :func:`inverse_transform`
     folded in, x(2s) + i x(2s+1) = sum_r phases[r, s] Z[r, s mod P] with
-    phases[r, s] = (0.5 / D) e^(2 pi i s (2r + 1) / M).  The phases and Z
-    are built once per reader, so a sweep shares them across its folds;
-    each call runs one inverse FFT along the fold's contiguous rows into Z
-    and leaves the fold unchanged.
+    phases[r, s] = (0.5 / D) e^(2 pi i s (2r + 1) / M).  The phases, Z and
+    the output pairs are built once per reader, so a sweep shares them
+    across its folds; each call runs one inverse FFT along the fold's
+    contiguous rows into Z, sums each output's D terms into the pairs with
+    no (D, S + 1) product formed, and leaves the fold unchanged.
     """
     P, D = _split_shape(grid_size, half_length)
     # Pairs (x(2s), x(2s+1)) for s = floor(-S/2) .. floor(S/2) cover [-S, S];
@@ -375,21 +392,25 @@ def _window_reader(grid_size: int,
     first = -half_length // 2
     below = -first
     ss = np.arange(first, half_length // 2 + 1)
-    # Built through a real angle array and in-place ops, so the reader's
-    # set-up keeps at most one (D, S + 1) temporary beside the phases.
-    angle = np.outer(2 * np.arange(D) + 1, ss) * (2.0 * PI / grid_size)
-    phases = np.empty(angle.shape, dtype=complex)
-    np.cos(angle, out=phases.real)
+    # The angles are built in the phases' real parts, whose products
+    # s (2r + 1) are exact, so the set-up makes no (D, S + 1) temporary.
+    phases = np.empty((D, ss.size), dtype=complex)
+    angle = phases.real
+    np.multiply.outer(2.0 * np.arange(D) + 1, ss, out=angle)
+    angle *= 2.0 * PI / grid_size
     np.sin(angle, out=phases.imag)
+    np.cos(angle, out=angle)
     phases *= 0.5 / D
     rows = np.empty((D, P), dtype=complex)
+    pairs = np.empty(ss.size, dtype=complex)
     start = -half_length - 2 * first
 
     def read(fold: np.ndarray) -> TimeSignal:
         np.fft.ifft(fold, axis=1, out=rows)
-        pairs = np.concatenate([
-            (phases[:, :below] * rows[:, P - below:]).sum(axis=0),
-            (phases[:, below:] * rows[:, :ss.size - below]).sum(axis=0)])
+        np.einsum("rs,rs->s", phases[:, :below], rows[:, P - below:],
+                  out=pairs[:below])
+        np.einsum("rs,rs->s", phases[:, below:], rows[:, :ss.size - below],
+                  out=pairs[below:])
         samples = pairs.view(float)[start:start + 2 * half_length + 1].copy()
         if not np.all(np.isfinite(samples)):
             raise ValueError(
@@ -426,7 +447,7 @@ def inverse_transform(spec: SpectralSignal, half_length: int) -> TimeSignal:
     # A finite spectrum can still overflow the sums; the window reader
     # reports that, so numpy's own warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
-        fold = _fold_rows(neg, pos, _fold_twiddle(M, P, D))
+        fold = _fold_rows(neg, pos, *_fold_twiddle(M, P, D))
         return _window_reader(M, half_length)(fold)
 
 
@@ -501,15 +522,17 @@ def _noise_band_count(grid_size: int) -> int:
 
 
 def _band_width(grid_size: int, half_length: int) -> int:
-    """ceil(count / D): the entries at each end of every fold row, in the
-    split of :func:`_split_shape`, that the noise band reaches.
+    """ceil(max(count, 2) / D): the entries at each end of every fold row,
+    in the split of :func:`_split_shape`, that the noise band reaches.
+    A one-entry band is widened to two entries, because a one-entry block
+    would not reproduce the fold's bits (see :func:`_fold_rows`).
 
     The band is about 1/63 of the fold, so the width is about P / 63 + 1,
     and P >= S + 1 >= 2 keeps it at most P / 2: the blocks at the two ends
     never overlap.
     """
     D = _split_shape(grid_size, half_length)[1]
-    return -(-_noise_band_count(grid_size) // D)
+    return -(-max(_noise_band_count(grid_size), 2) // D)
 
 
 def _noise_band(grid_size: int, sigma: float, noise_seed: int) -> np.ndarray:
@@ -564,8 +587,8 @@ def noisy_inverse_transforms(spec: SpectralSignal, half_length: int,
     The noise band sits at both ends of the fold: the top ``count`` bins of
     P = X[M/2:] and the bottom ``count`` bins of N = X[:M/2] enter fold
     entries M/2 - count .. M/2 - 1 and 0 .. count - 1.  In the row layout
-    of :func:`_fold_rows` those are the first and the last
-    ``width = ceil(count / D)`` entries of every row.  So the clean
+    of :func:`_fold_rows` those lie in the first and the last
+    ``width = ceil(max(count, 2) / D)`` entries of every row.  So the clean
     spectrum is folded once, and one window reader (its phases and its
     inverse FFT output) serves every seed.  Each seed overwrites only those
     two (D, width) blocks with the fold of its noisy band values, computed
@@ -590,13 +613,8 @@ def noisy_inverse_transforms(spec: SpectralSignal, half_length: int,
     draws = []
     # As in inverse_transform, the window reader reports an overflow.
     with np.errstate(over="ignore", invalid="ignore"):
-        twiddle = _fold_twiddle(M, P, D)
-        fold = _fold_rows(neg, pos, twiddle)
-        # Each seed needs only the band blocks; free the rest before the
-        # reader is built.
-        twiddle_lo = twiddle[:, :width].copy()
-        twiddle_hi = twiddle[:, P - width:].copy()
-        del twiddle
+        head, step = _fold_twiddle(M, P, D)
+        fold = _fold_rows(neg, pos, head, step)
         read = _window_reader(M, half_length)
         for seed in seeds:
             band = _noise_band(M, sigma, seed)
@@ -607,7 +625,9 @@ def noisy_inverse_transforms(spec: SpectralSignal, half_length: int,
             _require_hermitian(
                 np.maximum(rest_defect, _hermitian_defect(neg_lo, pos_hi)),
                 _HERMITIAN_TOL)
-            _fold_rows(neg_lo, pos[lo], twiddle_lo, out=fold[:, :width])
-            _fold_rows(neg[hi], pos_hi, twiddle_hi, out=fold[:, P - width:])
+            _fold_rows(neg_lo, pos[lo], head, step[:width],
+                       out=fold[:, :width])
+            _fold_rows(neg[hi], pos_hi, head, step[P - width:],
+                       out=fold[:, P - width:])
             draws.append(read(fold))
     return draws

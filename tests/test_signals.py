@@ -92,9 +92,13 @@ def masked_noise_values(spec, sigma, noise_seed):
 # (M, S) splits beyond the power-of-two byte-equality grid: count % D != 0
 # with several entries per row in the band (3 * 2^12, S = 100 and
 # 5 * 2^10, S = 50), D = 1 (2 * 4099, S = 511) and P = 3 (3 * 2^12, S = 1);
-# 2^14 at its largest S is a power-of-two grid for comparison.
+# 2^14 at its largest S is a power-of-two grid for comparison.  The last
+# two fold in several blocks: D = 1 with P = 2^15 + 1, one entry past two
+# full blocks (2 * (2^15 + 1), S = 511), and D = 2^15 > _BLOCK, one column
+# per block (2^17, S = 1).
 ODD_SPLITS = [(3 * 2 ** 12, 100), (5 * 2 ** 10, 50), (2 * 4099, 511),
-              (3 * 2 ** 12, 1), (2 ** 14, 1023)]
+              (3 * 2 ** 12, 1), (2 ** 14, 1023), (2 * (2 ** 15 + 1), 511),
+              (2 ** 17, 1)]
 
 
 class TestGrid:
@@ -281,12 +285,16 @@ class TestInverseTransform:
         assert np.max(np.abs(ts.samples - ref)) <= 1e-14 * np.max(np.abs(ref))
         assert ts.truth_center == ts.samples[half_length]
 
-    def test_small_hermitian_defect_rejected(self):
+    # The check runs _BLOCK pairs at a time; at 2^16 the bins 20000 and
+    # its mirror 2^16 - 1 - 20000 pair in the second block.
+    @pytest.mark.parametrize("grid_size, index", [
+        (2 ** 12, 100), (2 ** 16, 20000), (2 ** 16, 2 ** 16 - 1 - 20000)])
+    def test_small_hermitian_defect_rejected(self, grid_size, index):
         # A 1e-9 defect at one bin puts at most 1e-9 / (2M) into Im x, far
         # below a 1e-10 residue test on x; the input check still sees it.
-        sig = random_hermitian(2 ** 12, seed=5)
+        sig = random_hermitian(grid_size, seed=5)
         values = sig.values.copy()
-        values[100] += 1e-9
+        values[index] += 1e-9
         with pytest.raises(ValueError, match="Hermitian"):
             inverse_transform(SpectralSignal(values=values), 8)
 
@@ -297,11 +305,14 @@ class TestInverseTransform:
         with pytest.raises(ValueError, match="[Hh]ermitian"):
             inverse_transform(broken, 8)
 
-    def test_hermitian_paired_nan_rejected(self):
+    @pytest.mark.parametrize("grid_size, index", [
+        (2 ** 12, 100), (2 ** 16, 20000)])
+    def test_hermitian_paired_nan_rejected(self, grid_size, index):
         # A NaN bin and its mirror give a NaN defect, which must fail the
-        # check rather than compare false against the tolerance.
-        values = np.ones(2 ** 12, dtype=complex)
-        values[100] = values[2 ** 12 - 1 - 100] = complex(math.nan, 0.0)
+        # check rather than compare false against the tolerance, also after
+        # a clean first block.
+        values = np.ones(grid_size, dtype=complex)
+        values[index] = values[grid_size - 1 - index] = complex(math.nan, 0.0)
         with pytest.raises(ValueError, match="Hermitian"):
             inverse_transform(SpectralSignal(values=values), 8)
 
@@ -327,7 +338,7 @@ class TestInverseTransform:
         P, D = _split_shape(grid_size, half_length)
         half = grid_size // 2
         fold = _fold_rows(sig.values[:half], sig.values[half:],
-                          _fold_twiddle(grid_size, P, D))
+                          *_fold_twiddle(grid_size, P, D))
         assert fold.shape == (D, P) and fold.flags.c_contiguous
         before = fold.tobytes()
         read = _window_reader(grid_size, half_length)
@@ -339,13 +350,29 @@ class TestInverseTransform:
 
     @pytest.mark.parametrize("grid_size, half_length", ODD_SPLITS)
     def test_fold_twiddle_matches_direct_trig(self, grid_size, half_length):
-        # Row r, entry q holds i e^(i theta_m) at m = D q + r.
+        # head[r] step[q] is i e^(i theta_m) at m = D q + r.
         P, D = _split_shape(grid_size, half_length)
         theta = _positive_omegas(grid_size)
         direct = -np.sin(theta) + 1j * np.cos(theta)
-        twiddle = _fold_twiddle(grid_size, P, D)
-        assert twiddle.shape == (D, P)
+        head, step = _fold_twiddle(grid_size, P, D)
+        assert head.shape == (D,) and step.shape == (P,)
+        twiddle = np.multiply.outer(head, step)
         assert np.max(np.abs(twiddle.T.reshape(-1) - direct)) <= 1e-15
+
+    @pytest.mark.parametrize("grid_size, half_length",
+                             [*ODD_SPLITS, (2 ** 18, 4096)])
+    def test_fold_rows_blocks_keep_bits(self, grid_size, half_length):
+        # The fold runs in blocks of columns, with a block's twiddle formed
+        # on the fly; its bytes are those of one pass on the whole twiddle.
+        sig = random_hermitian(grid_size, seed=grid_size + half_length)
+        P, D = _split_shape(grid_size, half_length)
+        half = grid_size // 2
+        neg = sig.values[:half].reshape(P, D)
+        pos = sig.values[half:].reshape(P, D)
+        head, step = _fold_twiddle(grid_size, P, D)
+        whole = (pos - neg) * np.multiply.outer(head, step).T + (pos + neg)
+        fold = _fold_rows(neg, pos, head, step)
+        assert fold.tobytes() == np.ascontiguousarray(whole.T).tobytes()
 
     def test_overflowing_transform_rejected(self):
         # Each value is finite, but the fold's sums X(w) + X(-w) are not.
@@ -513,28 +540,47 @@ class TestNoisyInverseTransforms:
                                     half_length)
             assert draw.samples.tobytes() == ref.samples.tobytes()
 
+    # Grids too small for the generators, where D = 1 and the band holds
+    # one entry, so each seed's blocks are widened to two entries.
+    @pytest.mark.parametrize("sigma", [1e-6, 0.3])
+    @pytest.mark.parametrize("grid_size, half_length",
+                             [(66, 3), (70, 1), (74, 2), (82, 2)])
+    def test_equals_per_seed_route_on_one_entry_band(self, grid_size,
+                                                     half_length, sigma):
+        assert _noise_band_count(grid_size) == 1
+        assert _split_shape(grid_size, half_length)[1] == 1
+        sig = random_hermitian(grid_size, seed=grid_size + half_length)
+        seeds = (0, 1, 2)
+        draws = noisy_inverse_transforms(sig, half_length, sigma, seeds)
+        for seed, draw in zip(seeds, draws):
+            ref = inverse_transform(add_spectral_noise(sig, sigma, seed),
+                                    half_length)
+            assert draw.samples.tobytes() == ref.samples.tobytes()
+
     @pytest.mark.parametrize("grid_size", [
         *(2 ** k for k in range(10, 21)), 3 * 2 ** 12, 5 * 2 ** 10,
-        2 * 4099, 2 * 1025])
+        2 * 4099, 2 * 1025, 66, 70])
     def test_band_blocks_cover_band_and_never_overlap(self, grid_size):
         # Each seed rewrites the first and the last `width` entries of every
         # fold row; together they must hold the band's count entries at
-        # each end of the fold, and stay apart, at every valid S.
-        count = _noise_band_count(grid_size)
-        for half_length in range(1, grid_size // 16):
+        # each end of the fold, and at least two, and stay apart, at every
+        # valid S.
+        count = max(_noise_band_count(grid_size), 2)
+        for half_length in range(1, (grid_size // 8 - 1) // 2 + 1):
             P, D = _split_shape(grid_size, half_length)
             width = _band_width(grid_size, half_length)
             assert width * D >= count
             assert (width - 1) * D < count
             assert 2 * width <= P
 
-    @pytest.mark.parametrize("index, nan_pair", [
-        (100, False), (2, False), (2, True)],
-        ids=["defect-outside-band", "defect-in-band", "nan-pair-in-band"])
-    def test_non_hermitian_spectrum_rejected(self, index, nan_pair):
+    @pytest.mark.parametrize("M, index, nan_pair", [
+        (2 ** 12, 100, False), (2 ** 12, 2, False), (2 ** 12, 2, True),
+        (2 ** 16, 20000, False)],
+        ids=["defect-outside-band", "defect-in-band", "nan-pair-in-band",
+             "defect-outside-band-second-block"])
+    def test_non_hermitian_spectrum_rejected(self, M, index, nan_pair):
         # The clean spectrum is checked once outside the noise band, the
         # noisy band pairs once per seed; a fault in either part fails.
-        M = 2 ** 12
         values = random_hermitian(M, seed=5).values.copy()
         if nan_pair:
             values[index] = values[M - 1 - index] = complex(math.nan, 0.0)
