@@ -213,11 +213,13 @@ def convergence_sweep(weight: WeightSpec, signal: SpectralSignal,
 
     First, the time signals at ``signal_half_length``, none of which
     depends on n: with ``noise_sigma`` None, one inverse transform of the
-    clean spectrum; otherwise one per noise seed, each drawn by patching the
-    noise band into one fold of the clean spectrum, held as D contiguous
-    rows, in place, and running one inverse FFT along those rows that forms
-    only the window's outputs (:func:`signals.noisy_inverse_transforms`,
-    bit for bit the transform of the noisy spectrum).  Then, for each n:
+    clean spectrum; otherwise one per noise seed.  The clean positive
+    half-grid is folded once, as D contiguous rows; each seed adds its
+    noise to a copy of the half-grid's top band, refolds from that slice
+    the blocks at both ends of every row in place, and runs one inverse FFT
+    along the rows that forms only the window's outputs
+    (:func:`signals.noisy_inverse_transforms`, bit for bit the transform of
+    the noisy spectrum).  Then, for each n:
     resolve the kernel, synthesize taps at ``tap_half_length``, and
     assemble one report per seed carrying the estimate, truth, spectral
     error split, and constants.  The report order is (n ascending, seed

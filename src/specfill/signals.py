@@ -1,32 +1,32 @@
 """Test-sequence generators, grid transforms, and spectral noise.
 
-Spectra live on a symmetric midpoint grid of M uniform samples on (-pi, pi)
-(no sample at the band edges, none at zero), so Hermitian symmetry is the
-exact array identity ``values[::-1].conj() == values``.  Sequences live on
-finite windows [-S, S]; window-growth assertions in the tests stand in for
-the infinite objects.
+Every spectrum here is that of a real sequence, so it is Hermitian:
+X(-omega) = conj X(omega).  It is stored as its samples on the positive
+half of a midpoint grid of M uniform samples on (-pi, pi) (no sample at the
+band edges, none at zero), with M a power of two >= 1024.  The negative
+half is conj of the positive half reversed; it is never stored, so the
+symmetry holds by construction.  Sequences live on finite windows [-S, S];
+window-growth assertions in the tests stand in for the infinite objects.
 
 Generators are deterministic functions of (parameters, seed) built on the
 counter-based Philox bit generator.  They evaluate their profile once, in
-row chunks, straight into the positive half of one preallocated grid, and
-fill the negative half in place by the exact mirror ``conj(half[::-1])``;
-the grid values equal the profile evaluated on the whole grid bit for bit.
-Each generated spectrum carries its exact analytic profile as a callable,
-which downstream error integrals use to resolve sub-grid bands near the
-edges.
+row chunks, straight into the positive half-grid.  Each generated spectrum
+carries its exact analytic profile as a callable, which downstream error
+integrals use to resolve sub-grid bands near the edges.
 
-The inverse transform checks that its input is Hermitian, then folds the
-two half-grids into one half-length array whose inverse DFT yields the real
-sequence two samples per output value.  Only the outputs the window reads
-are formed: the fold is held in row layout, a C-contiguous (D, P) array
-whose row r is fold[r::D], one inverse FFT transforms every row along its
-contiguous points, and each output combines its D row values.  The check
-and the fold run in blocks of grid entries, so no temporary grows with the
-grid; the fold and the FFT output are the only half-grid arrays.  Spectral
-noise is flat-magnitude, random-phase and Hermitian on the edge band, added
-on the band's two edge slices only.  A sweep over noise seeds checks and
-folds the clean spectrum once; each seed then patches only the block of
-entries at each end of every row that the band reaches, in place, and runs
+The inverse transform folds the positive half and its conjugate mirror into
+one half-length array whose inverse DFT yields the real sequence two
+samples per output value.  Only the outputs the window reads are formed:
+the fold is held in row layout, a C-contiguous (D, P) array whose row r is
+fold[r::D], one inverse FFT transforms every row along its contiguous
+points, and each output combines its D row values.  The fold runs in blocks
+of grid entries, so no temporary grows with the grid; the fold and the FFT
+output are the only half-grid arrays.  Spectral noise is flat-magnitude and
+random-phase on the edge band omega > pi - NOISE_BAND, the top of the
+positive half-grid, so its mirror covers the other edge.  A sweep over
+noise seeds folds the clean spectrum once; each seed then adds its noise to
+a copy of the band's top entries and refolds from them, in place, only the
+block of entries at each end of every row that the band reaches, and runs
 one row-split inverse FFT into a reused output, with no noisy grid built.
 
 Both generated families are uniformly well behaved: envelopes are bounded
@@ -57,32 +57,43 @@ NOISE_BAND = 0.05
 _CHUNK_ROWS = 4096
 
 
+def _check_grid_size(grid_size: int) -> None:
+    if grid_size < 1024 or grid_size & (grid_size - 1):
+        raise ValueError(
+            f"grid_size must be a power of two >= 1024, got {grid_size}")
+
+
 @dataclass(frozen=True, eq=False)
 class SpectralSignal:
-    """Samples of a spectrum X on the midpoint frequency grid.
+    """Samples of a Hermitian spectrum X on the positive half of the
+    midpoint frequency grid.
 
-    ``values`` is one-dimensional with a positive even length, the grid
-    size M.  ``profile`` is the exact generator closure (omega array ->
-    complex values), which the spectral error bound integrates; None for
-    spectra with no closed form (for example after noise injection).
+    ``positive`` is one-dimensional and holds X at the M/2 grid points in
+    (0, pi), ascending (see :func:`_positive_omegas`); the grid size M is
+    twice its length and must be a power of two >= 1024.  X at the
+    negative grid points is ``conj(positive[::-1])``.  ``profile`` is the
+    exact generator closure (omega array -> complex values), which the
+    spectral error bound integrates; None for spectra with no closed form
+    (for example after noise injection).
     """
 
-    values: np.ndarray
+    positive: np.ndarray
     profile: Callable[[np.ndarray], np.ndarray] | None = field(
         default=None, repr=False)
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        if vals.ndim != 1 or vals.size == 0 or vals.size % 2:
-            raise ValueError(f"values must be one-dimensional with a "
-                             f"positive even length, got shape {vals.shape}")
+        positive = np.asarray(self.positive, dtype=complex)
+        positive.setflags(write=False)
+        object.__setattr__(self, "positive", positive)
+        if positive.ndim != 1:
+            raise ValueError(f"positive must be one-dimensional, got shape "
+                             f"{positive.shape}")
+        _check_grid_size(self.grid_size)
 
     @property
     def grid_size(self) -> int:
-        """M, the number of grid samples."""
-        return self.values.size
+        """M, the number of grid samples on (-pi, pi)."""
+        return 2 * self.positive.size
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,20 +124,11 @@ class TimeSignal:
         return float(self.samples[self.half_length])
 
 
-def grid_omegas(grid_size: int) -> np.ndarray:
-    """Midpoint grid on (-pi, pi): symmetric, uniform, edge-free.
-
-    Built by mirroring the positive half so that omega[-1-j] == -omega[j]
-    exactly in floating point.
-    """
-    if grid_size < 2 or grid_size % 2:
-        raise ValueError(f"grid_size must be even and >= 2, got {grid_size}")
-    pos = _positive_omegas(grid_size)
-    return np.concatenate([-pos[::-1], pos])
-
-
 def _positive_omegas(grid_size: int) -> np.ndarray:
-    """The positive half of :func:`grid_omegas`, ascending."""
+    """The M/2 midpoints (m + 1/2) 2 pi / M of the grid in (0, pi),
+    ascending; a grid size that is not a power of two >= 1024 is a
+    ValueError."""
+    _check_grid_size(grid_size)
     return (np.arange(grid_size // 2) + 0.5) * (2.0 * PI / grid_size)
 
 
@@ -139,26 +141,12 @@ def _in_chunks(fn: Callable[[np.ndarray], np.ndarray],
     return out
 
 
-def _mirror_into(values: np.ndarray) -> np.ndarray:
-    """Fill the negative half of ``values`` from its positive half by
-    Hermitian symmetry, in place; returns ``values``."""
-    half = values.size // 2
-    np.conjugate(values[half:][::-1], out=values[:half])
-    return values
-
-
-def _check_grid_size(grid_size: int) -> None:
-    if grid_size < 1024 or grid_size & (grid_size - 1):
-        raise ValueError(
-            f"grid_size must be a power of two >= 1024, got {grid_size}")
-
-
 def _envelope(seed: int) -> Callable[[np.ndarray], np.ndarray]:
     """Seeded Hermitian trig-polynomial envelope (even real + odd imaginary).
 
     cos/sin of negated arguments are bit-exact mirrors, and the recurrences
     below negate every sine term exactly, so the closure is exactly
-    Hermitian on any symmetric grid.
+    Hermitian.
     """
     rng = np.random.Generator(np.random.Philox(seed))
     scale = 1.0 / (1.0 + np.arange(ENVELOPE_DEGREE + 1)) ** 2
@@ -194,7 +182,7 @@ def make_bandlimited(support: float, shape_seed: int,
     """
     if not 0.0 < support < PI:
         raise ValueError(f"support must lie in (0, pi), got {support}")
-    _check_grid_size(grid_size)
+    omegas = _positive_omegas(grid_size)
     envelope = _envelope(shape_seed)
     support = float(support)
 
@@ -206,9 +194,9 @@ def make_bandlimited(support: float, shape_seed: int,
                            0.0)
         return np.where(inside, envelope(om) * rolloff, 0.0 + 0.0j)
 
-    values = np.empty(grid_size, dtype=complex)
-    _in_chunks(profile, _positive_omegas(grid_size), values[grid_size // 2:])
-    return SpectralSignal(values=_mirror_into(values), profile=profile)
+    positive = _in_chunks(profile, omegas,
+                          np.empty(omegas.size, dtype=complex))
+    return SpectralSignal(positive=positive, profile=profile)
 
 
 def make_power_decay(nu: float, shape_seed: int,
@@ -221,12 +209,10 @@ def make_power_decay(nu: float, shape_seed: int,
     """
     if not nu > 0:
         raise ValueError(f"nu must be positive, got {nu}")
-    _check_grid_size(grid_size)
-    envelope = _envelope(shape_seed)
     pos = _positive_omegas(grid_size)
-    values = np.empty(grid_size, dtype=complex)
-    env = _in_chunks(envelope, pos, values[grid_size // 2:])
-    # |g| is even on the grid, so the positive half holds its maximum.
+    envelope = _envelope(shape_seed)
+    env = _in_chunks(envelope, pos, np.empty(pos.size, dtype=complex))
+    # |g| is even, so the positive half-grid holds its maximum on the grid.
     norm = float(np.max(np.abs(env)))
 
     def decay(om: np.ndarray, env: np.ndarray,
@@ -238,59 +224,20 @@ def make_power_decay(nu: float, shape_seed: int,
         om = np.asarray(omega, dtype=float)
         return decay(om, envelope(om))
 
-    decay(pos, env, out=env)
-    return SpectralSignal(values=_mirror_into(values), profile=profile)
+    return SpectralSignal(positive=decay(pos, env, out=env), profile=profile)
 
 
 def from_profile(profile: Callable[[np.ndarray], np.ndarray],
                  grid_size: int) -> SpectralSignal:
-    """Sample an arbitrary Hermitian closure onto the grid, keeping it as
-    the ``profile`` that the spectral error bound integrates."""
-    _check_grid_size(grid_size)
-    omegas = grid_omegas(grid_size)
-    values = np.asarray(profile(omegas), dtype=complex)
-    return SpectralSignal(values=values, profile=profile)
+    """Sample a Hermitian closure onto the positive half-grid, keeping it
+    as the ``profile`` that the spectral error bound integrates."""
+    positive = np.asarray(profile(_positive_omegas(grid_size)), dtype=complex)
+    return SpectralSignal(positive=positive, profile=profile)
 
 
-#: Grid entries per block of the Hermitian check and of the fold, whose
-#: temporaries then hold one block rather than a half-grid.
+#: Grid entries per block of the fold, whose temporaries then hold one
+#: block rather than a half-grid.
 _BLOCK = 2 ** 14
-
-
-def _hermitian_defect(neg: np.ndarray, pos: np.ndarray) -> float:
-    """max |N_j - conj P_(k-1-j)| between a slice ``neg`` of the negative
-    half-grid and the mirror of an equally long slice ``pos`` of the
-    positive half-grid, ``_BLOCK`` pairs at a time; NaN if any pair holds
-    a NaN."""
-    mirror = pos[::-1]
-    defect = np.float64(0.0)
-    for j in range(0, neg.size, _BLOCK):
-        block = slice(j, j + _BLOCK)
-        defect = np.maximum(
-            defect, np.max(np.abs(neg[block] - mirror[block].conj())))
-    return defect
-
-
-def _require_hermitian(defect: float, tol: float) -> None:
-    if not defect <= tol:
-        raise ValueError(
-            f"spectrum violates Hermitian symmetry (defect {defect:.3e})")
-
-
-def assert_hermitian(spec: SpectralSignal, tol: float = 0.0) -> None:
-    """Raise unless X(-omega) == conj(X(omega)) on the grid (within tol).
-
-    The defect |X_j - conj X_(M-1-j)| is the same at j and M-1-j, so it is
-    computed on the negative half of the grid only.  A NaN defect fails.
-    """
-    half = spec.grid_size // 2
-    _require_hermitian(
-        _hermitian_defect(spec.values[:half], spec.values[half:]), tol)
-
-
-#: Largest Hermitian defect the inverse transform accepts; half of it
-#: bounds the imaginary part the transformed sequence would have.
-_HERMITIAN_TOL = 2e-10
 
 
 def _fold_twiddle(grid_size: int, P: int,
@@ -314,28 +261,28 @@ def _fold_twiddle(grid_size: int, P: int,
     return head, step
 
 
-def _fold_rows(neg: np.ndarray, pos: np.ndarray, head: np.ndarray,
+def _fold_rows(mirror: np.ndarray, pos: np.ndarray, head: np.ndarray,
                step: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The fold (pos - neg) twiddle + (pos + neg) in row layout: for the
-    twiddle factors ``head`` and ``step`` of :func:`_fold_twiddle`, a
-    (D, P) array whose row r is fold[r::D], into ``out`` when given and
-    else into a new C-contiguous array.  It is written once, through the
-    transpose, from the (P, D) reshapes of ``neg`` and ``pos``, and about
-    ``_BLOCK`` entries at a time, so the twiddle is never formed in full."""
+    """The fold (pos - neg) twiddle + (pos + neg), with
+    neg = conj(mirror[::-1]), in row layout: for the twiddle factors
+    ``head`` and ``step`` of :func:`_fold_twiddle`, a (D, P) array whose
+    row r is fold[r::D], into ``out`` when given and else into a new
+    C-contiguous array.  For the whole fold ``mirror`` is ``pos``, the
+    positive half-grid, and neg is the negative one.  The fold is written
+    once, through the transpose, from the (P, D) reshapes of
+    ``mirror[::-1]`` and ``pos``, ``_BLOCK`` entries (and at least one
+    column) at a time, so neither neg nor the twiddle is formed in full."""
     D, P = head.size, step.size
     if out is None:
         out = np.empty((D, P), dtype=complex)
-    neg, pos = neg.reshape(P, D), pos.reshape(P, D)
-    # Near-equal blocks, so none holds a single entry while P >= 2: numpy
-    # forms the complex product of a one-entry array on a path of its own,
-    # whose rounding can differ, and a sweep's band blocks must reproduce
-    # the bits of the whole fold.
-    blocks = -(-P // max(_BLOCK // D, 1))
-    for k in range(blocks):
-        q = slice(k * P // blocks, (k + 1) * P // blocks)
-        folded = np.subtract(pos[q], neg[q], out=out[:, q].T)
+    mirror, pos = mirror[::-1].reshape(P, D), pos.reshape(P, D)
+    columns = max(_BLOCK // D, 1)
+    for start in range(0, P, columns):
+        q = slice(start, start + columns)
+        neg = np.conjugate(mirror[q])
+        folded = np.subtract(pos[q], neg, out=out[:, q].T)
         folded *= np.multiply.outer(head, step[q]).T
-        folded += pos[q] + neg[q]
+        folded += pos[q] + neg
     return out
 
 
@@ -355,17 +302,14 @@ def _split_shape(grid_size: int, half_length: int) -> tuple[int, int]:
 
     The window reads the fold's inverse FFT at the S + 1 indices
     s = floor(-S/2) .. floor(S/2).  The split is exact for any P, because
-    each row's P-point inverse FFT is P-periodic in s.  D is the largest
-    power of two that divides M/2 and leaves P >= S + 1, so the window's
-    indices fit in one period: each row yields them as two contiguous
-    slices, and the D (S + 1) phased terms cost at most one pass over the
-    fold.  On a grid with no power-of-two factor in M/2, D = 1.
+    each row's P-point inverse FFT is P-periodic in s.  P is the least
+    power of two >= S + 1, so the window's indices fit in one period: each
+    row yields them as two contiguous slices, and the D (S + 1) phased
+    terms cost at most one pass over the fold.  P <= 2 S, and the window
+    check M/2 >= 8 S + 4 then leaves D >= 8.
     """
-    half = grid_size // 2
-    D = 1
-    while half % (2 * D) == 0 and half // (2 * D) >= half_length + 1:
-        D *= 2
-    return half // D, D
+    P = 1 << int(half_length).bit_length()
+    return P, grid_size // 2 // P
 
 
 def _window_reader(grid_size: int,
@@ -425,34 +369,32 @@ def inverse_transform(spec: SpectralSignal, half_length: int) -> TimeSignal:
     """x(t) = (1/2pi) integral of X e^(i omega t), trapezoid on the grid.
 
     On the midpoint grid the trapezoid sum is a phase-shifted inverse DFT.
-    A Hermitian spectrum gives a real x, so the two half-grids fold into
-    one array of length M/2, A_m = (P_m + N_m) + i e^(i theta_m) (P_m - N_m)
-    with P = X[M/2:], N = X[:M/2] and theta_m = (m + 1/2) 2 pi / M, and
+    X is Hermitian, so x is real and the grid folds into one array of
+    length M/2, A_m = (P_m + N_m) + i e^(i theta_m) (P_m - N_m) with
+    P = ``spec.positive``, N = conj(P[::-1]) the negative half-grid and
+    theta_m = (m + 1/2) 2 pi / M, and
     x(2s) + i x(2s+1) = (1/2) e^(2 pi i s / M) ifft(A)[s mod M/2].  Only
     the S + 1 outputs the window reads are formed: A is held as D
     contiguous rows of P >= S + 1 points, row r = A[r::D], one inverse FFT
     transforms every row, and each output combines its D row values (see
-    :func:`_window_reader`).  The fold is only valid for a Hermitian
-    input, so the spectrum is checked first: a defect
-    max |X_j - conj X_(M-1-j)| above 2e-10 is an error.  Requires
-    grid_size >= 8 * (2 * half_length + 1).  A spectrum whose transform
-    overflows, leaving a sample of the window infinite or NaN, is a
-    ValueError.
+    :func:`_window_reader`).  Requires grid_size >= 8 * (2 * half_length
+    + 1).  A spectrum whose transform overflows or holds a NaN, leaving a
+    sample of the window infinite or NaN, is a ValueError.
     """
     M = spec.grid_size
     _check_window(M, half_length)
-    assert_hermitian(spec, tol=_HERMITIAN_TOL)
     P, D = _split_shape(M, half_length)
-    neg, pos = spec.values[:M // 2], spec.values[M // 2:]
     # A finite spectrum can still overflow the sums; the window reader
     # reports that, so numpy's own warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
-        fold = _fold_rows(neg, pos, *_fold_twiddle(M, P, D))
+        fold = _fold_rows(spec.positive, spec.positive,
+                          *_fold_twiddle(M, P, D))
         return _window_reader(M, half_length)(fold)
 
 
 def forward_transform(signal: TimeSignal, grid_size: int) -> SpectralSignal:
-    """Evaluate the finite sum of x(t) e^(-i omega t) on the grid via FFT."""
+    """Evaluate the finite sum of x(t) e^(-i omega t) on the positive
+    half-grid via FFT."""
     S = signal.half_length
     if grid_size < 2 * (2 * S + 1) or grid_size & (grid_size - 1):
         raise ValueError(
@@ -463,7 +405,7 @@ def forward_transform(signal: TimeSignal, grid_size: int) -> SpectralSignal:
     parity = np.where(ts % 2 == 0, 1.0, -1.0)
     packed = np.zeros(M, dtype=complex)
     packed[ts % M] = signal.samples * parity * np.exp(-1j * PI * ts / M)
-    return SpectralSignal(values=np.fft.fft(packed))
+    return SpectralSignal(positive=np.fft.fft(packed)[M // 2:])
 
 
 def _tail_decades(grid_size: int) -> np.ndarray:
@@ -479,23 +421,25 @@ def class_norm(spec: SpectralSignal, weight: WeightSpec) -> float:
     """Weighted spectral norm of X against a weight; inf when it diverges.
 
     Finite p: the grid integral of h |X|^p.  p = inf: the grid essential
-    sup of h |X|.  Both are scanned over nested windows approaching the
-    band edges; a value that keeps growing toward the edge instead of
-    stabilizing (or overflows) is reported as ``math.inf``.
+    sup of h |X|.  h and |X| are even, so both run on the positive
+    half-grid, the integral counting each sample twice.  Both are scanned
+    over nested windows approaching the band edges; a value that keeps
+    growing toward the edge instead of stabilizing (or overflows) is
+    reported as ``math.inf``.
     """
-    omegas = grid_omegas(spec.grid_size)
-    absx = np.abs(spec.values)
+    omegas = _positive_omegas(spec.grid_size)
+    absx = np.abs(spec.positive)
     h = eval_weight(weight, omegas)
     deltas = _tail_decades(spec.grid_size)
 
     if weight.p == math.inf:
         pointwise = h * absx
-        partials = [float(np.max(pointwise[np.abs(omegas) <= PI - d]))
+        partials = [float(np.max(pointwise[omegas <= PI - d]))
                     for d in deltas]
     else:
         density = h * absx ** weight.p
         spacing = 2.0 * PI / spec.grid_size
-        partials = [float(np.sum(density[np.abs(omegas) <= PI - d]) * spacing)
+        partials = [float(np.sum(density[omegas <= PI - d]) * 2.0 * spacing)
                     for d in deltas]
 
     if _classify_tail(partials) == "divergent":
@@ -522,31 +466,25 @@ def _noise_band_count(grid_size: int) -> int:
 
 
 def _band_width(grid_size: int, half_length: int) -> int:
-    """ceil(max(count, 2) / D): the entries at each end of every fold row,
-    in the split of :func:`_split_shape`, that the noise band reaches.
-    A one-entry band is widened to two entries, because a one-entry block
-    would not reproduce the fold's bits (see :func:`_fold_rows`).
+    """ceil(count / D): the entries at each end of every fold row, in the
+    split of :func:`_split_shape`, that the noise band reaches.
 
     The band is about 1/63 of the fold, so the width is about P / 63 + 1,
-    and P >= S + 1 >= 2 keeps it at most P / 2: the blocks at the two ends
-    never overlap.
+    and P >= 2 keeps it at most P / 2: the blocks at the two ends never
+    overlap.
     """
     D = _split_shape(grid_size, half_length)[1]
-    return -(-max(_noise_band_count(grid_size), 2) // D)
+    return -(-_noise_band_count(grid_size) // D)
 
 
 def _noise_band(grid_size: int, sigma: float, noise_seed: int) -> np.ndarray:
-    """The noise on the positive half of the band, ascending in omega:
-    flat amplitude, so that the Hermitian noise has grid L1 norm sigma, and
-    seeded random phases.  The negative half carries its mirror
-    ``conj(band)[::-1]``.  A negative sigma, a grid with no band samples
-    and an amplitude that overflows are ValueErrors."""
+    """The noise on the band of the positive half-grid, ascending in omega:
+    flat amplitude, so that the Hermitian noise (this band and its mirror)
+    has grid L1 norm sigma, and seeded random phases.  A negative sigma and
+    an amplitude that overflows are ValueErrors."""
     if sigma < 0:
         raise ValueError(f"sigma must be nonnegative, got {sigma}")
     count = _noise_band_count(grid_size)
-    if count == 0:
-        raise ValueError(
-            f"grid_size {grid_size} leaves no samples in the noise band")
     rng = np.random.Generator(np.random.Philox(noise_seed))
     phases = np.exp(1j * rng.uniform(0.0, 2.0 * PI, count))
     amplitude = sigma / (2.0 * count * (2.0 * PI / grid_size))
@@ -563,19 +501,19 @@ def add_spectral_noise(spec: SpectralSignal, sigma: float,
 
     The noise has flat magnitude and seeded random phases on the edge band
     |omega| > pi - NOISE_BAND, where the weighted classes have little mass,
-    and is zero elsewhere; it is added in place on the band's two edge
-    slices of a copy of the values.  sigma = 0 returns the spectrum
-    unchanged; a sigma whose band amplitude overflows is a ValueError.  A
-    sweep over seeds takes :func:`noisy_inverse_transforms`, which yields
-    the transforms of these spectra without building them.
+    and is zero elsewhere.  It is added in place on the band's top slice of
+    a copy of the positive half-grid; the mirror carries it to the negative
+    edge.  sigma = 0 returns the spectrum unchanged; a sigma whose band
+    amplitude overflows is a ValueError.  A sweep over seeds takes
+    :func:`noisy_inverse_transforms`, which yields the transforms of these
+    spectra without building them.
     """
     if sigma == 0.0:
         return spec
     band = _noise_band(spec.grid_size, sigma, noise_seed)
-    values = spec.values.copy()
-    values[values.size - band.size:] += band
-    values[:band.size] += np.conj(band)[::-1]
-    return SpectralSignal(values=values)
+    positive = spec.positive.copy()
+    positive[positive.size - band.size:] += band
+    return SpectralSignal(positive=positive)
 
 
 def noisy_inverse_transforms(spec: SpectralSignal, half_length: int,
@@ -584,50 +522,41 @@ def noisy_inverse_transforms(spec: SpectralSignal, half_length: int,
     """``inverse_transform(add_spectral_noise(spec, sigma, seed),
     half_length)`` for each seed, bit for bit, with no noisy grid built.
 
-    The noise band sits at both ends of the fold: the top ``count`` bins of
-    P = X[M/2:] and the bottom ``count`` bins of N = X[:M/2] enter fold
-    entries M/2 - count .. M/2 - 1 and 0 .. count - 1.  In the row layout
-    of :func:`_fold_rows` those lie in the first and the last
-    ``width = ceil(max(count, 2) / D)`` entries of every row.  So the clean
+    The noise band is the top ``count`` bins of P = ``spec.positive``, so
+    it enters both ends of the fold: entries M/2 - count .. M/2 - 1 through
+    P and entries 0 .. count - 1 through N = conj(P[::-1]).  In the row
+    layout of :func:`_fold_rows` those lie in the first and the last
+    ``width = ceil(count / D)`` entries of every row.  So the clean
     spectrum is folded once, and one window reader (its phases and its
-    inverse FFT output) serves every seed.  Each seed overwrites only those
-    two (D, width) blocks with the fold of its noisy band values, computed
-    from the clean spectrum, and runs the reader's one inverse FFT, which
-    leaves the fold unchanged; the D width - count entries of each block
-    that the band misses are refolded from clean values, so they keep their
-    bits.  The Hermitian check is split the same way: the clean defect
-    outside the band once, the noisy defect of the block pairs per seed.
-    Errors are those of the per-seed route.
+    inverse FFT output) serves every seed.  Each seed copies the top
+    ``width D`` entries of P and adds its band to them; that one noisy
+    slice, paired with the clean bottom ``width D`` entries, refolds both
+    (D, width) blocks in place.  The reader's one inverse FFT then leaves
+    the fold unchanged.  The D width - count entries of each block that
+    the band misses are refolded from clean values, so they keep their
+    bits.  Errors are those of the per-seed route.
     """
     if sigma == 0.0:
         return [inverse_transform(spec, half_length)] * len(seeds)
     M = spec.grid_size
     _check_window(M, half_length)
-    half = M // 2
     P, D = _split_shape(M, half_length)
     count = _noise_band_count(M)
     width = _band_width(M, half_length)
-    lo, hi = slice(0, width * D), slice(half - width * D, half)
-    neg, pos = spec.values[:half], spec.values[half:]
-    rest_defect = _hermitian_defect(neg[count:], pos[:half - count])
+    pos = spec.positive
+    bottom, top = pos[:width * D], pos[pos.size - width * D:]
     draws = []
     # As in inverse_transform, the window reader reports an overflow.
     with np.errstate(over="ignore", invalid="ignore"):
         head, step = _fold_twiddle(M, P, D)
-        fold = _fold_rows(neg, pos, head, step)
+        fold = _fold_rows(pos, pos, head, step)
         read = _window_reader(M, half_length)
         for seed in seeds:
-            band = _noise_band(M, sigma, seed)
-            neg_lo = neg[lo].copy()
-            neg_lo[:count] += np.conj(band)[::-1]
-            pos_hi = pos[hi].copy()
-            pos_hi[-count:] += band
-            _require_hermitian(
-                np.maximum(rest_defect, _hermitian_defect(neg_lo, pos_hi)),
-                _HERMITIAN_TOL)
-            _fold_rows(neg_lo, pos[lo], head, step[:width],
+            noisy_top = top.copy()
+            noisy_top[-count:] += _noise_band(M, sigma, seed)
+            _fold_rows(noisy_top, bottom, head, step[:width],
                        out=fold[:, :width])
-            _fold_rows(neg[hi], pos_hi, head, step[P - width:],
+            _fold_rows(bottom, noisy_top, head, step[P - width:],
                        out=fold[:, P - width:])
             draws.append(read(fold))
     return draws

@@ -19,11 +19,9 @@ from specfill.signals import (
     _split_shape,
     _window_reader,
     add_spectral_noise,
-    assert_hermitian,
     class_norm,
     forward_transform,
     from_profile,
-    grid_omegas,
     inverse_transform,
     make_bandlimited,
     make_power_decay,
@@ -41,17 +39,24 @@ def flat_signal(grid_size=2 ** 14):
         grid_size)
 
 
-def random_hermitian(grid_size, seed):
+def random_spectrum(grid_size, seed):
     rng = np.random.default_rng(seed)
     half = (rng.standard_normal(grid_size // 2)
             + 1j * rng.standard_normal(grid_size // 2))
-    return SpectralSignal(values=np.concatenate([half[::-1].conj(), half]))
+    return SpectralSignal(positive=half)
 
 
-def full_grid_inverse(values, half_length):
-    """Reference route: one M-point ifft, then the midpoint-grid phases."""
-    M = values.size
-    base = np.fft.ifft(values)
+def full_grid(spec):
+    """Both halves of the grid, the negative one built by Hermitian
+    symmetry."""
+    return np.concatenate([np.conj(spec.positive[::-1]), spec.positive])
+
+
+def full_grid_inverse(spec, half_length):
+    """Reference route: one M-point ifft of the whole grid, then the
+    midpoint-grid phases."""
+    M = spec.grid_size
+    base = np.fft.ifft(full_grid(spec))
     ts = np.arange(-half_length, half_length + 1)
     parity = np.where(ts % 2 == 0, 1.0, -1.0)
     return (parity * np.exp(1j * PI * ts / M) * base[ts % M]).real
@@ -75,53 +80,54 @@ def generated(make, grid_size):
 
 
 def masked_noise_values(spec, sigma, noise_seed):
-    """Reference route: full-grid zeros, filled through the band masks."""
+    """Reference route: half-grid zeros, filled through the band mask."""
     M = spec.grid_size
-    half = M // 2
     pos_mask = _positive_omegas(M) > PI - NOISE_BAND
     count = int(np.count_nonzero(pos_mask))
     rng = np.random.Generator(np.random.Philox(noise_seed))
     phases = np.exp(1j * rng.uniform(0.0, 2.0 * PI, count))
     amplitude = sigma / (2.0 * count * (2.0 * PI / M))
-    noise = np.zeros(M, dtype=complex)
-    noise[half:][pos_mask] = amplitude * phases
-    noise[:half][pos_mask[::-1]] = np.conj(amplitude * phases)[::-1]
-    return spec.values + noise
+    noise = np.zeros(M // 2, dtype=complex)
+    noise[pos_mask] = amplitude * phases
+    return spec.positive + noise
 
 
-# (M, S) splits beyond the power-of-two byte-equality grid: count % D != 0
-# with several entries per row in the band (3 * 2^12, S = 100 and
-# 5 * 2^10, S = 50), D = 1 (2 * 4099, S = 511) and P = 3 (3 * 2^12, S = 1);
-# 2^14 at its largest S is a power-of-two grid for comparison.  The last
-# two fold in several blocks: D = 1 with P = 2^15 + 1, one entry past two
-# full blocks (2 * (2^15 + 1), S = 511), and D = 2^15 > _BLOCK, one column
-# per block (2^17, S = 1).
-ODD_SPLITS = [(3 * 2 ** 12, 100), (5 * 2 ** 10, 50), (2 * 4099, 511),
-              (3 * 2 ** 12, 1), (2 ** 14, 1023), (2 * (2 ** 15 + 1), 511),
-              (2 ** 17, 1)]
+# (M, S) splits of the fold in row layout, P x D = M/2: one block of
+# _BLOCK entries or fewer (2^10, S = 1; 2^12, S = 100; 2^14 at its largest
+# S), two blocks of 256 columns (2^16, S = 511), eight blocks of 16 columns
+# (2^18, S = 100) or of 1024 (2^18, S = 4096), and D = 2^15 > _BLOCK, one
+# column per block (2^17, S = 1).
+SPLITS = [(2 ** 10, 1), (2 ** 12, 100), (2 ** 14, 1023), (2 ** 16, 511),
+          (2 ** 18, 100), (2 ** 18, 4096), (2 ** 17, 1)]
 
 
 class TestGrid:
     def test_symmetric_exact(self):
-        om = grid_omegas(4096)
-        np.testing.assert_array_equal(om, -om[::-1])
+        # The negative half-grid that conj(positive[::-1]) stands for is
+        # the exact mirror of the positive one: together they are the
+        # midpoints (m - M/2 + 1/2) 2 pi / M of the whole grid.
+        M = 4096
+        om = _positive_omegas(M)
+        whole = (np.arange(M) - M // 2 + 0.5) * (2.0 * PI / M)
+        np.testing.assert_array_equal(np.concatenate([-om[::-1], om]), whole)
 
     def test_open_interval(self):
-        om = grid_omegas(4096)
-        assert om[0] > -PI and om[-1] < PI
-        assert 0.0 not in om
+        om = _positive_omegas(4096)
+        assert om[0] > 0.0 and om[-1] < PI
+        assert om.size == 2048
 
     def test_uniform(self):
-        om = grid_omegas(1024)
+        om = _positive_omegas(1024)
         np.testing.assert_allclose(np.diff(om), 2 * PI / 1024, rtol=1e-12)
+        assert om[0] == pytest.approx(PI / 1024, rel=1e-15)
 
 
 class TestGenerators:
     def test_bandlimited_support_zeros(self):
         sig = make_bandlimited(PI / 2, 7, 2 ** 16)
-        om = grid_omegas(2 ** 16)
-        outside = np.abs(om) > PI / 2
-        assert np.all(sig.values[outside] == 0)
+        om = _positive_omegas(2 ** 16)
+        outside = om > PI / 2
+        assert np.all(sig.positive[outside] == 0)
         # Point values beyond the declared support, via the kept profile.
         assert sig.profile(np.array([3 * PI / 4]))[0] == 0
         assert sig.profile(np.array([-3 * PI / 4]))[0] == 0
@@ -129,17 +135,23 @@ class TestGenerators:
     def test_bandlimited_deterministic(self):
         a = make_bandlimited(PI / 2, 7, 2 ** 14)
         b = make_bandlimited(PI / 2, 7, 2 ** 14)
-        np.testing.assert_array_equal(a.values, b.values)
+        np.testing.assert_array_equal(a.positive, b.positive)
 
     def test_bandlimited_distinct_seeds(self):
         a = make_bandlimited(PI / 2, 7, 2 ** 14)
         b = make_bandlimited(PI / 2, 8, 2 ** 14)
-        assert not np.array_equal(a.values, b.values)
+        assert not np.array_equal(a.positive, b.positive)
 
-    def test_bandlimited_hermitian_exact(self):
-        sig = make_bandlimited(1.1, 3, 2 ** 14)
-        np.testing.assert_array_equal(sig.values[::-1].conj(), sig.values)
-        assert_hermitian(sig)
+    @pytest.mark.parametrize("make, arg", [(make_bandlimited, 1.1),
+                                           (make_power_decay, 1.0)],
+                             ids=["bandlimited", "power_decay"])
+    def test_profile_hermitian_exact(self, make, arg):
+        # Storing only the positive half loses nothing: each profile is
+        # Hermitian bit for bit, at grid points and off them.
+        sig = make(arg, 3, 2 ** 14)
+        om = np.concatenate([_positive_omegas(2 ** 14), [0.3, 1.7, 3.1]])
+        np.testing.assert_array_equal(sig.profile(-om),
+                                      np.conj(sig.profile(om)))
 
     def test_bandlimited_class_norm_finite(self):
         sig = make_bandlimited(PI / 2, 7, 2 ** 14)
@@ -147,7 +159,8 @@ class TestGenerators:
         assert math.isfinite(value)
         # Brute-force Riemann oracle at 4x grid density via the profile.
         m4 = 4 * 2 ** 14
-        om4 = grid_omegas(m4)
+        om4 = _positive_omegas(m4)
+        om4 = np.concatenate([-om4[::-1], om4])
         h4 = 1.0 / ((PI - om4) * (PI + om4))
         riemann = float(np.sum(h4 * np.abs(sig.profile(om4)) ** 2)
                         * (2 * PI / m4))
@@ -167,9 +180,9 @@ class TestGenerators:
 
     def test_power_decay_envelope_bound(self):
         sig = make_power_decay(1.0, 3, 2 ** 14)
-        om = grid_omegas(2 ** 14)
+        om = _positive_omegas(2 ** 14)
         cap = (PI - om) * (PI + om)
-        assert np.all(np.abs(sig.values) <= cap * (1 + 1e-12))
+        assert np.all(np.abs(sig.positive) <= cap * (1 + 1e-12))
 
     def test_power_decay_class_norm_sup(self):
         # Weight exponent equals decay exponent: pointwise product is |g|,
@@ -177,19 +190,20 @@ class TestGenerators:
         sig = make_power_decay(1.0, 3, 2 ** 14)
         value = class_norm(sig, W_INF)
         assert math.isfinite(value)
-        om = grid_omegas(2 ** 14)
+        om = _positive_omegas(2 ** 14)
+        om = np.concatenate([-om[::-1], om])
         h = 1.0 / ((PI - om) * (PI + om))
-        oracle = float(np.max(h * np.abs(sig.values)))
+        oracle = float(np.max(h * np.abs(full_grid(sig))))
         assert value == pytest.approx(oracle, rel=1e-12)
         assert value <= 1.0 + 1e-12
 
     def test_power_decay_mass_comparison(self):
         shallow = make_power_decay(0.25, 3, 2 ** 14)
         steep = make_power_decay(2.0, 3, 2 ** 14)
-        om = grid_omegas(2 ** 14)
-        edge = np.abs(om) > 3.0
-        mass_shallow = np.abs(shallow.values[edge]).sum()
-        mass_steep = np.abs(steep.values[edge]).sum()
+        om = _positive_omegas(2 ** 14)
+        edge = om > 3.0
+        mass_shallow = np.abs(shallow.positive[edge]).sum()
+        mass_steep = np.abs(steep.positive[edge]).sum()
         assert mass_steep < mass_shallow
 
     def test_power_decay_rejects_bad_nu(self):
@@ -202,28 +216,45 @@ class TestGenerators:
                                            (make_power_decay, 1.0)])
     def test_grid_values_are_the_profile_bit_for_bit(self, make, arg, seed,
                                                      grid_size):
-        # Values come from the positive half in chunks plus the mirror; the
-        # profile here runs on the whole grid at once.
+        # Values come from the positive half in chunks; the profile here
+        # runs on the whole grid at once, and on the negative half it is
+        # the exact Hermitian mirror of the stored values.
         sig = make(arg, seed, grid_size)
-        assert np.array_equal(sig.values, sig.profile(grid_omegas(grid_size)))
-        assert_hermitian(sig, tol=0.0)
+        om = _positive_omegas(grid_size)
+        whole = sig.profile(np.concatenate([-om[::-1], om]))
+        assert np.array_equal(whole, full_grid(sig))
 
     @pytest.mark.parametrize("seed", [0, 3, 8])
     def test_envelope_recurrence_matches_angle_matrix(self, seed):
         # Whole grid plus points at the band edges, zero and beyond.
-        om = np.concatenate([grid_omegas(2 ** 14),
+        pos = _positive_omegas(2 ** 14)
+        om = np.concatenate([-pos[::-1], pos,
                              [-PI, 0.0, PI, 2.0 * PI, -7.5]])
         gap = np.abs(_envelope(seed)(om) - direct_envelope(seed, om))
         assert np.max(gap) <= 1e-14
 
 
 class TestSignalTypes:
-    @pytest.mark.parametrize("values", [
-        np.zeros((2, 8)), np.zeros(7), np.zeros(0)],
-        ids=["two-dimensional", "odd-length", "empty"])
-    def test_spectral_signal_rejects_bad_values(self, values):
-        with pytest.raises(ValueError, match="positive even length"):
-            SpectralSignal(values=values)
+    def test_spectral_signal_rejects_two_dimensional(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            SpectralSignal(positive=np.zeros((2, 512)))
+
+    @pytest.mark.parametrize("half", [0, 256, 511, 768])
+    def test_spectral_signal_rejects_bad_grid_size(self, half):
+        # Grids 0, 512, 1022 and 1536: below 1024 or not a power of two.
+        with pytest.raises(ValueError, match="power of two >= 1024"):
+            SpectralSignal(positive=np.zeros(half, dtype=complex))
+
+    @pytest.mark.parametrize("grid_size", [1000, 1536])
+    @pytest.mark.parametrize("build", [
+        lambda M: make_bandlimited(PI / 2, 7, M),
+        lambda M: make_power_decay(1.0, 7, M),
+        lambda M: from_profile(lambda om: np.ones_like(om, dtype=complex), M),
+        lambda M: forward_transform(TimeSignal(samples=np.ones(3)), M)],
+        ids=["bandlimited", "power_decay", "from_profile", "forward"])
+    def test_builders_reject_bad_grid_size(self, build, grid_size):
+        with pytest.raises(ValueError, match="power of two"):
+            build(grid_size)
 
     @pytest.mark.parametrize("samples", [np.zeros(8), np.zeros((3, 3))],
                              ids=["even-length", "two-dimensional"])
@@ -234,13 +265,13 @@ class TestSignalTypes:
 
 class TestInverseTransform:
     def test_zero_spectrum(self):
-        sig = SpectralSignal(values=np.zeros(2 ** 12, dtype=complex))
+        sig = SpectralSignal(positive=np.zeros(2 ** 11, dtype=complex))
         ts = inverse_transform(sig, 8)
         assert np.all(ts.samples == 0.0)
         assert ts.truth_center == 0.0
 
     def test_unit_spectrum_is_delta(self):
-        sig = SpectralSignal(values=np.ones(2 ** 12, dtype=complex))
+        sig = SpectralSignal(positive=np.ones(2 ** 11, dtype=complex))
         ts = inverse_transform(sig, 16)
         assert ts.samples[16] == pytest.approx(1.0, abs=1e-14)
         off = np.delete(ts.samples, 16)
@@ -248,8 +279,8 @@ class TestInverseTransform:
 
     def test_ideal_band_indicator_is_sinc(self):
         M = 2 ** 15
-        om = grid_omegas(M)
-        sig = SpectralSignal(values=(np.abs(om) <= PI / 2).astype(complex))
+        om = _positive_omegas(M)
+        sig = SpectralSignal(positive=(om <= PI / 2).astype(complex))
         ts = inverse_transform(sig, 16)
         assert ts.samples[16] == pytest.approx(0.5, abs=1e-13)
         for t in (1, 2, 5, 9, 16):
@@ -266,11 +297,8 @@ class TestInverseTransform:
         with pytest.raises(ValueError):
             inverse_transform(sig, 512)
 
-    # Even grids that are not powers of two: at 3 * 2^12 every row
-    # transform has a factor 3 in its length P, and at 2 * 4099 the fold's
-    # length 4099 is odd, so D = 1 and one row is the whole fold.
-    @pytest.mark.parametrize("grid_size", [1024, 2 ** 14, 2 ** 18,
-                                           3 * 2 ** 12, 2 * 4099])
+    @pytest.mark.parametrize("grid_size", [1024, 2 ** 12, 2 ** 14, 2 ** 16,
+                                           2 ** 18])
     @pytest.mark.parametrize("which", [1, 2, 3, "largest_odd",
                                        "largest_even"])
     def test_matches_full_grid_route(self, grid_size, which):
@@ -278,43 +306,28 @@ class TestInverseTransform:
         largest = grid_size // 16 - 1
         half_length = {"largest_odd": largest,
                        "largest_even": largest - 1}.get(which, which)
-        sig = random_hermitian(grid_size, seed=grid_size + half_length)
+        sig = random_spectrum(grid_size, seed=grid_size + half_length)
         ts = inverse_transform(sig, half_length)
-        ref = full_grid_inverse(sig.values, half_length)
+        ref = full_grid_inverse(sig, half_length)
         assert ts.samples.shape == ref.shape
         assert np.max(np.abs(ts.samples - ref)) <= 1e-14 * np.max(np.abs(ref))
         assert ts.truth_center == ts.samples[half_length]
 
-    # The check runs _BLOCK pairs at a time; at 2^16 the bins 20000 and
-    # its mirror 2^16 - 1 - 20000 pair in the second block.
+    # The fold runs _BLOCK entries at a time; at 2^16 the bin 20000 lies
+    # in the second block.
     @pytest.mark.parametrize("grid_size, index", [
-        (2 ** 12, 100), (2 ** 16, 20000), (2 ** 16, 2 ** 16 - 1 - 20000)])
-    def test_small_hermitian_defect_rejected(self, grid_size, index):
-        # A 1e-9 defect at one bin puts at most 1e-9 / (2M) into Im x, far
-        # below a 1e-10 residue test on x; the input check still sees it.
-        sig = random_hermitian(grid_size, seed=5)
-        values = sig.values.copy()
-        values[index] += 1e-9
-        with pytest.raises(ValueError, match="Hermitian"):
-            inverse_transform(SpectralSignal(values=values), 8)
-
-    def test_hermitian_violation_is_hard_error(self):
-        values = np.zeros(2 ** 12, dtype=complex)
-        values[100] = 5.0 + 3.0j
-        broken = SpectralSignal(values=values)
-        with pytest.raises(ValueError, match="[Hh]ermitian"):
-            inverse_transform(broken, 8)
-
-    @pytest.mark.parametrize("grid_size, index", [
-        (2 ** 12, 100), (2 ** 16, 20000)])
-    def test_hermitian_paired_nan_rejected(self, grid_size, index):
-        # A NaN bin and its mirror give a NaN defect, which must fail the
-        # check rather than compare false against the tolerance, also after
-        # a clean first block.
-        values = np.ones(grid_size, dtype=complex)
-        values[index] = values[grid_size - 1 - index] = complex(math.nan, 0.0)
-        with pytest.raises(ValueError, match="Hermitian"):
-            inverse_transform(SpectralSignal(values=values), 8)
+        (2 ** 12, 100), (2 ** 12, 2 ** 11 - 1), (2 ** 16, 20000)])
+    def test_nan_bin_rejected(self, grid_size, index):
+        # A NaN bin reaches every row of the fold, and so every sample of
+        # the window, through the bin and its mirror; it must fail as a
+        # non-finite window, also after a clean first block, with no numpy
+        # warning on the way.
+        positive = np.ones(grid_size // 2, dtype=complex)
+        positive[index] = complex(math.nan, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite samples"):
+                inverse_transform(SpectralSignal(positive=positive), 8)
 
     @pytest.mark.parametrize("grid_size, half_length, shape", [
         (2 ** 10, 2 ** 10 // 16 - 1, (64, 8)),
@@ -322,22 +335,20 @@ class TestInverseTransform:
         (2 ** 20, 2 ** 20 // 16 - 1, (65536, 8)),
         (2 ** 20, 32768, (65536, 8)),
         (2 ** 14, 256, (512, 16)),
-        (3 * 2 ** 12, 1, (3, 2048)),
-        (2 * 4099, 511, (4099, 1)),
+        (2 ** 17, 1, (2, 2 ** 15)),
     ])
     def test_split_shape(self, grid_size, half_length, shape):
-        # The largest power-of-two D dividing M/2 with P = M/(2D) >= S + 1.
+        # The least power of two P >= S + 1, and D = M / (2P).
         assert _split_shape(grid_size, half_length) == shape
 
-    @pytest.mark.parametrize("grid_size, half_length", ODD_SPLITS)
+    @pytest.mark.parametrize("grid_size, half_length", SPLITS)
     def test_reader_leaves_fold_unchanged(self, grid_size, half_length):
         # A sweep runs one reader on one fold per seed, so a read must not
         # disturb the fold: two reads give the same bytes, and those of
         # inverse_transform.
-        sig = random_hermitian(grid_size, seed=grid_size + half_length)
+        sig = random_spectrum(grid_size, seed=grid_size + half_length)
         P, D = _split_shape(grid_size, half_length)
-        half = grid_size // 2
-        fold = _fold_rows(sig.values[:half], sig.values[half:],
+        fold = _fold_rows(sig.positive, sig.positive,
                           *_fold_twiddle(grid_size, P, D))
         assert fold.shape == (D, P) and fold.flags.c_contiguous
         before = fold.tobytes()
@@ -348,7 +359,7 @@ class TestInverseTransform:
         assert (first.samples.tobytes()
                 == inverse_transform(sig, half_length).samples.tobytes())
 
-    @pytest.mark.parametrize("grid_size, half_length", ODD_SPLITS)
+    @pytest.mark.parametrize("grid_size, half_length", SPLITS)
     def test_fold_twiddle_matches_direct_trig(self, grid_size, half_length):
         # head[r] step[q] is i e^(i theta_m) at m = D q + r.
         P, D = _split_shape(grid_size, half_length)
@@ -359,24 +370,24 @@ class TestInverseTransform:
         twiddle = np.multiply.outer(head, step)
         assert np.max(np.abs(twiddle.T.reshape(-1) - direct)) <= 1e-15
 
-    @pytest.mark.parametrize("grid_size, half_length",
-                             [*ODD_SPLITS, (2 ** 18, 4096)])
+    @pytest.mark.parametrize("grid_size, half_length", SPLITS)
     def test_fold_rows_blocks_keep_bits(self, grid_size, half_length):
-        # The fold runs in blocks of columns, with a block's twiddle formed
-        # on the fly; its bytes are those of one pass on the whole twiddle.
-        sig = random_hermitian(grid_size, seed=grid_size + half_length)
+        # The fold runs in blocks of columns, with a block's twiddle and
+        # negative half-grid formed on the fly; its bytes are those of one
+        # pass on the whole twiddle and the whole negative half-grid.
+        sig = random_spectrum(grid_size, seed=grid_size + half_length)
         P, D = _split_shape(grid_size, half_length)
-        half = grid_size // 2
-        neg = sig.values[:half].reshape(P, D)
-        pos = sig.values[half:].reshape(P, D)
+        neg = np.conj(sig.positive[::-1]).reshape(P, D)
+        pos = sig.positive.reshape(P, D)
         head, step = _fold_twiddle(grid_size, P, D)
         whole = (pos - neg) * np.multiply.outer(head, step).T + (pos + neg)
-        fold = _fold_rows(neg, pos, head, step)
+        fold = _fold_rows(sig.positive, sig.positive, head, step)
         assert fold.tobytes() == np.ascontiguousarray(whole.T).tobytes()
 
     def test_overflowing_transform_rejected(self):
         # Each value is finite, but the fold's sums X(w) + X(-w) are not.
-        sig = SpectralSignal(values=np.full(2 ** 12, 1.5e308, dtype=complex))
+        sig = SpectralSignal(positive=np.full(2 ** 11, 1.5e308,
+                                              dtype=complex))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="overflows"):
@@ -386,7 +397,7 @@ class TestInverseTransform:
         # Every |x(t)| <= max |X|, and each row transform sums only P
         # terms of the fold, not all M/2, so a flat 1e306 spectrum gives
         # 1e306 at t = 0 and zero elsewhere with no intermediate overflow.
-        sig = SpectralSignal(values=np.full(2 ** 12, 1e306, dtype=complex))
+        sig = SpectralSignal(positive=np.full(2 ** 11, 1e306, dtype=complex))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             ts = inverse_transform(sig, 8)
@@ -404,20 +415,34 @@ class TestRoundTripAndParseval:
         for S in (2048, 4096, 8192):
             ts = inverse_transform(sig, S)
             back = forward_transform(ts, M)
-            errors.append(float(np.max(np.abs(back.values - sig.values))))
+            errors.append(float(np.max(np.abs(back.positive
+                                              - sig.positive))))
         assert errors[2] < errors[1] < errors[0]
         assert errors[2] <= 1e-6
 
-    def test_forward_output_hermitian(self):
-        sig = make_bandlimited(1.2, 5, 2 ** 14)
-        ts = inverse_transform(sig, 128)
-        back = forward_transform(ts, 2 ** 14)
-        assert_hermitian(back, tol=1e-12)
+    @pytest.mark.parametrize("half_length", [1, 7, 128])
+    def test_forward_output_matches_direct_sum(self, half_length):
+        # The positive half is the finite sum at each positive grid point;
+        # conj(positive[::-1]) is the sum at each negative one, as x is
+        # real.
+        M = 2 ** 12
+        rng = np.random.default_rng(half_length)
+        ts = TimeSignal(samples=rng.standard_normal(2 * half_length + 1))
+        back = forward_transform(ts, M)
+        om = _positive_omegas(M)
+        t = np.arange(-half_length, half_length + 1)
+        direct = np.exp(-1j * np.multiply.outer(om, t)) @ ts.samples
+        mirror = np.exp(1j * np.multiply.outer(om[::-1], t)) @ ts.samples
+        scale = np.sum(np.abs(ts.samples))
+        assert np.max(np.abs(back.positive - direct)) <= 1e-12 * scale
+        assert (np.max(np.abs(np.conj(back.positive[::-1]) - mirror))
+                <= 1e-12 * scale)
 
     def test_parseval_partial_sums_monotone_from_below(self):
         M = 2 ** 16
         sig = make_bandlimited(PI / 2, 7, M)
-        spectral = float(np.sum(np.abs(sig.values) ** 2) / M)
+        # Both halves: |X| is even.
+        spectral = float(2.0 * np.sum(np.abs(sig.positive) ** 2) / M)
         ts = inverse_transform(sig, 4095)
         S = ts.half_length
         center = ts.samples[S] ** 2
@@ -431,7 +456,7 @@ class TestRoundTripAndParseval:
 
 class TestClassNorm:
     def test_zero_signal(self):
-        sig = SpectralSignal(values=np.zeros(2 ** 14, dtype=complex))
+        sig = SpectralSignal(positive=np.zeros(2 ** 13, dtype=complex))
         assert class_norm(sig, W_INF) == 0.0
 
     def test_flat_signal_divergent(self):
@@ -455,31 +480,43 @@ class TestNoise:
     def test_l1_norm_exact(self):
         sig = make_bandlimited(PI / 2, 7, 2 ** 16)
         noisy = add_spectral_noise(sig, 0.3, 11)
-        added = noisy.values - sig.values
-        l1 = float(np.sum(np.abs(added)) * (2.0 * PI / 2 ** 16))
+        added = noisy.positive - sig.positive
+        # The negative half carries the mirror of the same magnitudes.
+        l1 = float(2.0 * np.sum(np.abs(added)) * (2.0 * PI / 2 ** 16))
         assert l1 == pytest.approx(0.3, abs=1e-12)
 
     def test_noise_confined_to_edge_band(self):
         sig = make_bandlimited(PI / 2, 7, 2 ** 14)
         noisy = add_spectral_noise(sig, 0.5, 4)
-        om = grid_omegas(2 ** 14)
-        inner = np.abs(om) <= PI - 0.05
-        np.testing.assert_array_equal(noisy.values[inner], sig.values[inner])
+        om = _positive_omegas(2 ** 14)
+        inner = om <= PI - 0.05
+        np.testing.assert_array_equal(noisy.positive[inner],
+                                      sig.positive[inner])
 
-    def test_noise_hermitian(self):
+    @pytest.mark.parametrize("sigma", [1e-6, 0.3])
+    def test_noisy_matches_full_grid_route(self, sigma):
+        # The noise's mirror is carried by conj(positive[::-1]): one M-point
+        # ifft of both halves of the noisy grid, phased to the midpoint
+        # grid, gives a real sequence, and the fold reproduces it.
         sig = make_bandlimited(PI / 2, 7, 2 ** 14)
-        noisy = add_spectral_noise(sig, 0.5, 4)
-        assert_hermitian(noisy)
-        # The noisy sequence is therefore still real-valued.
-        inverse_transform(noisy, 32)
+        noisy = add_spectral_noise(sig, sigma, 4)
+        M, S = noisy.grid_size, 32
+        ts = np.arange(-S, S + 1)
+        parity = np.where(ts % 2 == 0, 1.0, -1.0)
+        phased = (parity * np.exp(1j * PI * ts / M)
+                  * np.fft.ifft(full_grid(noisy))[ts % M])
+        scale = np.max(np.abs(phased))
+        assert np.max(np.abs(phased.imag)) <= 1e-14 * scale
+        samples = inverse_transform(noisy, S).samples
+        assert np.max(np.abs(samples - phased.real)) <= 1e-14 * scale
 
     def test_deterministic_per_seed(self):
         sig = make_bandlimited(PI / 2, 7, 2 ** 14)
         a = add_spectral_noise(sig, 0.1, 5)
         b = add_spectral_noise(sig, 0.1, 5)
         c = add_spectral_noise(sig, 0.1, 6)
-        np.testing.assert_array_equal(a.values, b.values)
-        assert not np.array_equal(a.values, c.values)
+        np.testing.assert_array_equal(a.positive, b.positive)
+        assert not np.array_equal(a.positive, c.positive)
 
     @pytest.mark.parametrize("make, arg", [(make_bandlimited, PI / 2),
                                            (make_power_decay, 1.0)])
@@ -487,9 +524,8 @@ class TestNoise:
     def test_values_equal_masked_route(self, make, arg, grid_size):
         sig = make(arg, 7, grid_size)
         noisy = add_spectral_noise(sig, 0.3, 11)
-        # Equal by value: the masked route's "+ 0" turns the mirror's -0.0
-        # imaginary parts into +0.0, the in-place slices leave them.
-        assert np.array_equal(noisy.values, masked_noise_values(sig, 0.3, 11))
+        assert (noisy.positive.tobytes()
+                == masked_noise_values(sig, 0.3, 11).tobytes())
 
     @pytest.mark.parametrize("log2_size", range(10, 23))
     def test_band_count_matches_mask(self, log2_size):
@@ -529,10 +565,10 @@ class TestNoisyInverseTransforms:
             assert draw.samples.tobytes() == ref.samples.tobytes()
 
     @pytest.mark.parametrize("sigma", [1e-6, 0.3])
-    @pytest.mark.parametrize("grid_size, half_length", ODD_SPLITS)
-    def test_equals_per_seed_route_on_odd_splits(self, grid_size,
-                                                 half_length, sigma):
-        sig = random_hermitian(grid_size, seed=grid_size + half_length)
+    @pytest.mark.parametrize("grid_size, half_length", SPLITS)
+    def test_equals_per_seed_route_on_splits(self, grid_size, half_length,
+                                             sigma):
+        sig = random_spectrum(grid_size, seed=grid_size + half_length)
         seeds = (4, 0, 9)
         draws = noisy_inverse_transforms(sig, half_length, sigma, seeds)
         for seed, draw in zip(seeds, draws):
@@ -540,16 +576,20 @@ class TestNoisyInverseTransforms:
                                     half_length)
             assert draw.samples.tobytes() == ref.samples.tobytes()
 
-    # Grids too small for the generators, where D = 1 and the band holds
-    # one entry, so each seed's blocks are widened to two entries.
+    # The narrowest band blocks: at 2^10, S = 1 (P = 2) the two one-entry
+    # blocks are the whole of every row; at 2^11, S = 63 each of the D = 16
+    # rows holds one band entry at each end; at 2^12, S = 31 the band's 33
+    # entries reach only some of the D = 64 rows, and at S = 63 some rows
+    # hold two band entries at each end and some one.
     @pytest.mark.parametrize("sigma", [1e-6, 0.3])
-    @pytest.mark.parametrize("grid_size, half_length",
-                             [(66, 3), (70, 1), (74, 2), (82, 2)])
-    def test_equals_per_seed_route_on_one_entry_band(self, grid_size,
-                                                     half_length, sigma):
-        assert _noise_band_count(grid_size) == 1
-        assert _split_shape(grid_size, half_length)[1] == 1
-        sig = random_hermitian(grid_size, seed=grid_size + half_length)
+    @pytest.mark.parametrize("grid_size, half_length, width", [
+        (2 ** 10, 1, 1), (2 ** 11, 63, 1), (2 ** 12, 31, 1),
+        (2 ** 12, 63, 2)])
+    def test_equals_per_seed_route_on_narrowest_blocks(self, grid_size,
+                                                       half_length, width,
+                                                       sigma):
+        assert _band_width(grid_size, half_length) == width
+        sig = random_spectrum(grid_size, seed=grid_size + half_length)
         seeds = (0, 1, 2)
         draws = noisy_inverse_transforms(sig, half_length, sigma, seeds)
         for seed, draw in zip(seeds, draws):
@@ -557,15 +597,12 @@ class TestNoisyInverseTransforms:
                                     half_length)
             assert draw.samples.tobytes() == ref.samples.tobytes()
 
-    @pytest.mark.parametrize("grid_size", [
-        *(2 ** k for k in range(10, 21)), 3 * 2 ** 12, 5 * 2 ** 10,
-        2 * 4099, 2 * 1025, 66, 70])
+    @pytest.mark.parametrize("grid_size", [2 ** k for k in range(10, 21)])
     def test_band_blocks_cover_band_and_never_overlap(self, grid_size):
         # Each seed rewrites the first and the last `width` entries of every
         # fold row; together they must hold the band's count entries at
-        # each end of the fold, and at least two, and stay apart, at every
-        # valid S.
-        count = max(_noise_band_count(grid_size), 2)
+        # each end of the fold, and stay apart, at every valid S.
+        count = _noise_band_count(grid_size)
         for half_length in range(1, (grid_size // 8 - 1) // 2 + 1):
             P, D = _split_shape(grid_size, half_length)
             width = _band_width(grid_size, half_length)
@@ -573,22 +610,22 @@ class TestNoisyInverseTransforms:
             assert (width - 1) * D < count
             assert 2 * width <= P
 
-    @pytest.mark.parametrize("M, index, nan_pair", [
-        (2 ** 12, 100, False), (2 ** 12, 2, False), (2 ** 12, 2, True),
-        (2 ** 16, 20000, False)],
-        ids=["defect-outside-band", "defect-in-band", "nan-pair-in-band",
-             "defect-outside-band-second-block"])
-    def test_non_hermitian_spectrum_rejected(self, M, index, nan_pair):
-        # The clean spectrum is checked once outside the noise band, the
-        # noisy band pairs once per seed; a fault in either part fails.
-        values = random_hermitian(M, seed=5).values.copy()
-        if nan_pair:
-            values[index] = values[M - 1 - index] = complex(math.nan, 0.0)
-        else:
-            values[index] += 1e-9
-        with pytest.raises(ValueError, match="Hermitian"):
-            noisy_inverse_transforms(SpectralSignal(values=values), 8, 1e-6,
-                                     (0,))
+    # The fold runs _BLOCK entries at a time; at 2^16 the bin 20000 lies in
+    # the second block, and the top bins lie in the noise band.
+    @pytest.mark.parametrize("M, index", [
+        (2 ** 12, 100), (2 ** 12, 2 ** 11 - 3), (2 ** 16, 20000)],
+        ids=["outside-band", "in-band", "outside-band-second-block"])
+    def test_nan_bin_rejected(self, M, index):
+        # The clean fold is built once and the band blocks are refolded per
+        # seed; a NaN bin in either part leaves a non-finite window, which
+        # fails as in inverse_transform, with no numpy warning on the way.
+        positive = random_spectrum(M, seed=5).positive.copy()
+        positive[index] = complex(math.nan, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite samples"):
+                noisy_inverse_transforms(SpectralSignal(positive=positive),
+                                         8, 1e-6, (0,))
 
     def test_overflowing_transform_rejected(self):
         # The band amplitude (about 1e308) is finite; the fold's sums of
@@ -605,7 +642,7 @@ class TestNoisyInverseTransforms:
         # lost to rounding, and the window is 1e306 times the window of
         # unit noise alone.
         sig = make_bandlimited(PI / 2, 7, 2 ** 14)
-        zero = SpectralSignal(values=np.zeros(2 ** 14, dtype=complex))
+        zero = SpectralSignal(positive=np.zeros(2 ** 13, dtype=complex))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             (big,) = noisy_inverse_transforms(sig, 8, 1e306, (5,))
