@@ -35,11 +35,12 @@ Config schema (JSON)::
 Only ``general_power`` takes ``a``; the other families accept it only as
 ``null``.  ``signal.kind`` is ``bandlimited`` (needs ``omega``, takes no
 ``nu``) or ``powerdecay`` (needs ``nu``, takes no ``omega``); both need
-``seed``.  A field the chosen family or kind would ignore is an error, so
-the config hash records only what the run used.  ``grid_size`` is a power
-of two from 1024 to 2^24 with ``grid_size >= 8 * (2 * S + 1)``.  ``noise``
-is optional for ``recover``, required for ``robustness``.  Every number
-must be finite.  A key the schema does not name, at any level, is an
+``seed``.  ``signal.seed`` and every ``noise.seeds`` entry are
+nonnegative integers.  A field the chosen family or kind would ignore is an
+error, so the config hash records only what the run used.  ``grid_size`` is
+a power of two from 1024 to 2^24 with ``grid_size >= 8 * (2 * S + 1)``.
+``noise`` is optional for ``recover``, required for ``robustness``.  Every
+number must be finite.  A key the schema does not name, at any level, is an
 error.
 
 The CLI runs OpenBLAS on one thread unless ``OPENBLAS_NUM_THREADS`` is
@@ -260,6 +261,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if kind not in ("bandlimited", "powerdecay"):
         raise ConfigError(f"signal.kind: unknown kind {kind!r}")
     seed = _require(sig, "seed", int, "signal")
+    if seed < 0:
+        raise ConfigError(f"signal.seed: must be nonnegative, got {seed}")
     dropped = "nu" if kind == "bandlimited" else "omega"
     if dropped in sig:
         raise ConfigError(f"signal.{dropped}: kind {kind!r} takes no "
@@ -318,6 +321,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
                        for s in seeds)):
             raise ConfigError("noise.seeds: expected a nonempty list of "
                               "integers")
+        if any(s < 0 for s in seeds):
+            raise ConfigError(f"noise.seeds: must be nonnegative, got "
+                              f"{min(seeds)}")
         if len(set(seeds)) != len(seeds):
             raise ConfigError("noise.seeds: must be distinct integers")
         noise_seeds = tuple(sorted(seeds))

@@ -216,8 +216,8 @@ def convergence_sweep(weight: WeightSpec, signal: SpectralSignal,
     clean spectrum; otherwise one per noise seed.  The clean positive
     half-grid is folded once, as D contiguous rows; each seed adds its
     noise to a copy of the half-grid's top band, refolds from that slice
-    the blocks at both ends of every row in place, and runs one inverse FFT
-    along the rows that forms only the window's outputs
+    the blocks at both ends of every row in place, and inverse-transforms
+    the rows a block of rows at a time, forming only the window's outputs
     (:func:`signals.noisy_inverse_transforms`, bit for bit the transform of
     the noisy spectrum).  Then, for each n:
     resolve the kernel, synthesize taps at ``tap_half_length``, and

@@ -10,24 +10,27 @@ window-growth assertions in the tests stand in for the infinite objects.
 
 Generators are deterministic functions of (parameters, seed) built on the
 counter-based Philox bit generator.  They evaluate their profile once, in
-row chunks, straight into the positive half-grid.  Each generated spectrum
-carries its exact analytic profile as a callable, which downstream error
-integrals use to resolve sub-grid bands near the edges.
+chunks of samples, straight into the positive half-grid, forming each
+chunk's frequencies (and any factor applied to the profile) per chunk, so
+no temporary spans the half-grid.  Each generated spectrum carries its
+exact analytic profile as a callable, which downstream error integrals use
+to resolve sub-grid bands near the edges.
 
 The inverse transform folds the positive half and its conjugate mirror into
 one half-length array whose inverse DFT yields the real sequence two
 samples per output value.  Only the outputs the window reads are formed:
 the fold is held in row layout, a C-contiguous (D, P) array whose row r is
-fold[r::D], one inverse FFT transforms every row along its contiguous
-points, and each output combines its D row values.  The fold runs in blocks
-of grid entries, so no temporary grows with the grid; the fold and the FFT
-output are the only half-grid arrays.  Spectral noise is flat-magnitude and
+fold[r::D]; blocks of at least two rows are inverse-transformed along
+their contiguous points into one reused block array, and each output
+accumulates its D phased row values block by block.  The fold runs in
+blocks of grid entries too, so no temporary grows with the grid; the fold
+is the only half-grid array.  Spectral noise is flat-magnitude and
 random-phase on the edge band omega > pi - NOISE_BAND, the top of the
 positive half-grid, so its mirror covers the other edge.  A sweep over
 noise seeds folds the clean spectrum once; each seed then adds its noise to
 a copy of the band's top entries and refolds from them, in place, only the
-block of entries at each end of every row that the band reaches, and runs
-one row-split inverse FFT into a reused output, with no noisy grid built.
+block of entries at each end of every row that the band reaches, and reads
+the window from the fold block by block, with no noisy grid built.
 
 Both generated families are uniformly well behaved: envelopes are bounded
 trigonometric polynomials, so any finite family drawn from them has
@@ -38,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -132,13 +135,15 @@ def _positive_omegas(grid_size: int) -> np.ndarray:
     return (np.arange(grid_size // 2) + 0.5) * (2.0 * PI / grid_size)
 
 
-def _in_chunks(fn: Callable[[np.ndarray], np.ndarray],
-               omegas: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """fn(omegas) evaluated _CHUNK_ROWS samples at a time into ``out``."""
-    for start in range(0, omegas.size, _CHUNK_ROWS):
-        stop = start + _CHUNK_ROWS
-        out[start:stop] = fn(omegas[start:stop])
-    return out
+def _chunks(grid_size: int) -> Iterator[tuple[slice, np.ndarray]]:
+    """(rows, omegas) over the positive half-grid, ``_CHUNK_ROWS`` samples
+    at a time: ``rows`` a slice of it and ``omegas`` its midpoints, with
+    the bits of :func:`_positive_omegas`, formed one chunk at a time."""
+    h = 2.0 * PI / grid_size
+    half = grid_size // 2
+    for start in range(0, half, _CHUNK_ROWS):
+        stop = min(start + _CHUNK_ROWS, half)
+        yield slice(start, stop), (np.arange(start, stop) + 0.5) * h
 
 
 def _envelope(seed: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -182,7 +187,7 @@ def make_bandlimited(support: float, shape_seed: int,
     """
     if not 0.0 < support < PI:
         raise ValueError(f"support must lie in (0, pi), got {support}")
-    omegas = _positive_omegas(grid_size)
+    _check_grid_size(grid_size)
     envelope = _envelope(shape_seed)
     support = float(support)
 
@@ -194,8 +199,9 @@ def make_bandlimited(support: float, shape_seed: int,
                            0.0)
         return np.where(inside, envelope(om) * rolloff, 0.0 + 0.0j)
 
-    positive = _in_chunks(profile, omegas,
-                          np.empty(omegas.size, dtype=complex))
+    positive = np.empty(grid_size // 2, dtype=complex)
+    for rows, omegas in _chunks(grid_size):
+        positive[rows] = profile(omegas)
     return SpectralSignal(positive=positive, profile=profile)
 
 
@@ -209,22 +215,30 @@ def make_power_decay(nu: float, shape_seed: int,
     """
     if not nu > 0:
         raise ValueError(f"nu must be positive, got {nu}")
-    pos = _positive_omegas(grid_size)
+    _check_grid_size(grid_size)
     envelope = _envelope(shape_seed)
-    env = _in_chunks(envelope, pos, np.empty(pos.size, dtype=complex))
-    # |g| is even, so the positive half-grid holds its maximum on the grid.
-    norm = float(np.max(np.abs(env)))
+    # The envelope fills the output, and then the decay scales it in place,
+    # chunk by chunk, so no temporary spans the half-grid.  |g| is even, so
+    # the positive half-grid holds its maximum on the grid.
+    positive = np.empty(grid_size // 2, dtype=complex)
+    norm = 0.0
+    for rows, omegas in _chunks(grid_size):
+        env = positive[rows]
+        env[...] = envelope(omegas)
+        norm = max(norm, float(np.max(np.abs(env))))
 
     def decay(om: np.ndarray, env: np.ndarray,
               out: np.ndarray | None = None) -> np.ndarray:
         gap = ((PI - om) * (PI + om)) ** nu
-        return np.divide(gap * env, norm, out=out)
+        return np.divide(np.multiply(gap, env, out=out), norm, out=out)
 
     def profile(omega: np.ndarray) -> np.ndarray:
         om = np.asarray(omega, dtype=float)
         return decay(om, envelope(om))
 
-    return SpectralSignal(positive=decay(pos, env, out=env), profile=profile)
+    for rows, omegas in _chunks(grid_size):
+        decay(omegas, positive[rows], out=positive[rows])
+    return SpectralSignal(positive=positive, profile=profile)
 
 
 def from_profile(profile: Callable[[np.ndarray], np.ndarray],
@@ -238,6 +252,19 @@ def from_profile(profile: Callable[[np.ndarray], np.ndarray],
 #: Grid entries per block of the fold, whose temporaries then hold one
 #: block rather than a half-grid.
 _BLOCK = 2 ** 14
+
+#: Grid entries per block of fold rows that the window reader
+#: inverse-transforms at once; a block holds at least two rows, because
+#: pocketfft transforms rows in pairs of SIMD lanes, so one-row calls are
+#: slower per row.  Each numpy ifft call also allocates about 5 MiB of
+#: scratch at P = 2^16, which glibc may return to the system and fault in
+#: again at the next call, so smaller blocks trade time for memory.  On a
+#: 2-core Xeon VM, CLI runs of a 2^20 grid with S = 32768 (D = 8 rows of
+#: 2^16) and 8 noise seeds took a median 0.418, 0.394 and 0.356 s of CPU at
+#: a peak RSS of 67.2, 69.2 and 73.2 MiB with blocks of 2^17, 2^18 and 2^19
+#: entries (2, 4 and 8 rows).  2^18 also keeps a fold of 2^17 entries, as
+#: of the README config, in one block.
+_ROW_BLOCK = 2 ** 18
 
 
 def _fold_twiddle(grid_size: int, P: int,
@@ -319,15 +346,20 @@ def _window_reader(grid_size: int,
 
     Writing L = M/2 and splitting the fold's index as m = D q + r (shape
     from :func:`_split_shape`), the inverse FFT of the fold at s is
-    (1/D) sum_r e^(2 pi i r s / L) Z[r, s mod P], where row r of Z
-    (``rows``) is the P-point inverse FFT of row r of the fold, fold[r::D].
-    With the pair phase (1/2) e^(2 pi i s / M) of :func:`inverse_transform`
-    folded in, x(2s) + i x(2s+1) = sum_r phases[r, s] Z[r, s mod P] with
-    phases[r, s] = (0.5 / D) e^(2 pi i s (2r + 1) / M).  The phases, Z and
-    the output pairs are built once per reader, so a sweep shares them
-    across its folds; each call runs one inverse FFT along the fold's
-    contiguous rows into Z, sums each output's D terms into the pairs with
-    no (D, S + 1) product formed, and leaves the fold unchanged.
+    (1/D) sum_r e^(2 pi i r s / L) Z[r, s mod P], where row r of Z is the
+    P-point inverse FFT of row r of the fold, fold[r::D].  With the pair
+    phase (1/2) e^(2 pi i s / M) of :func:`inverse_transform` folded in,
+    x(2s) + i x(2s+1) = sum_r phases[r, s] Z[r, s mod P] with
+    phases[r, s] = (0.5 / D) e^(2 pi i s (2r + 1) / M).  The phases and a
+    block array for Z are built once per reader, so a sweep shares them
+    across its folds.  Each call takes the fold's rows in blocks of
+    ``_ROW_BLOCK`` entries (at least two rows, at most D): it runs one
+    inverse FFT along the block's contiguous rows into the block array and
+    adds the block's terms into each output pair, with no (D, S + 1)
+    product formed.  A fold of one block sums each pair in one pass; more
+    blocks regroup each pair's sum, which moves it by rounding, about 1e-16
+    of the sum of its terms' magnitudes.  The fold is left unchanged, and
+    the window is a view of a fresh pairs array, so no copy is made.
     """
     P, D = _split_shape(grid_size, half_length)
     # Pairs (x(2s), x(2s+1)) for s = floor(-S/2) .. floor(S/2) cover [-S, S];
@@ -335,27 +367,39 @@ def _window_reader(grid_size: int,
     # rest the first.
     first = -half_length // 2
     below = -first
-    ss = np.arange(first, half_length // 2 + 1)
+    count = half_length // 2 + 1 - first
     # The angles are built in the phases' real parts, whose products
     # s (2r + 1) are exact, so the set-up makes no (D, S + 1) temporary.
-    phases = np.empty((D, ss.size), dtype=complex)
+    phases = np.empty((D, count), dtype=complex)
     angle = phases.real
-    np.multiply.outer(2.0 * np.arange(D) + 1, ss, out=angle)
+    np.multiply.outer(2.0 * np.arange(D) + 1,
+                      np.arange(first, first + count), out=angle)
     angle *= 2.0 * PI / grid_size
     np.sin(angle, out=phases.imag)
     np.cos(angle, out=angle)
     phases *= 0.5 / D
-    rows = np.empty((D, P), dtype=complex)
-    pairs = np.empty(ss.size, dtype=complex)
+    # D and P are powers of two, so the blocks tile the rows.
+    rows = min(D, max(2, _ROW_BLOCK // P))
+    block = np.empty((rows, P), dtype=complex)
+    # (output pairs, their phase columns, their columns of Z)
+    halves = ((slice(None, below), slice(None, below), slice(P - below, None)),
+              (slice(below, None), slice(below, None),
+               slice(None, count - below)))
     start = -half_length - 2 * first
 
     def read(fold: np.ndarray) -> TimeSignal:
-        np.fft.ifft(fold, axis=1, out=rows)
-        np.einsum("rs,rs->s", phases[:, :below], rows[:, P - below:],
-                  out=pairs[:below])
-        np.einsum("rs,rs->s", phases[:, below:], rows[:, :ss.size - below],
-                  out=pairs[below:])
-        samples = pairs.view(float)[start:start + 2 * half_length + 1].copy()
+        pairs = np.empty(count, dtype=complex)
+        for r in range(0, D, rows):
+            np.fft.ifft(fold[r:r + rows], axis=1, out=block)
+            for out, cols, z in halves:
+                if r:
+                    pairs[out] += np.einsum("rs,rs->s",
+                                            phases[r:r + rows, cols],
+                                            block[:, z])
+                else:
+                    np.einsum("rs,rs->s", phases[:rows, cols], block[:, z],
+                              out=pairs[out])
+        samples = pairs.view(float)[start:start + 2 * half_length + 1]
         if not np.all(np.isfinite(samples)):
             raise ValueError(
                 f"inverse transform overflows: the window of half-length "
@@ -375,11 +419,11 @@ def inverse_transform(spec: SpectralSignal, half_length: int) -> TimeSignal:
     theta_m = (m + 1/2) 2 pi / M, and
     x(2s) + i x(2s+1) = (1/2) e^(2 pi i s / M) ifft(A)[s mod M/2].  Only
     the S + 1 outputs the window reads are formed: A is held as D
-    contiguous rows of P >= S + 1 points, row r = A[r::D], one inverse FFT
-    transforms every row, and each output combines its D row values (see
-    :func:`_window_reader`).  Requires grid_size >= 8 * (2 * half_length
-    + 1).  A spectrum whose transform overflows or holds a NaN, leaving a
-    sample of the window infinite or NaN, is a ValueError.
+    contiguous rows of P >= S + 1 points, row r = A[r::D], the rows are
+    inverse-transformed a block at a time, and each output combines its D
+    row values (see :func:`_window_reader`).  Requires grid_size >= 8 *
+    (2 * half_length + 1).  A spectrum whose transform overflows or holds a
+    NaN, leaving a sample of the window infinite or NaN, is a ValueError.
     """
     M = spec.grid_size
     _check_window(M, half_length)
@@ -528,13 +572,15 @@ def noisy_inverse_transforms(spec: SpectralSignal, half_length: int,
     layout of :func:`_fold_rows` those lie in the first and the last
     ``width = ceil(count / D)`` entries of every row.  So the clean
     spectrum is folded once, and one window reader (its phases and its
-    inverse FFT output) serves every seed.  Each seed copies the top
-    ``width D`` entries of P and adds its band to them; that one noisy
-    slice, paired with the clean bottom ``width D`` entries, refolds both
-    (D, width) blocks in place.  The reader's one inverse FFT then leaves
-    the fold unchanged.  The D width - count entries of each block that
-    the band misses are refolded from clean values, so they keep their
-    bits.  Errors are those of the per-seed route.
+    block array) serves every seed; of the twiddle's P column factors only
+    the 2 width that the band blocks use are kept past the clean fold.
+    Each seed copies the top ``width D`` entries of P and adds its band to
+    them; that one noisy slice, paired with the clean bottom ``width D``
+    entries, refolds both (D, width) blocks in place.  The reader's blocked
+    inverse FFT then leaves the fold unchanged.  The D width - count
+    entries of each block that the band misses are refolded from clean
+    values, so they keep their bits.  Errors are those of the per-seed
+    route.
     """
     if sigma == 0.0:
         return [inverse_transform(spec, half_length)] * len(seeds)
@@ -550,13 +596,14 @@ def noisy_inverse_transforms(spec: SpectralSignal, half_length: int,
     with np.errstate(over="ignore", invalid="ignore"):
         head, step = _fold_twiddle(M, P, D)
         fold = _fold_rows(pos, pos, head, step)
+        # Only the band blocks' step factors outlive the clean fold.
+        low, high = step[:width].copy(), step[P - width:].copy()
+        del step
         read = _window_reader(M, half_length)
         for seed in seeds:
             noisy_top = top.copy()
             noisy_top[-count:] += _noise_band(M, sigma, seed)
-            _fold_rows(noisy_top, bottom, head, step[:width],
-                       out=fold[:, :width])
-            _fold_rows(bottom, noisy_top, head, step[P - width:],
-                       out=fold[:, P - width:])
+            _fold_rows(noisy_top, bottom, head, low, out=fold[:, :width])
+            _fold_rows(bottom, noisy_top, head, high, out=fold[:, P - width:])
             draws.append(read(fold))
     return draws

@@ -198,6 +198,24 @@ class TestConfigParsing:
         assert f"{field}: must be" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("overrides, field", [
+        ({"signal": {"seed": -1}}, "signal.seed"),
+        ({"noise": {"sigma": 1e-6, "seeds": [0, -1]}}, "noise.seeds"),
+        ({"noise": {"sigma": 0.0, "seeds": [-3]}}, "noise.seeds"),
+    ])
+    def test_negative_seeds_exit_config_error(self, tmp_path, capsys,
+                                              overrides, field):
+        # Philox takes only nonnegative seeds; a negative one must fail as
+        # bad input naming its field, before any stage runs.
+        config = write_config(tmp_path, {"noise": {"sigma": 1e-6,
+                                                   "seeds": [0]},
+                                         **overrides})
+        out = tmp_path / "rob.csv"
+        assert main(["robustness", "--config", str(config),
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert f"{field}: must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_any_field_swap_parses_or_raises_config_error(self, data):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specfill import signals
 from specfill.kernel import resolve_kernel, synthesize_taps
 from specfill.recovery import (
     CSV_COLUMNS,
@@ -192,33 +193,51 @@ class TestConvergenceSweep:
             assert r.robust_bound is not None
             assert r.abs_error <= r.robust_bound
 
+    # At 2^14, S = 256 the fold is one block of D = 16 rows of P = 512; at
+    # 2^20, S = 4096 it is D = 64 rows of P = 8192, in 2 blocks of 32.
+    @pytest.mark.parametrize("grid_size, S, blocks", [(2 ** 14, 256, 1),
+                                                      (2 ** 20, 4096, 2)])
     @pytest.mark.parametrize("n_values", [[2], [2, 3, 4]])
-    def test_one_inverse_transform_per_seed(self, monkeypatch, n_values):
-        shapes = []
+    def test_one_inverse_transform_per_seed(self, monkeypatch, n_values,
+                                            grid_size, S, blocks):
+        calls = []
         ifft = np.fft.ifft
 
         def counting(a, *args, **kwargs):
-            shapes.append(np.shape(a))
+            # Each call transforms a block of the fold's rows; record which.
+            offset = (a.__array_interface__["data"][0]
+                      - a.base.__array_interface__["data"][0])
+            first = offset // a.strides[0]
+            calls.append((range(first, first + a.shape[0]), a.shape[1]))
             return ifft(a, *args, **kwargs)
 
-        def split_fold(shape):
-            # The fold's M/2 entries as D rows of P >= S + 1 points.
-            return (len(shape) == 2 and shape[0] * shape[1] == 2 ** 13
-                    and shape[1] >= 256 + 1)
+        def transforms(count):
+            # The fold's M/2 entries as D rows of P >= S + 1 points; each
+            # transform covers all D rows exactly once, in blocks of at most
+            # _ROW_BLOCK entries.
+            P = calls[0][1]
+            D = grid_size // 2 // P
+            assert P >= S + 1
+            assert len(calls) == count * blocks
+            for k in range(count):
+                group = calls[k * blocks:(k + 1) * blocks]
+                assert all(cols == P for _, cols in group)
+                assert all(len(rows) * P <= signals._ROW_BLOCK
+                           for rows, _ in group)
+                assert sorted(r for rows, _ in group for r in rows) == list(
+                    range(D))
+            calls.clear()
 
         # The signals layer reaches ifft through the numpy module, so the
         # count covers both the noisy sweep and inverse_transform.
         monkeypatch.setattr(np.fft, "ifft", counting)
-        signal = make_power_decay(1.0, 3, 2 ** 14)
+        signal = make_power_decay(1.0, 3, grid_size)
         seeds = (0, 1, 2)
-        convergence_sweep(POWER, signal, n_values, 32, 256,
+        convergence_sweep(POWER, signal, n_values, 32, S,
                           noise_sigma=1e-6, noise_seeds=seeds)
-        assert len(shapes) == len(seeds)
-        assert all(split_fold(shape) for shape in shapes)
-        shapes.clear()
-        convergence_sweep(POWER, signal, n_values, 32, 256, base_seed=3)
-        assert len(shapes) == 1
-        assert split_fold(shapes[0])
+        transforms(len(seeds))
+        convergence_sweep(POWER, signal, n_values, 32, S, base_seed=3)
+        transforms(1)
 
     def test_shared_draws_match_per_cell_route(self):
         # Reference: draw and transform the noisy spectrum inside every

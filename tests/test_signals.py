@@ -1,10 +1,12 @@
 import functools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from specfill import signals
 from specfill.signals import (
     ENVELOPE_DEGREE,
     NOISE_BAND,
@@ -77,6 +79,45 @@ def direct_envelope(seed, omega):
 def generated(make, grid_size):
     return make({make_bandlimited: 2.5, make_power_decay: 1.0}[make], 7,
                 grid_size)
+
+
+def whole_fold_read(fold, grid_size, half_length):
+    """Reference route: one inverse FFT of every fold row, then each
+    output pair's D phased row values summed in one einsum (one for the
+    pairs s < 0, which read the rows' last entries, one for the rest).
+    Returns the window and the largest sum of |term| over the output
+    pairs, the scale of the sums' rounding."""
+    D, P = fold.shape
+    first = -half_length // 2
+    ss = np.arange(first, half_length // 2 + 1)
+    angle = np.multiply.outer(2.0 * np.arange(D) + 1, ss)
+    angle *= 2.0 * PI / grid_size
+    phases = (np.cos(angle) + 1j * np.sin(angle)) * (0.5 / D)
+    rows = np.fft.ifft(fold, axis=1)
+    below = -first
+    pairs = np.concatenate([
+        np.einsum("rs,rs->s", phases[:, :below], rows[:, P - below:]),
+        np.einsum("rs,rs->s", phases[:, below:], rows[:, :ss.size - below])])
+    start = -half_length - 2 * first
+    scale = float(np.max(np.sum(np.abs(phases * rows[:, ss % P]), axis=0)))
+    return pairs.view(float)[start:start + 2 * half_length + 1], scale
+
+
+def traced_peak(fn):
+    """fn() and the most bytes it held at once above those held before the
+    call, as tracemalloc sees them; numpy reports its data buffers to it,
+    so the figure is deterministic."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 def masked_noise_values(spec, sigma, noise_seed):
@@ -358,6 +399,29 @@ class TestInverseTransform:
         assert first.samples.tobytes() == second.samples.tobytes()
         assert (first.samples.tobytes()
                 == inverse_transform(sig, half_length).samples.tobytes())
+
+    # Every SPLITS fold is one block of the default _ROW_BLOCK; 2 forces
+    # 2-row blocks (16384 of them at 2^17, S = 1) and 2^10 blocks of 2 to
+    # 512 rows.
+    @pytest.mark.parametrize("row_block", [2, 2 ** 10, signals._ROW_BLOCK])
+    @pytest.mark.parametrize("grid_size, half_length", SPLITS)
+    def test_blocked_reader_matches_whole_fold_route(
+            self, monkeypatch, grid_size, half_length, row_block):
+        monkeypatch.setattr(signals, "_ROW_BLOCK", row_block)
+        sig = random_spectrum(grid_size, seed=grid_size + half_length)
+        P, D = _split_shape(grid_size, half_length)
+        fold = _fold_rows(sig.positive, sig.positive,
+                          *_fold_twiddle(grid_size, P, D))
+        samples = _window_reader(grid_size, half_length)(fold).samples
+        ref, scale = whole_fold_read(fold, grid_size, half_length)
+        if row_block >= fold.size:
+            assert samples.tobytes() == ref.tobytes()
+        else:
+            # Blocks only regroup each output's sum of D terms, so the gap
+            # is rounding relative to the terms' magnitudes; the windows of
+            # a random spectrum cancel to far below that (to about 1/200 of
+            # it at 2^17, S = 1).
+            assert np.max(np.abs(samples - ref)) <= 1e-15 * scale
 
     @pytest.mark.parametrize("grid_size, half_length", SPLITS)
     def test_fold_twiddle_matches_direct_trig(self, grid_size, half_length):
@@ -651,3 +715,36 @@ class TestNoisyInverseTransforms:
         assert np.isfinite(scale)
         assert (np.max(np.abs(big.samples - 1e306 * unit.samples))
                 <= 1e-14 * scale)
+
+
+class TestTracedMemory:
+    """Peaks of numpy allocations at grid_noise's scale (grid 2^20,
+    S = 32768): no whole-grid temporary beyond the arrays named."""
+
+    M = 2 ** 20
+    MiB = 2 ** 20
+
+    @pytest.mark.parametrize("build", [
+        lambda M: make_power_decay(1.0, 3, M),
+        lambda M: make_bandlimited(2.5, 3, M)],
+        ids=["power_decay", "bandlimited"])
+    def test_generators_peak_at_the_positive_half(self, build):
+        sig, peak = traced_peak(lambda: build(self.M))
+        assert sig.positive.nbytes == 8 * self.MiB
+        assert peak <= sig.positive.nbytes + self.MiB
+
+    def test_noisy_sweep_peaks_at_fold_phases_and_one_row_block(self):
+        S, seeds = 32768, (0, 1)
+        sig = make_power_decay(1.0, 3, self.M)
+        draws, peak = traced_peak(
+            lambda: noisy_inverse_transforms(sig, S, 1e-6, seeds))
+        P, D = _split_shape(self.M, S)
+        item = np.dtype(complex).itemsize
+        fold = D * P * item
+        phases = D * (S + 1) * item
+        row_block = min(D, max(2, signals._ROW_BLOCK // P)) * P * item
+        # The returned windows are the sweep's output, not working memory:
+        # each is a view of its S + 1 output pairs.
+        outputs = len(seeds) * (S + 1) * item
+        assert len(draws) == len(seeds)
+        assert peak <= fold + phases + row_block + outputs + self.MiB
