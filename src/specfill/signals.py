@@ -7,6 +7,8 @@ band edges, none at zero), with M a power of two >= 1024.  The negative
 half is conj of the positive half reversed; it is never stored, so the
 symmetry holds by construction.  Sequences live on finite windows [-S, S];
 window-growth assertions in the tests stand in for the infinite objects.
+A recovery sweep forms only the 2T + 1 samples its taps read, |t| <= T;
+S then only picks how the transform splits the grid.
 
 Generators are deterministic functions of (parameters, seed) built on the
 counter-based Philox bit generator.  They evaluate their profile once, in
@@ -18,19 +20,20 @@ to resolve sub-grid bands near the edges.
 
 The inverse transform folds the positive half and its conjugate mirror into
 one half-length array whose inverse DFT yields the real sequence two
-samples per output value.  Only the outputs the window reads are formed:
-the fold is held in row layout, a C-contiguous (D, P) array whose row r is
-fold[r::D]; blocks of at least two rows are inverse-transformed along
-their contiguous points into one reused block array, and each output
-accumulates its D phased row values block by block.  The fold runs in
-blocks of grid entries too, so no temporary grows with the grid; the fold
-is the only half-grid array.  Spectral noise is flat-magnitude and
-random-phase on the edge band omega > pi - NOISE_BAND, the top of the
-positive half-grid, so its mirror covers the other edge.  A sweep over
-noise seeds folds the clean spectrum once; each seed then adds its noise to
-a copy of the band's top entries and refolds from them, in place, only the
-block of entries at each end of every row that the band reaches, and reads
-the window from the fold block by block, with no noisy grid built.
+samples per output value.  Only the outputs the window reads are formed
+(for a sweep, the tap window [-T, T], not [-S, S]): the fold is held in
+row layout, a C-contiguous (D, P) array whose row r is fold[r::D]; blocks
+of at least two rows are inverse-transformed along their contiguous
+points into one reused block array, and each output accumulates its D
+phased row values block by block.  The fold runs in blocks of grid
+entries too, so no temporary grows with the grid; the fold is the only
+half-grid array.  Spectral noise is flat-magnitude and random-phase on the
+edge band omega > pi - NOISE_BAND, the top of the positive half-grid, so
+its mirror covers the other edge.  A sweep over noise seeds folds the clean
+spectrum once; each seed then adds its noise to a copy of the band's top
+entries and refolds from them, in place, only the block of entries at each
+end of every row that the band reaches, and reads the window from the fold
+block by block, with no noisy grid built.
 
 Both generated families are uniformly well behaved: envelopes are bounded
 trigonometric polynomials, so any finite family drawn from them has
@@ -103,7 +106,10 @@ class SpectralSignal:
 class TimeSignal:
     """Real samples x(t) on t in [-S, S] with the center value retained.
 
-    ``samples`` is one-dimensional with an odd length 2S + 1.
+    ``samples`` is one-dimensional with an odd length 2S + 1.  A recovery
+    sweep's draws hold only the tap window [-T, T], so their half-length
+    is T: the 2T + 1 samples the taps read.  The sweep's signal
+    half-length only picks the split of the transform that forms them.
     """
 
     samples: np.ndarray
@@ -339,10 +345,24 @@ def _split_shape(grid_size: int, half_length: int) -> tuple[int, int]:
     return P, grid_size // 2 // P
 
 
-def _window_reader(grid_size: int,
-                   half_length: int) -> Callable[[np.ndarray], TimeSignal]:
+def _tap_window(half_length: int, tap_half_length: int | None) -> int:
+    """T, the half-length of the window a transform forms: S when
+    ``tap_half_length`` is None, else ``tap_half_length``, which must lie
+    in [1, S]."""
+    if tap_half_length is None:
+        return half_length
+    if not 1 <= tap_half_length <= half_length:
+        raise ValueError(
+            f"tap_half_length must lie in [1, half_length], got "
+            f"T={tap_half_length} S={half_length}")
+    return tap_half_length
+
+
+def _window_reader(grid_size: int, half_length: int,
+                   tap_half_length: int) -> Callable[[np.ndarray], TimeSignal]:
     """The map from a fold of an M-point grid, in the row layout of
-    :func:`_fold_rows`, to x(t) on [-S, S].
+    :func:`_fold_rows` for the split that S = ``half_length`` picks, to
+    x(t) on the tap window [-T, T], T = ``tap_half_length`` <= S.
 
     Writing L = M/2 and splitting the fold's index as m = D q + r (shape
     from :func:`_split_shape`), the inverse FFT of the fold at s is
@@ -350,26 +370,32 @@ def _window_reader(grid_size: int,
     P-point inverse FFT of row r of the fold, fold[r::D].  With the pair
     phase (1/2) e^(2 pi i s / M) of :func:`inverse_transform` folded in,
     x(2s) + i x(2s+1) = sum_r phases[r, s] Z[r, s mod P] with
-    phases[r, s] = (0.5 / D) e^(2 pi i s (2r + 1) / M).  The phases and a
-    block array for Z are built once per reader, so a sweep shares them
-    across its folds.  Each call takes the fold's rows in blocks of
-    ``_ROW_BLOCK`` entries (at least two rows, at most D): it runs one
-    inverse FFT along the block's contiguous rows into the block array and
-    adds the block's terms into each output pair, with no (D, S + 1)
-    product formed.  A fold of one block sums each pair in one pass; more
-    blocks regroup each pair's sum, which moves it by rounding, about 1e-16
-    of the sum of its terms' magnitudes.  The fold is left unchanged, and
-    the window is a view of a fresh pairs array, so no copy is made.
+    phases[r, s] = (0.5 / D) e^(2 pi i s (2r + 1) / M).  Only the T + 1
+    pairs that cover [-T, T] are formed, so the phases are a (D, T + 1)
+    table; P >= S + 1 >= T + 1 keeps them inside one period of Z.  Each
+    phase, each row transform and each pair's sum is that of the [-S, S]
+    window, so the samples are its slice at |t| <= T, bit for bit.  The
+    phases and a block array for Z are built once per reader, so a sweep
+    shares them across its folds.  Each call takes the fold's rows in
+    blocks of ``_ROW_BLOCK`` entries (at least two rows, at most D): it
+    runs one inverse FFT along the block's contiguous rows into the block
+    array and adds the block's terms into each output pair, with no
+    (D, T + 1) product formed.  A fold of one block sums each pair in one
+    pass; more blocks regroup each pair's sum, which moves it by rounding,
+    about 1e-16 of the sum of its terms' magnitudes.  The fold is left
+    unchanged, and the window is a view of a fresh pairs array, so no copy
+    is made.
     """
     P, D = _split_shape(grid_size, half_length)
-    # Pairs (x(2s), x(2s+1)) for s = floor(-S/2) .. floor(S/2) cover [-S, S];
+    T = tap_half_length
+    # Pairs (x(2s), x(2s+1)) for s = floor(-T/2) .. floor(T/2) cover [-T, T];
     # the `below` values s < 0 read the last entries of each row of Z, the
     # rest the first.
-    first = -half_length // 2
+    first = -T // 2
     below = -first
-    count = half_length // 2 + 1 - first
+    count = T // 2 + 1 - first
     # The angles are built in the phases' real parts, whose products
-    # s (2r + 1) are exact, so the set-up makes no (D, S + 1) temporary.
+    # s (2r + 1) are exact, so the set-up makes no (D, T + 1) temporary.
     phases = np.empty((D, count), dtype=complex)
     angle = phases.real
     np.multiply.outer(2.0 * np.arange(D) + 1,
@@ -385,7 +411,7 @@ def _window_reader(grid_size: int,
     halves = ((slice(None, below), slice(None, below), slice(P - below, None)),
               (slice(below, None), slice(below, None),
                slice(None, count - below)))
-    start = -half_length - 2 * first
+    start = -T - 2 * first
 
     def read(fold: np.ndarray) -> TimeSignal:
         pairs = np.empty(count, dtype=complex)
@@ -399,17 +425,18 @@ def _window_reader(grid_size: int,
                 else:
                     np.einsum("rs,rs->s", phases[:rows, cols], block[:, z],
                               out=pairs[out])
-        samples = pairs.view(float)[start:start + 2 * half_length + 1]
+        samples = pairs.view(float)[start:start + 2 * T + 1]
         if not np.all(np.isfinite(samples)):
             raise ValueError(
                 f"inverse transform overflows: the window of half-length "
-                f"{half_length} holds non-finite samples")
+                f"{T} holds non-finite samples")
         return TimeSignal(samples=samples)
 
     return read
 
 
-def inverse_transform(spec: SpectralSignal, half_length: int) -> TimeSignal:
+def inverse_transform(spec: SpectralSignal, half_length: int,
+                      tap_half_length: int | None = None) -> TimeSignal:
     """x(t) = (1/2pi) integral of X e^(i omega t), trapezoid on the grid.
 
     On the midpoint grid the trapezoid sum is a phase-shifted inverse DFT.
@@ -417,8 +444,11 @@ def inverse_transform(spec: SpectralSignal, half_length: int) -> TimeSignal:
     length M/2, A_m = (P_m + N_m) + i e^(i theta_m) (P_m - N_m) with
     P = ``spec.positive``, N = conj(P[::-1]) the negative half-grid and
     theta_m = (m + 1/2) 2 pi / M, and
-    x(2s) + i x(2s+1) = (1/2) e^(2 pi i s / M) ifft(A)[s mod M/2].  Only
-    the S + 1 outputs the window reads are formed: A is held as D
+    x(2s) + i x(2s+1) = (1/2) e^(2 pi i s / M) ifft(A)[s mod M/2].  The
+    window is [-S, S], S = ``half_length``, or with ``tap_half_length``
+    T <= S given, only [-T, T]: S then only picks the split, and the
+    samples are those of the [-S, S] window at |t| <= T, bit for bit.  Only
+    the T + 1 outputs the window reads are formed: A is held as D
     contiguous rows of P >= S + 1 points, row r = A[r::D], the rows are
     inverse-transformed a block at a time, and each output combines its D
     row values (see :func:`_window_reader`).  Requires grid_size >= 8 *
@@ -427,13 +457,14 @@ def inverse_transform(spec: SpectralSignal, half_length: int) -> TimeSignal:
     """
     M = spec.grid_size
     _check_window(M, half_length)
+    T = _tap_window(half_length, tap_half_length)
     P, D = _split_shape(M, half_length)
     # A finite spectrum can still overflow the sums; the window reader
     # reports that, so numpy's own warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
         fold = _fold_rows(spec.positive, spec.positive,
                           *_fold_twiddle(M, P, D))
-        return _window_reader(M, half_length)(fold)
+        return _window_reader(M, half_length, T)(fold)
 
 
 def forward_transform(signal: TimeSignal, grid_size: int) -> SpectralSignal:
@@ -561,31 +592,36 @@ def add_spectral_noise(spec: SpectralSignal, sigma: float,
 
 
 def noisy_inverse_transforms(spec: SpectralSignal, half_length: int,
-                             sigma: float,
-                             seeds: tuple[int, ...]) -> list[TimeSignal]:
+                             sigma: float, seeds: tuple[int, ...],
+                             tap_half_length: int | None = None
+                             ) -> list[TimeSignal]:
     """``inverse_transform(add_spectral_noise(spec, sigma, seed),
-    half_length)`` for each seed, bit for bit, with no noisy grid built.
+    half_length, tap_half_length)`` for each seed, bit for bit, with no
+    noisy grid built: each draw is formed only on the window [-T, T] (T
+    defaults to S = ``half_length``, which picks the fold's split).
 
     The noise band is the top ``count`` bins of P = ``spec.positive``, so
     it enters both ends of the fold: entries M/2 - count .. M/2 - 1 through
     P and entries 0 .. count - 1 through N = conj(P[::-1]).  In the row
     layout of :func:`_fold_rows` those lie in the first and the last
     ``width = ceil(count / D)`` entries of every row.  So the clean
-    spectrum is folded once, and one window reader (its phases and its
-    block array) serves every seed; of the twiddle's P column factors only
-    the 2 width that the band blocks use are kept past the clean fold.
-    Each seed copies the top ``width D`` entries of P and adds its band to
-    them; that one noisy slice, paired with the clean bottom ``width D``
-    entries, refolds both (D, width) blocks in place.  The reader's blocked
-    inverse FFT then leaves the fold unchanged.  The D width - count
-    entries of each block that the band misses are refolded from clean
-    values, so they keep their bits.  Errors are those of the per-seed
-    route.
+    spectrum is folded once, and one window reader (its (D, T + 1) phases
+    and its block array) serves every seed; of the twiddle's P column
+    factors only the 2 width that the band blocks use are kept past the
+    clean fold.  Each seed copies the top ``width D`` entries of P and adds
+    its band to them; that one noisy slice, paired with the clean bottom
+    ``width D`` entries, refolds both (D, width) blocks in place.  The
+    reader's blocked inverse FFT then leaves the fold unchanged.  The
+    D width - count entries of each block that the band misses are
+    refolded from clean values, so they keep their bits.  Errors are those
+    of the per-seed route.
     """
     if sigma == 0.0:
-        return [inverse_transform(spec, half_length)] * len(seeds)
+        return [inverse_transform(spec, half_length,
+                                  tap_half_length)] * len(seeds)
     M = spec.grid_size
     _check_window(M, half_length)
+    T = _tap_window(half_length, tap_half_length)
     P, D = _split_shape(M, half_length)
     count = _noise_band_count(M)
     width = _band_width(M, half_length)
@@ -599,7 +635,7 @@ def noisy_inverse_transforms(spec: SpectralSignal, half_length: int,
         # Only the band blocks' step factors outlive the clean fold.
         low, high = step[:width].copy(), step[P - width:].copy()
         del step
-        read = _window_reader(M, half_length)
+        read = _window_reader(M, half_length, T)
         for seed in seeds:
             noisy_top = top.copy()
             noisy_top[-count:] += _noise_band(M, sigma, seed)

@@ -17,6 +17,7 @@ from specfill.recovery import (
     spectral_error,
 )
 from specfill.signals import (
+    SpectralSignal,
     TimeSignal,
     add_spectral_noise,
     from_profile,
@@ -262,10 +263,26 @@ class TestConvergenceSweep:
             convergence_sweep(POWER, signal, [4, 2], 32, 256)
 
     def test_errors_tagged_with_n(self):
+        # A spectrum with no analytic profile transforms, but
+        # spectral_error rejects it inside the cell.
+        signal = SpectralSignal(
+            positive=make_bandlimited(PI / 2, 7, 2 ** 14).positive)
+        with pytest.raises(RuntimeError, match="n=2.*analytic profile"):
+            convergence_sweep(POWER, signal, [2], 32, 256)
+
+    @pytest.mark.parametrize("noise", [{}, {"noise_sigma": 1e-6,
+                                            "noise_seeds": (0,)}])
+    def test_tap_window_wider_than_signal_window_rejected(self, monkeypatch,
+                                                          noise):
+        # The draws are read at |t| <= T from a split sized by S, so T > S
+        # is refused before any transform runs, naming both.
+        def no_ifft(*args, **kwargs):
+            raise AssertionError("transformed before the window check")
+
+        monkeypatch.setattr(np.fft, "ifft", no_ifft)
         signal = make_bandlimited(PI / 2, 7, 2 ** 14)
-        # T > S breaks recover_center's precondition inside the cell.
-        with pytest.raises(RuntimeError, match="n=2"):
-            convergence_sweep(POWER, signal, [2], 512, 256)
+        with pytest.raises(ValueError, match=r"T=512 .*S=256"):
+            convergence_sweep(POWER, signal, [2], 512, 256, **noise)
 
 
 class TestCsvRow:

@@ -393,7 +393,7 @@ class TestInverseTransform:
                           *_fold_twiddle(grid_size, P, D))
         assert fold.shape == (D, P) and fold.flags.c_contiguous
         before = fold.tobytes()
-        read = _window_reader(grid_size, half_length)
+        read = _window_reader(grid_size, half_length, half_length)
         first, second = read(fold), read(fold)
         assert fold.tobytes() == before
         assert first.samples.tobytes() == second.samples.tobytes()
@@ -412,7 +412,8 @@ class TestInverseTransform:
         P, D = _split_shape(grid_size, half_length)
         fold = _fold_rows(sig.positive, sig.positive,
                           *_fold_twiddle(grid_size, P, D))
-        samples = _window_reader(grid_size, half_length)(fold).samples
+        read = _window_reader(grid_size, half_length, half_length)
+        samples = read(fold).samples
         ref, scale = whole_fold_read(fold, grid_size, half_length)
         if row_block >= fold.size:
             assert samples.tobytes() == ref.tobytes()
@@ -717,6 +718,46 @@ class TestNoisyInverseTransforms:
                 <= 1e-14 * scale)
 
 
+class TestTapWindow:
+    """A transform formed only on the tap window [-T, T], its split still
+    picked by S, is the [-T, T] slice of the [-S, S] window, bit for bit."""
+
+    # 2 forces 2-row blocks, so every SPLITS fold with D > 2 is read in
+    # several blocks; the default reads each in one.
+    @pytest.mark.parametrize("row_block", [2, signals._ROW_BLOCK])
+    @pytest.mark.parametrize("sigma", [0.0, 1e-6])
+    @pytest.mark.parametrize("grid_size, half_length", SPLITS)
+    @pytest.mark.parametrize("make", [make_bandlimited, make_power_decay])
+    def test_tap_window_is_slice_of_signal_window(
+            self, monkeypatch, make, grid_size, half_length, sigma,
+            row_block):
+        monkeypatch.setattr(signals, "_ROW_BLOCK", row_block)
+        S = half_length
+        sig = generated(make, grid_size)
+        noisy = add_spectral_noise(sig, sigma, 4)
+        seeds = (4, 0)
+        whole = inverse_transform(noisy, S).samples
+        whole_draws = noisy_inverse_transforms(sig, S, sigma, seeds)
+        for T in sorted({t for t in (1, 2, S // 2, S) if 1 <= t <= S}):
+            window = slice(S - T, S + T + 1)
+            part = inverse_transform(noisy, S, T)
+            assert part.half_length == T
+            assert part.samples.tobytes() == whole[window].tobytes()
+            draws = noisy_inverse_transforms(sig, S, sigma, seeds, T)
+            for draw, ref in zip(draws, whole_draws, strict=True):
+                assert (draw.samples.tobytes()
+                        == ref.samples[window].tobytes())
+
+    @pytest.mark.parametrize("tap_half_length", [0, -1, 9])
+    def test_tap_window_outside_signal_window_rejected(self,
+                                                       tap_half_length):
+        sig = generated(make_bandlimited, 2 ** 12)
+        with pytest.raises(ValueError, match=f"T={tap_half_length} S=8"):
+            inverse_transform(sig, 8, tap_half_length)
+        with pytest.raises(ValueError, match=f"T={tap_half_length} S=8"):
+            noisy_inverse_transforms(sig, 8, 1e-6, (0,), tap_half_length)
+
+
 class TestTracedMemory:
     """Peaks of numpy allocations at grid_noise's scale (grid 2^20,
     S = 32768): no whole-grid temporary beyond the arrays named."""
@@ -733,18 +774,20 @@ class TestTracedMemory:
         assert sig.positive.nbytes == 8 * self.MiB
         assert peak <= sig.positive.nbytes + self.MiB
 
-    def test_noisy_sweep_peaks_at_fold_phases_and_one_row_block(self):
-        S, seeds = 32768, (0, 1)
+    def test_noisy_tap_window_sweep_peaks_at_fold_and_one_row_block(self):
+        # grid_noise's sweep: S = 32768 picks the split, and each draw is
+        # formed only on the tap window T = 64, so the reader's phases and
+        # outputs are O(D T), with no (D, S + 1) table.
+        S, T, seeds = 32768, 64, (0, 1)
         sig = make_power_decay(1.0, 3, self.M)
         draws, peak = traced_peak(
-            lambda: noisy_inverse_transforms(sig, S, 1e-6, seeds))
+            lambda: noisy_inverse_transforms(sig, S, 1e-6, seeds, T))
         P, D = _split_shape(self.M, S)
         item = np.dtype(complex).itemsize
         fold = D * P * item
-        phases = D * (S + 1) * item
         row_block = min(D, max(2, signals._ROW_BLOCK // P)) * P * item
         # The returned windows are the sweep's output, not working memory:
-        # each is a view of its S + 1 output pairs.
-        outputs = len(seeds) * (S + 1) * item
-        assert len(draws) == len(seeds)
-        assert peak <= fold + phases + row_block + outputs + self.MiB
+        # each is a view of its T + 1 output pairs.
+        phases_and_outputs = (D + len(seeds)) * (T + 1) * item
+        assert [draw.half_length for draw in draws] == [T] * len(seeds)
+        assert peak <= fold + row_block + phases_and_outputs + self.MiB
