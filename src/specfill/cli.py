@@ -4,16 +4,20 @@ Subcommands
 -----------
 ``kernel``          resolve kernels and export tap files plus a summary
 ``recover``         recovery sweep over band indices, CSV of report rows
-``robustness``      noisy recovery study with bound-violation accounting
+``robustness``      the same sweep, with ``noise`` required
 ``validate-weight`` run the numerical admissibility checks on a weight
 
 Every command takes ``--config <path>`` (JSON, schema below) and ``--out``
 (output file or directory, overriding the config's ``output_path``).  Exit
 codes: 0 success, 1 configuration error (an output path that cannot be
-written is one), 2 numerical failure.  Outputs are byte-identical across
-reruns: rows are sorted canonically, floats serialize via repr, and every
-file opens with a header comment carrying the tool version, a hash of the
-canonical config, and the seeds in play.
+written is one), 2 numerical failure (for ``validate-weight``, a failed
+check), 3 a failed robustness check.  A ``recover`` or ``robustness`` sweep
+with ``noise`` ends its CSV with ``# violations=<count>``, the number of
+rows whose ``abs_error <= robust_bound`` does not hold, and exits 3 when
+that count is not 0.  Outputs are byte-identical across reruns: rows are
+sorted canonically, floats serialize via repr, and every file opens with a
+header comment carrying the tool version, a hash of the canonical config,
+and the seeds in play.
 
 Config schema (JSON)::
 
@@ -29,10 +33,16 @@ Config schema (JSON)::
       "output_path": "reports.csv"
     }
 
-``weight.family`` is one of ``power_law`` (needs ``nu``), ``general_power``
-(needs ``nu`` and ``a``), ``direct`` (needs ``nu``; ``p`` must be
-``"inf"``).  ``p`` accepts a number or the string ``"inf"``, its default.
-Only ``general_power`` takes ``a``; the other families accept it only as
+The weight is h = (pi^2 - omega^2)^(-nu) with companion
+W = (pi^2 - omega^2)^(-beta); ``weight.family`` fixes beta:
+
+* ``power_law``: beta = 1; needs ``nu > 0`` and ``p > 1/nu``;
+* ``general_power``: beta = nu * a; needs ``nu > 0`` and a finite
+  ``nu * a``;
+* ``direct``: beta = nu; needs ``nu >= 0`` and ``p = "inf"``.
+
+``p`` accepts a number above 1 or the string ``"inf"``, its default.  Only
+``general_power`` takes ``a``; the other families accept it only as
 ``null``.  ``signal.kind`` is ``bandlimited`` (needs ``omega``, takes no
 ``nu``) or ``powerdecay`` (needs ``nu``, takes no ``omega``); both need
 ``seed``.  ``signal.seed`` and every ``noise.seeds`` entry are
@@ -80,17 +90,12 @@ from .kernel import (
 )
 from .recovery import CSV_COLUMNS, convergence_sweep
 from .signals import SpectralSignal, make_bandlimited, make_power_decay
-from .weights import (
-    WeightSpec,
-    make_direct_weight,
-    make_general_power_weight,
-    make_power_weight,
-    validate_weight,
-)
+from .weights import WeightSpec, validate_weight
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
+EXIT_VIOLATIONS = 3
 
 #: Largest accepted ``grid_size`` (256 MiB of complex grid values).  T and
 #: S are at most grid_size / 16, so this one cap bounds every array a
@@ -105,6 +110,9 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class ExperimentConfig:
     weight: WeightSpec
+    # The config's own spelling of the weight, kept for the config hash.
+    weight_family: str
+    weight_a: float | None
     signal_kind: str
     signal_omega: float | None
     signal_nu: float | None
@@ -119,9 +127,9 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         weight = {
-            "family": self.weight.family.value,
+            "family": self.weight_family,
             "nu": self.weight.nu,
-            "a": self.weight.a,
+            "a": self.weight_a,
             "p": "inf" if self.weight.p == math.inf else self.weight.p,
         }
         signal: dict = {"kind": self.signal_kind, "seed": self.signal_seed}
@@ -220,7 +228,8 @@ def _parse_p(raw, where: str) -> float:
     return _finite(raw, f"{where}.p")
 
 
-def _parse_weight(raw: dict) -> WeightSpec:
+def _parse_weight(raw: dict) -> tuple[WeightSpec, str, float | None]:
+    """The weight spec, family and a of a config's ``weight`` object."""
     _reject_unknown(raw, "weight")
     family = _require(raw, "family", str, "weight")
     if family not in ("power_law", "general_power", "direct"):
@@ -230,6 +239,7 @@ def _parse_weight(raw: dict) -> WeightSpec:
     # A field the family would drop is an error, so the config hash never
     # records a value the run did not use.  A null a is what to_dict
     # writes for the families without one.
+    a = None
     if family == "general_power":
         a = _require(raw, "a", float, "weight")
     elif raw.get("a") is not None:
@@ -239,13 +249,24 @@ def _parse_weight(raw: dict) -> WeightSpec:
         raise ConfigError(f'weight.p: family {family!r} needs p = "inf", '
                           f"got {raw['p']!r}")
     try:
+        # direct accepts nu = 0, the constant weight, so that
+        # validate-weight can show it inadmissible.
+        if family != "direct" and not nu > 0:
+            raise ValueError(f"nu must be positive, got {nu}")
         if family == "power_law":
-            return make_power_weight(nu, p)
-        if family == "general_power":
-            return make_general_power_weight(nu, a, p)
-        return make_direct_weight(nu)
+            beta = 1.0
+        elif family == "general_power":
+            beta = nu * a
+        else:
+            beta = nu
+        weight = WeightSpec(nu, beta, p)
+        if family == "power_law" and p != math.inf and not p > 1.0 / nu:
+            raise ValueError(
+                f"power-law weight with nu={nu} requires p > 1/nu = "
+                f"{1.0 / nu}, got p={p}")
     except ValueError as exc:
         raise ConfigError(f"weight: {exc}") from exc
+    return weight, family, a
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
@@ -253,7 +274,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     _reject_unknown(raw, "config")
-    weight = _parse_weight(_require(raw, "weight", dict, "config"))
+    weight, family, a = _parse_weight(_require(raw, "weight", dict,
+                                               "config"))
 
     sig = _require(raw, "signal", dict, "config")
     _reject_unknown(sig, "signal")
@@ -333,10 +355,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("output_path: expected a string")
 
     return ExperimentConfig(
-        weight=weight, signal_kind=kind, signal_omega=omega, signal_nu=nu,
-        signal_seed=seed, n_values=tuple(n_values), T=T, S=S,
-        grid_size=grid_size, noise_sigma=noise_sigma,
-        noise_seeds=noise_seeds, output_path=output_path)
+        weight=weight, weight_family=family, weight_a=a, signal_kind=kind,
+        signal_omega=omega, signal_nu=nu, signal_seed=seed,
+        n_values=tuple(n_values), T=T, S=S, grid_size=grid_size,
+        noise_sigma=noise_sigma, noise_seeds=noise_seeds,
+        output_path=output_path)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -391,44 +414,36 @@ def _write_reports_csv(path: Path, config: ExperimentConfig, reports,
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in _header_lines(config):
             fh.write(line + "\n")
-        fh.write(",".join((*CSV_COLUMNS, "error")) + "\n")
+        fh.write(",".join(CSV_COLUMNS) + "\n")
         for report in reports:
-            # The error column stays empty: a failed row aborts the run.
-            fh.write(",".join((*report.csv_row(), "")) + "\n")
+            fh.write(",".join(report.csv_row()) + "\n")
         if trailer is not None:
             fh.write(trailer + "\n")
 
 
-def _run_sweep(config: ExperimentConfig):
-    return convergence_sweep(
+def cmd_sweep(args) -> int:
+    """``recover`` and ``robustness``; the latter requires ``noise``."""
+    config = load_config(args.config)
+    noisy = config.noise_sigma is not None
+    if args.command == "robustness" and not noisy:
+        raise ConfigError("noise: required for robustness")
+    out = _resolve_out(args, config, args.command)
+    rows = convergence_sweep(
         config.weight, config.build_signal(), list(config.n_values),
         config.T, config.S, noise_sigma=config.noise_sigma,
         noise_seeds=config.noise_seeds, base_seed=config.signal_seed)
-
-
-def cmd_recover(args) -> int:
-    config = load_config(args.config)
-    out = _resolve_out(args, config, "recover")
-    rows = _run_sweep(config)
-    _write_reports_csv(out, config, rows)
-    print(f"recover: wrote {len(rows)} rows to {out}")
-    return EXIT_OK
-
-
-def cmd_robustness(args) -> int:
-    config = load_config(args.config)
-    if config.noise_sigma is None:
-        raise ConfigError("noise: required for robustness")
-    out = _resolve_out(args, config, "robustness")
-    rows = _run_sweep(config)
-    # A NaN error or bound compares false both ways; it counts as a
-    # violation, never as a pass.
-    violations = sum(1 for r in rows if not r.abs_error <= r.robust_bound)
-    _write_reports_csv(out, config, rows,
-                       trailer=f"# violations={violations}")
-    print(f"robustness: wrote {len(rows)} rows to {out}; "
-          f"violations={violations}")
-    return EXIT_OK
+    summary = f"{args.command}: wrote {len(rows)} rows to {out}"
+    trailer = None
+    violations = 0
+    if noisy:
+        # A NaN error or bound compares false both ways; it counts as a
+        # violation, never as a pass.
+        violations = sum(1 for r in rows if not r.abs_error <= r.robust_bound)
+        trailer = f"# violations={violations}"
+        summary += f"; violations={violations}"
+    _write_reports_csv(out, config, rows, trailer=trailer)
+    print(summary)
+    return EXIT_VIOLATIONS if violations else EXIT_OK
 
 
 def cmd_validate_weight(args) -> int:
@@ -444,8 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Recovering-kernel construction and verification runner")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (("kernel", cmd_kernel), ("recover", cmd_recover),
-                     ("robustness", cmd_robustness),
+    for name, fn in (("kernel", cmd_kernel), ("recover", cmd_sweep),
+                     ("robustness", cmd_sweep),
                      ("validate-weight", cmd_validate_weight)):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config path")

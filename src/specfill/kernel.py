@@ -89,12 +89,12 @@ def _check_n(n: int) -> None:
 def solve_epsilon_n(weight: WeightSpec, n: int) -> float:
     """Outer band width eps_n in (0, 1/n) solving the normalization equation.
 
-    Companion exponent 1 (the power-law family) inverts the closed-form
-    antiderivative exactly; other companions fall back to bisection with
-    quadrature (:func:`solve_epsilon_n_bisect`).
+    Companion exponent beta = 1 (the paper's power law) inverts the
+    closed-form antiderivative exactly; other companions fall back to
+    bisection with quadrature (:func:`solve_epsilon_n_bisect`).
     """
     _check_n(n)
-    if weight.companion_power == 1.0:
+    if weight.beta == 1.0:
         # (1/2pi) log((2pi - eps)/eps) = (1/2pi) log(2 pi n - 1) + pi - 1/n
         ratio = (2.0 * PI * n - 1.0) * math.exp(2.0 * PI * PI - 2.0 * PI / n)
         return 2.0 * PI / (1.0 + ratio)
@@ -111,7 +111,7 @@ def solve_epsilon_n_bisect(weight: WeightSpec, n: int) -> float:
     to machine precision in u, far below 1e-14/n absolute in eps_n.
     """
     _check_n(n)
-    beta = weight.companion_power
+    beta = weight.beta
     u_a = _inner_edge_u(n)
     target = PI - 1.0 / n
 
@@ -125,9 +125,8 @@ def solve_epsilon_n_bisect(weight: WeightSpec, n: int) -> float:
         u_hi = u_a + step
         if step > 512.0:
             raise QuadratureError(
-                f"normalization equation has no root for weight family "
-                f"'{weight.family.value}' at n={n}; the companion tail "
-                f"integral does not diverge")
+                f"normalization equation has no root for beta={beta!r} "
+                f"at n={n}; the companion tail integral does not diverge")
     u_lo = u_a + 0.5 * step if step > 1.0 else u_a
     for _ in range(200):
         u_mid = 0.5 * (u_lo + u_hi)
@@ -142,8 +141,8 @@ def solve_epsilon_n_bisect(weight: WeightSpec, n: int) -> float:
     eps = float(gap_from_u(0.5 * (u_lo + u_hi)))
     if not 0.0 < eps < 1.0 / n:
         raise QuadratureError(
-            f"bisection for weight family '{weight.family.value}' left the "
-            f"admissible interval (0, 1/{n}): {eps}")
+            f"bisection for beta={beta!r} left the admissible interval "
+            f"(0, 1/{n}): {eps}")
     return eps
 
 
@@ -173,7 +172,7 @@ def compute_kappa(weight: WeightSpec, epsilon: float) -> float:
     sits at the outer edge pi - epsilon; the inner band contributes 1.
     """
     gap_prod = epsilon * (2.0 * PI - epsilon)
-    return max(1.0, gap_prod ** -weight.companion_power)
+    return max(1.0, gap_prod ** -weight.beta)
 
 
 def normalization_residual(spec: KernelSpec) -> float:
@@ -185,8 +184,7 @@ def normalization_residual(spec: KernelSpec) -> float:
     """
     u_a = _inner_edge_u(spec.n)
     u_b = u_from_gap(spec.epsilon_n)
-    value = gap_power_integral(spec.weight.companion_power, u_a, u_b,
-                               tol=1e-13)
+    value = gap_power_integral(spec.weight.beta, u_a, u_b, tol=1e-13)
     return value - (PI - 1.0 / spec.n)
 
 
@@ -229,7 +227,7 @@ def transfer_mean(spec: KernelSpec) -> float:
         return eval_transfer(spec, om)
 
     inner = adaptive_quad(f, 0.0, inner_edge, tol=_MEAN_TOL)
-    middle = -_band_mass_quad(spec.weight.companion_power,
+    middle = -_band_mass_quad(spec.weight.beta,
                               _inner_edge_u(spec.n),
                               u_from_gap(spec.epsilon_n), _MEAN_TOL)
     return (inner + middle) / PI
@@ -247,7 +245,7 @@ def _middle_band_cos_integral(spec: KernelSpec, t: int, u_a: float,
     is the per-tap reference the fixed panels of :func:`_middle_band_fixed`
     are tested against.
     """
-    beta = spec.weight.companion_power
+    beta = spec.weight.beta
 
     def f(u):
         return gap_power_density(beta, u) * np.cos(gap_from_u(u) * t)
@@ -378,7 +376,7 @@ def _middle_band_nodes(spec: KernelSpec, half_length: int):
     u, and a (2, nodes) array holding the K15 and K15 - G7 weights times the
     companion density there.
     """
-    beta = spec.weight.companion_power
+    beta = spec.weight.beta
     gap_a = 1.0 / spec.n
     u_b = u_from_gap(spec.epsilon_n)
     step = _PANEL_PHASE / half_length
@@ -432,7 +430,7 @@ def _middle_band_fixed(spec: KernelSpec, half_length: int) -> np.ndarray:
         raise QuadratureError(
             f"tap quadrature error estimate {err[worst]:.3e} exceeds "
             f"tolerance {QUAD_TOL:.1e} at t={worst + 1} (n={spec.n}, "
-            f"family='{spec.weight.family.value}')")
+            f"beta={spec.weight.beta!r})")
     t = np.arange(1, half_length + 1)
     return np.where(t % 2 == 1, -1.0, 1.0) * kron
 
@@ -444,9 +442,9 @@ def synthesize_taps(spec: KernelSpec, half_length: int) -> KernelTaps:
 
         k(t) = (1/pi) [ sin((pi - 1/n) t)/t  -  integral of W cos(omega t) ],
 
-    with the inner-band term in closed form.  For the companion exponent 1
-    (the power-law family) the middle-band term is closed form too, through
-    the cosine integral Ci, for all t at once:
+    with the inner-band term in closed form.  For companion exponent
+    beta = 1 the middle-band term is closed form too, through the cosine
+    integral Ci, for all t at once:
 
         (-1)^t/(2pi) [Ci(t/n) - Ci(eps_n t) + Ci((2pi - eps_n) t)
                       - Ci((2pi - 1/n) t)].
@@ -469,15 +467,14 @@ def synthesize_taps(spec: KernelSpec, half_length: int) -> KernelTaps:
     inner_edge = PI - 1.0 / n
 
     try:
-        center_mid = _band_mass_quad(spec.weight.companion_power, u_a, u_b,
-                                     QUAD_TOL)
+        center_mid = _band_mass_quad(spec.weight.beta, u_a, u_b, QUAD_TOL)
     except QuadratureError as exc:
         raise QuadratureError(
             f"tap quadrature failed at t=0 (n={n}, "
-            f"family='{spec.weight.family.value}'): {exc}") from exc
+            f"beta={spec.weight.beta!r}): {exc}") from exc
     zero_tap = (inner_edge - center_mid) / PI
     t = np.arange(1, half_length + 1)
-    if spec.weight.companion_power == 1.0:
+    if spec.weight.beta == 1.0:
         mid = _power_law_middle_band(spec, t)
     else:
         mid = _middle_band_fixed(spec, half_length)

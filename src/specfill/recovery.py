@@ -124,7 +124,7 @@ def _band_l1_analytic(spec: KernelSpec,
     def magnitude(omega):
         return np.abs(profile(np.asarray(omega, dtype=float)))
 
-    beta = spec.weight.companion_power
+    beta = spec.weight.beta
     u_a = _inner_edge_u(spec.n)
     u_b = u_from_gap(spec.epsilon_n)
 

@@ -5,20 +5,19 @@ whose spectrum decays fast enough against ``h`` are the recoverable classes.
 Each weight travels with a companion ``W`` whose integral must diverge at the
 band edge while ``|W|^q h^(-q)`` stays integrable (``q`` conjugate to ``p``).
 
-Three constructible families, all powers of the band gap ``pi^2 - omega^2``:
+Every weight here, and its companion, is a power of the band gap
+``pi^2 - omega^2``:
 
-====================  =============================  ==========================
-family                weight h(omega)                companion W(omega)
-====================  =============================  ==========================
-``POWER_LAW``         ``(pi^2 - omega^2)^(-nu)``     ``(pi^2 - omega^2)^(-1)``
-``GENERAL_POWER``     ``(pi^2 - omega^2)^(-nu)``     ``h(omega)^a``
-``DIRECT``            ``(pi^2 - omega^2)^(-nu)``     ``h(omega)``  (p = inf)
-====================  =============================  ==========================
+=============================  =============================
+weight h(omega)                companion W(omega)
+=============================  =============================
+``(pi^2 - omega^2)^(-nu)``     ``(pi^2 - omega^2)^(-beta)``
+=============================  =============================
 
-POWER_LAW admissibility requires ``p > 1/nu``, enforced at construction.
-DIRECT accepts ``nu >= 0`` so that deliberately inadmissible weights (for
-example the constant ``h = 1`` at ``nu = 0``) can be built and then rejected
-by :func:`validate_weight`.
+:class:`WeightSpec` checks only that the numbers are in range.  It takes
+``nu >= 0`` so that deliberately inadmissible weights (for example the
+constant ``h = 1`` at ``nu = 0``) can be built and then rejected by
+:func:`validate_weight`.
 
 All near-edge integrals run under the substitution
 ``u = log((pi + omega)/(pi - omega))``, which flattens the companion
@@ -28,7 +27,6 @@ singularity; composite rules on the raw integrand lose all accuracy within
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -40,42 +38,32 @@ PI = math.pi
 INF = math.inf
 
 
-class WeightFamily(enum.Enum):
-    POWER_LAW = "power_law"
-    GENERAL_POWER = "general_power"
-    DIRECT = "direct"
-
-
 @dataclass(frozen=True)
 class WeightSpec:
-    """An immutable weight/companion pair with its target norm index.
+    """Weight h = (pi^2 - omega^2)^(-nu), companion
+    W = (pi^2 - omega^2)^(-beta), and the target norm index p.
 
-    ``a`` is the companion exponent and is only meaningful for the
-    GENERAL_POWER family.
+    Every numeric route reads only ``beta``; ``nu`` and ``p`` define the
+    class that :func:`validate_weight` checks.
     """
 
-    family: WeightFamily
     nu: float
+    beta: float
     p: float
-    a: float | None = None
+
+    def __post_init__(self):
+        if not (self.nu >= 0 and math.isfinite(self.nu)):
+            raise ValueError(f"nu must be finite and nonnegative, "
+                             f"got {self.nu}")
+        if self.p != INF and not self.p > 1.0:
+            raise ValueError(f"p must exceed 1 (or be inf), got {self.p}")
+        if not math.isfinite(self.beta):
+            raise ValueError(f"beta must be finite, got {self.beta}")
 
     @property
     def q(self) -> float:
         """The conjugate exponent of ``p`` (:func:`conjugate_exponent`)."""
         return conjugate_exponent(self.p)
-
-    @property
-    def companion_power(self) -> float:
-        """Exponent beta with W(omega) = (pi^2 - omega^2)^(-beta)."""
-        if self.family is WeightFamily.POWER_LAW:
-            return 1.0
-        if self.family is WeightFamily.GENERAL_POWER:
-            return self.nu * self.a
-        return self.nu
-
-    def describe(self) -> str:
-        return (f"{self.family.value} nu={self.nu!r} a={self.a!r} "
-                f"p={'inf' if self.p == INF else repr(self.p)}")
 
 
 def conjugate_exponent(p: float) -> float:
@@ -83,51 +71,6 @@ def conjugate_exponent(p: float) -> float:
     if p == INF:
         return 1.0
     return p / (p - 1.0)
-
-
-def _check_p(p: float) -> None:
-    if p != INF and not p > 1.0:
-        raise ValueError(f"p must exceed 1 (or be inf), got {p}")
-
-
-def make_power_weight(nu: float, p: float) -> WeightSpec:
-    """Power-law weight (pi^2 - omega^2)^(-nu) with companion exponent 1.
-
-    Requires nu > 0 and p > 1/nu (any nu > 0 is admissible at p = inf).
-    """
-    if not nu > 0:
-        raise ValueError(f"nu must be positive, got {nu}")
-    _check_p(p)
-    if p != INF and not p > 1.0 / nu:
-        raise ValueError(
-            f"power-law weight with nu={nu} requires p > 1/nu = {1.0 / nu}, "
-            f"got p={p}")
-    return WeightSpec(WeightFamily.POWER_LAW, float(nu), float(p))
-
-
-def make_general_power_weight(nu: float, a: float, p: float) -> WeightSpec:
-    """Weight (pi^2 - omega^2)^(-nu) with companion W = h^a for a chosen a.
-
-    The admissibility of the pair (divergent companion tail, integrable
-    |W|^q h^(-q)) is not solvable for ``a`` in general, so ``a`` is a caller
-    parameter; run :func:`validate_weight` to check the result.
-    """
-    if not nu > 0:
-        raise ValueError(f"nu must be positive, got {nu}")
-    _check_p(p)
-    return WeightSpec(WeightFamily.GENERAL_POWER, float(nu), float(p),
-                      a=float(a))
-
-
-def make_direct_weight(nu: float) -> WeightSpec:
-    """Weight used as its own companion, for the sup-norm class (p = inf).
-
-    ``nu = 0`` (constant weight) is constructible but inadmissible; it exists
-    so the failure is observable through :func:`validate_weight`.
-    """
-    if nu < 0:
-        raise ValueError(f"nu must be nonnegative, got {nu}")
-    return WeightSpec(WeightFamily.DIRECT, float(nu), INF)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +127,7 @@ def eval_weight(spec: WeightSpec, omega):
 
 def eval_companion(spec: WeightSpec, omega):
     """W(omega); even in omega."""
-    return _gap_power(omega, spec.companion_power)
+    return _gap_power(omega, spec.beta)
 
 
 def gap_power_integral(power: float, u_lo: float, u_hi: float,
@@ -262,7 +205,9 @@ class WeightValidation:
         return all(c.passed for c in self.checks)
 
     def __str__(self) -> str:
-        lines = [f"weight {self.spec.describe()}"]
+        spec = self.spec
+        p = "inf" if spec.p == INF else repr(spec.p)
+        lines = [f"weight nu={spec.nu!r} beta={spec.beta!r} p={p}"]
         for c in self.checks:
             status = "PASS" if c.passed else "FAIL"
             lines.append(f"  [{status}] {c.name}: {c.detail} "
@@ -306,7 +251,7 @@ def validate_weight(spec: WeightSpec) -> WeightValidation:
     # |W|^q h^(-q) = (pi^2 - omega^2)^(-(beta - nu) q); integrate over
     # symmetric windows [-(pi - d_k), pi - d_k] with d_k shrinking
     # geometrically and look for stabilization.
-    s = (spec.companion_power - spec.nu) * spec.q
+    s = (spec.beta - spec.nu) * spec.q
     deltas = 0.1 * _TAIL_RATIO ** -np.arange(_TAIL_STEPS_FINITE + 1)
     partials = []
     for d in deltas:
@@ -319,12 +264,11 @@ def validate_weight(spec: WeightSpec) -> WeightValidation:
 
     # Companion tail: integral of W over [pi - 0.1, pi - d_k] must grow
     # without stabilizing as d_k -> 0.
-    beta = spec.companion_power
     u_lo = u_from_gap(0.1)
     tail_deltas = 0.1 * _TAIL_RATIO ** -np.arange(1, _TAIL_STEPS_DIVERGENT + 1)
     tails = []
     for d in tail_deltas:
-        tails.append(gap_power_integral(beta, u_lo, u_from_gap(d),
+        tails.append(gap_power_integral(spec.beta, u_lo, u_from_gap(d),
                                         tol=1e-11))
     verdict = _classify_tail(tails)
     checks.append(WeightCheck(

@@ -16,12 +16,14 @@ from specfill.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
+    EXIT_VIOLATIONS,
     ConfigError,
     ExperimentConfig,
     load_config,
     main,
     parse_config,
 )
+from specfill.weights import WeightSpec
 
 BASE_CONFIG = {
     "weight": {"family": "power_law", "nu": 1.0, "p": "inf"},
@@ -121,6 +123,20 @@ class TestConfigParsing:
     @pytest.mark.parametrize("overrides, fragment", [
         ({"weight": {"p": 1}}, "p"),
         ({"weight": {"nu": -1}}, "nu"),
+        # The acceptance rules of each family.
+        ({"weight": {"nu": 0.5, "p": 1.5}},
+         r"weight: power-law weight with nu=0.5 requires p > 1/nu = 2.0"),
+        ({"weight": {"nu": 2.0, "p": 1.0}},
+         r"weight: p must exceed 1 \(or be inf\), got 1.0"),
+        ({"weight": {"nu": 0.0}}, "weight: nu must be positive, got 0.0"),
+        ({"weight": {"family": "general_power", "nu": 0.0, "a": 1.5}},
+         "weight: nu must be positive, got 0.0"),
+        ({"weight": {"family": "general_power", "nu": 2.0, "a": 1.5,
+                     "p": 0.5}}, "weight: p must exceed 1"),
+        ({"weight": {"family": "direct", "nu": -1.0}},
+         "weight: nu must be finite and nonnegative, got -1.0"),
+        ({"weight": {"family": "general_power", "nu": 1e300, "a": 1e300}},
+         "weight: beta must be finite, got inf"),
         ({"weight": {"family": "mystery"}}, "family"),
         ({"signal": {"kind": "chirp"}}, "kind"),
         ({"signal": {"omega": 4.0}}, "omega"),
@@ -247,6 +263,41 @@ class TestConfigParsing:
             load_config(path)
 
 
+class TestWeightFamilies:
+    @pytest.mark.parametrize("nu", [0.5, 2.0])
+    def test_direct_is_general_power_with_a_one(self, tmp_path, capsys,
+                                                nu):
+        # Both families give beta = nu, so every output below the header,
+        # and every failure, must match.  At nu = 0.5 the companion tail
+        # integral converges, so no kernel exists and both exit 2.
+        weights = {"direct": {"family": "direct", "nu": nu},
+                   "general_power": {"family": "general_power", "nu": nu,
+                                     "a": 1.0}}
+        specs, results = {}, {}
+        for family, weight in weights.items():
+            config = write_config(tmp_path, {"weight": weight},
+                                  name=f"{family}.json")
+            specs[family] = load_config(config).weight
+            csv, taps = tmp_path / f"{family}.csv", tmp_path / family
+            codes = [main([command, "--config", str(config), "--out",
+                           str(out)])
+                     for command, out in (("recover", csv), ("kernel", taps))]
+            results[family] = (
+                codes, capsys.readouterr().err,
+                csv.read_text().splitlines()[3:] if csv.exists() else None,
+                [f.read_bytes() for f in sorted(taps.glob("*.f64"))])
+        assert specs["direct"] == specs["general_power"] == WeightSpec(
+            nu, nu, math.inf)
+        assert results["direct"] == results["general_power"]
+        codes, err, _, taps = results["direct"]
+        if nu < 1:
+            assert codes == [EXIT_NUMERICAL, EXIT_NUMERICAL]
+            assert f"no root for beta={nu!r}" in err
+        else:
+            assert codes == [EXIT_OK, EXIT_OK] and err == ""
+            assert len(taps) == len(BASE_CONFIG["n_values"])
+
+
 class TestKernelCommand:
     def test_tap_files_and_summary(self, tmp_path, capsys):
         config = write_config(tmp_path, {"n_values": [2]})
@@ -315,7 +366,8 @@ class TestRecoverCommand:
         header = lines[3].split(",")
         row = lines[4].split(",")
         assert row[header.index("spectral_bound")] == "0.0"
-        assert row[header.index("error")] == ""
+        assert header == list(recovery.CSV_COLUMNS)
+        assert len(row) == len(header)
 
     def test_byte_identical_across_runs(self, tmp_path):
         config = write_config(tmp_path)
@@ -374,15 +426,16 @@ class TestRobustnessCommand:
              "n_values": [2], "noise": {"sigma": 0.0, "seeds": [0, 1]}},
             drop=("signal",))
         out = tmp_path / "rob.csv"
-        assert main(["robustness", "--config", str(config),
-                     "--out", str(out)]) == EXIT_OK
+        code = main(["robustness", "--config", str(config),
+                     "--out", str(out)])
         lines = out.read_text().splitlines()
         # Final summary row carries the violation count.  At sigma = 0 the
         # bound has no slack at all for finite-window truncation, so only
-        # its format is pinned here; the zero-violation guarantee is
-        # exercised at sigma > 0 below.
+        # its format and its agreement with the exit code are pinned here;
+        # the zero-violation guarantee is exercised at sigma > 0 below.
         assert lines[-1].startswith("# violations=")
-        int(lines[-1].rsplit("=", 1)[1])
+        violations = int(lines[-1].rsplit("=", 1)[1])
+        assert code == (EXIT_VIOLATIONS if violations else EXIT_OK)
         header = lines[3].split(",")
         rows = [l.split(",") for l in lines[4:-1]]
         assert len(rows) == 2
@@ -452,11 +505,28 @@ class TestRobustnessCommand:
             {"n_values": [2], "noise": {"sigma": 1e-9, "seeds": [0]}})
         out = tmp_path / "rob.csv"
         assert main(["robustness", "--config", str(config),
-                     "--out", str(out)]) == EXIT_OK
+                     "--out", str(out)]) == EXIT_VIOLATIONS
         lines = out.read_text().splitlines()
         header = lines[3].split(",")
         assert lines[4].split(",")[header.index("abs_error")] == "nan"
         assert lines[-1] == "# violations=1"
+
+    def test_noisy_recover_writes_the_robustness_csv(self, tmp_path,
+                                                     capsys):
+        config = write_config(
+            tmp_path,
+            {"n_values": [2], "noise": {"sigma": 1e-9, "seeds": [0, 1]}})
+        outs = {}
+        for command in ("recover", "robustness"):
+            outs[command] = tmp_path / f"{command}.csv"
+            assert main([command, "--config", str(config),
+                         "--out", str(outs[command])]) == EXIT_OK
+        assert (outs["recover"].read_bytes()
+                == outs["robustness"].read_bytes())
+        assert outs["recover"].read_text().endswith("\n# violations=0\n")
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[0] == (f"recover: wrote 2 rows to {outs['recover']}; "
+                              f"violations=0")
 
     def test_noise_required(self, tmp_path, capsys):
         config = write_config(tmp_path)
@@ -500,4 +570,6 @@ class TestValidateWeightCommand:
             tmp_path, {"weight": {"family": "direct", "nu": 0.0}})
         assert main(["validate-weight", "--config",
                      str(config)]) == EXIT_NUMERICAL
-        assert "FAIL" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert out.startswith("weight nu=0.0 beta=0.0 p=inf\n")
+        assert "FAIL" in out

@@ -31,14 +31,9 @@ from specfill.kernel import (
     write_taps_binary,
     write_taps_text,
 )
-from specfill.weights import (
-    PI,
-    make_direct_weight,
-    make_general_power_weight,
-    make_power_weight,
-)
+from specfill.weights import PI, WeightSpec
 
-POWER = make_power_weight(1.0, math.inf)
+POWER = WeightSpec(1.0, 1.0, math.inf)
 N_SET = (2, 4, 8, 16, 32, 64)
 
 
@@ -77,7 +72,7 @@ class TestEpsilonSolve:
         assert abs(closed - bisect) / closed < 1e-12
 
     def test_general_power_family(self):
-        weight = make_general_power_weight(1.0, 1.5, math.inf)
+        weight = WeightSpec(1.0, 1.5, math.inf)
         eps = solve_epsilon_n(weight, 3)
         assert 0.0 < eps < 1.0 / 3.0
         spec = KernelSpec(weight=weight, n=3, epsilon_n=eps)
@@ -91,13 +86,13 @@ class TestEpsilonSolve:
     def test_bisection_resolves_steep_direct_weights(self, nu, n):
         # The bracket search evaluates band masses in the thousands, where
         # a relative budget below what a double sum holds never converges.
-        spec = resolve_kernel(make_direct_weight(nu), n)
+        spec = resolve_kernel(WeightSpec(nu, nu, math.inf), n)
         assert 0.0 < spec.epsilon_n < 1.0 / n
         assert abs(normalization_residual(spec)) <= 1e-13
 
-    def test_no_root_is_hard_error_naming_family(self):
-        constant = make_direct_weight(0.0)
-        with pytest.raises(QuadratureError, match="direct"):
+    def test_no_root_is_hard_error_naming_beta(self):
+        constant = WeightSpec(0.0, 0.0, math.inf)
+        with pytest.raises(QuadratureError, match="beta=0.0 at n=2"):
             solve_epsilon_n(constant, 2)
 
     @settings(max_examples=25, deadline=None)
@@ -147,7 +142,7 @@ class TestTransfer:
 
     def test_mean_zero_general_power_family(self):
         spec = resolve_kernel(
-            make_general_power_weight(1.0, 1.5, math.inf), 4)
+            WeightSpec(1.0, 1.5, math.inf), 4)
         assert abs(transfer_mean(spec)) <= 1e-10
 
 
@@ -172,8 +167,41 @@ class TestKappa:
         # A flat companion (W == 1) caps the middle band at 1, so the inner
         # band dominates; no normalization root exists for it, so kappa is
         # taken at a chosen outer width.
-        assert compute_kappa(make_direct_weight(0.0), 0.1) == 1.0
+        assert compute_kappa(WeightSpec(0.0, 0.0, math.inf), 0.1) == 1.0
         assert resolve_kernel(POWER, 2).kappa >= 1.0
+
+
+class TestMpmathOracle:
+    """eps_n and kappa against the normalization equation solved at 30
+    digits, with no code shared with the closed form or the bisection."""
+
+    @staticmethod
+    def oracle(beta: float, n: int):
+        with mpmath.mp.workdps(30):
+            mp = mpmath.mp
+            beta = mp.mpf(beta)
+            u_a = mp.log(2 * mp.pi * n - 1)
+            target = mp.pi - mp.mpf(1) / n
+
+            def density(u):
+                # W d(omega) / (2 pi) in the log-band coordinate u.
+                return ((mp.pi ** 2 * mp.sech(u / 2) ** 2) ** (1 - beta)
+                        / (2 * mp.pi))
+
+            u_b = mp.findroot(
+                lambda u: mp.quad(density, [u_a, u]) - target,
+                (u_a + 1, u_a + 2))
+            eps = 2 * mp.pi / (1 + mp.exp(u_b))
+            kappa = max(mp.mpf(1), (eps * (2 * mp.pi - eps)) ** -beta)
+            return float(eps), float(kappa)
+
+    @pytest.mark.parametrize("n", [2, 8, 32])
+    @pytest.mark.parametrize("beta", [1.0, 1.5])
+    def test_epsilon_and_kappa(self, beta, n):
+        eps, kappa = self.oracle(beta, n)
+        spec = resolve_kernel(WeightSpec(1.0, beta, math.inf), n)
+        assert spec.epsilon_n == pytest.approx(eps, rel=1e-13, abs=0)
+        assert spec.kappa == pytest.approx(kappa, rel=1e-13, abs=0)
 
 
 class TestTaps:
@@ -222,7 +250,7 @@ class TestTaps:
     def test_general_power_family_taps(self):
         # Steeper companion: much wider outer band, much smaller sup.
         spec = resolve_kernel(
-            make_general_power_weight(1.0, 1.5, math.inf), 3)
+            WeightSpec(1.0, 1.5, math.inf), 3)
         taps = synthesize_taps(spec, 16)
         assert taps.zero_residual <= 1e-8
         u_a = math.log(2 * PI * 3 - 1)
@@ -237,7 +265,7 @@ class TestTaps:
 
     @pytest.mark.parametrize("weight", [
         pytest.param(POWER, id="power_law"),
-        pytest.param(make_general_power_weight(1.0, 1.5, math.inf),
+        pytest.param(WeightSpec(1.0, 1.5, math.inf),
                      id="general_power-a1.5")])
     def test_short_taps_issue_no_warning(self, weight):
         # T = 32 leaves a large share of the squared taps in the last
@@ -271,10 +299,10 @@ class TestTaps:
         from specfill import kernel as kernel_module
 
         spec = resolve_kernel(
-            make_general_power_weight(1.0, 1.5, math.inf), 3)
+            WeightSpec(1.0, 1.5, math.inf), 3)
         monkeypatch.setattr(kernel_module, "QUAD_TOL", 1e-15)
         with pytest.raises(QuadratureError,
-                           match=r"t=\d+ \(n=3, family='general_power'\)"):
+                           match=r"t=\d+ \(n=3, beta=1\.5\)"):
             synthesize_taps(spec, 64)
 
     def test_center_tap_failure_names_t0(self, monkeypatch):
@@ -285,16 +313,17 @@ class TestTaps:
 
         # Resolve first: bisection also calls _band_mass_quad.
         spec = resolve_kernel(
-            make_general_power_weight(1.0, 1.5, math.inf), 3)
+            WeightSpec(1.0, 1.5, math.inf), 3)
         monkeypatch.setattr(kernel_module, "_band_mass_quad", explode)
         with pytest.raises(QuadratureError, match="t=0"):
             synthesize_taps(spec, 8)
 
     @pytest.mark.parametrize("weight, n", [
-        pytest.param(make_general_power_weight(1.0, 1.5, math.inf), n,
+        pytest.param(WeightSpec(1.0, 1.5, math.inf), n,
                      id=f"general_power-a1.5-n{n}")
         for n in (2, 8, 32)
-    ] + [pytest.param(make_direct_weight(2.0), 8, id="direct-nu2-n8")])
+    ] + [pytest.param(WeightSpec(2.0, 2.0, math.inf), 8,
+                      id="direct-nu2-n8")])
     def test_fixed_panels_match_quadrature_route(self, weight, n):
         # Companion exponents other than 1 take the fixed-panel evaluator;
         # the per-tap adaptive quadrature is the oracle.  Every fifth t (5

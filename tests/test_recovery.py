@@ -25,9 +25,9 @@ from specfill.signals import (
     make_bandlimited,
     make_power_decay,
 )
-from specfill.weights import PI, make_power_weight
+from specfill.weights import PI, WeightSpec
 
-POWER = make_power_weight(1.0, math.inf)
+POWER = WeightSpec(1.0, 1.0, math.inf)
 
 
 @pytest.fixture(scope="module")

@@ -29,10 +29,10 @@ from specfill.signals import (
     make_power_decay,
     noisy_inverse_transforms,
 )
-from specfill.weights import PI, make_power_weight
+from specfill.weights import PI, WeightSpec
 
-W_INF = make_power_weight(1.0, math.inf)
-W_P2 = make_power_weight(1.0, 2.0)
+W_INF = WeightSpec(1.0, 1.0, math.inf)
+W_P2 = WeightSpec(1.0, 1.0, 2.0)
 
 
 def flat_signal(grid_size=2 ** 14):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,17 +9,17 @@ from hypothesis import strategies as st
 from specfill._quadrature import QuadratureError
 from specfill.weights import (
     PI,
-    WeightFamily,
+    WeightSpec,
     conjugate_exponent,
     eval_companion,
     eval_weight,
     gap_power_integral,
-    make_direct_weight,
-    make_general_power_weight,
-    make_power_weight,
     u_from_gap,
     validate_weight,
 )
+
+#: The paper's power-law weight: h = (pi^2 - omega^2)^(-1), W = h.
+POWER = WeightSpec(1.0, 1.0, math.inf)
 
 
 def simpson(f, a, b, panels):
@@ -28,38 +29,39 @@ def simpson(f, a, b, panels):
     return h / 3 * (ys[0] + ys[-1] + 4 * ys[1:-1:2].sum() + 2 * ys[2:-2:2].sum())
 
 
-class TestConstructors:
+class TestWeightSpec:
+    def test_fields(self):
+        assert [f.name for f in dataclasses.fields(WeightSpec)] == [
+            "nu", "beta", "p"]
+
     def test_power_weight_basic(self):
-        spec = make_power_weight(1.0, math.inf)
-        assert spec.family is WeightFamily.POWER_LAW
-        assert spec.q == 1.0
-        assert eval_companion(spec, 0.0) == pytest.approx(1.0 / PI ** 2)
+        assert POWER.q == 1.0
+        assert eval_companion(POWER, 0.0) == pytest.approx(1.0 / PI ** 2)
 
-    def test_admissibility_boundary_rejected(self):
-        # p = 1.5 < 1/nu = 2
-        with pytest.raises(ValueError):
-            make_power_weight(0.5, 1.5)
-
-    def test_p_of_one_rejected(self):
-        with pytest.raises(ValueError):
-            make_power_weight(2.0, 1.0)
-
-    def test_nonpositive_nu_rejected(self):
-        with pytest.raises(ValueError):
-            make_power_weight(0.0, math.inf)
-        with pytest.raises(ValueError):
-            make_power_weight(-1.0, 2.0)
+    @pytest.mark.parametrize("nu, beta, p, fragment", [
+        (-1.0, 1.0, math.inf, "nu must be finite and nonnegative"),
+        (math.inf, 1.0, math.inf, "nu must be finite and nonnegative"),
+        (math.nan, 1.0, math.inf, "nu must be finite and nonnegative"),
+        (1.0, math.inf, math.inf, "beta must be finite"),
+        (1.0, math.nan, math.inf, "beta must be finite"),
+        (1.0, 1.0, 1.0, "p must exceed 1"),
+        (1.0, 1.0, 0.5, "p must exceed 1"),
+        (1.0, 1.0, math.nan, "p must exceed 1"),
+    ])
+    def test_out_of_range_rejected(self, nu, beta, p, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            WeightSpec(nu, beta, p)
 
     def test_conjugate_exponent_precomputed(self):
-        spec = make_power_weight(1.0, 2.0)
+        spec = WeightSpec(1.0, 1.0, 2.0)
         assert spec.q == pytest.approx(2.0, abs=1e-15)
-        spec = make_power_weight(1.0, 1.5)
+        spec = WeightSpec(1.0, 1.0, 1.5)
         assert spec.q == pytest.approx(3.0, abs=1e-15)
 
-    def test_direct_constant_weight_constructible(self):
-        spec = make_direct_weight(0.0)
-        assert spec.p == math.inf
+    def test_constant_weight_constructible(self):
+        spec = WeightSpec(0.0, 0.0, math.inf)
         assert eval_weight(spec, 1.0) == 1.0
+        assert eval_companion(spec, 1.0) == 1.0
 
     @given(st.floats(min_value=1.0 + 1e-6, max_value=1e6))
     def test_conjugate_identity(self, p):
@@ -70,27 +72,27 @@ class TestConstructors:
 
 class TestEvaluation:
     def test_weight_at_zero(self):
-        spec = make_power_weight(1.0, math.inf)
+        spec = POWER
         assert eval_weight(spec, 0.0) == pytest.approx(1.0 / PI ** 2,
                                                        rel=1e-15)
-        spec2 = make_power_weight(2.0, math.inf)
+        spec2 = WeightSpec(2.0, 1.0, math.inf)
         assert eval_weight(spec2, 0.0) == pytest.approx(1.0 / PI ** 4,
                                                         rel=1e-15)
 
     def test_symmetry_exact(self):
-        spec = make_power_weight(1.0, math.inf)
+        spec = POWER
         assert eval_weight(spec, 2.0) == eval_weight(spec, -2.0)
         assert eval_companion(spec, 2.0) == eval_companion(spec, -2.0)
 
     @settings(max_examples=200)
     @given(st.floats(min_value=-3.14, max_value=3.14))
     def test_symmetry_property(self, omega):
-        spec = make_power_weight(1.5, math.inf)
+        spec = WeightSpec(1.5, 1.0, math.inf)
         assert eval_weight(spec, omega) == eval_weight(spec, -omega)
         assert eval_companion(spec, omega) == eval_companion(spec, -omega)
 
     def test_domain_error(self):
-        spec = make_power_weight(1.0, math.inf)
+        spec = POWER
         for bad in (PI, -PI, 3.5, -4.0):
             with pytest.raises(ValueError):
                 eval_weight(spec, bad)
@@ -99,21 +101,21 @@ class TestEvaluation:
 
     def test_companion_near_edge(self):
         # Oracle: expand pi^2 - w^2 = (pi - w)(pi + w) at w = pi - 1e-6.
-        spec = make_power_weight(1.0, math.inf)
+        spec = POWER
         gap = 1e-6
         oracle = 1.0 / (gap * (2.0 * PI - gap))
         assert eval_companion(spec, PI - gap) == pytest.approx(oracle,
                                                                rel=1e-9)
         assert oracle == pytest.approx(1.59155e5, rel=1e-4)
 
-    def test_general_power_identity_exponent(self):
-        spec = make_general_power_weight(1.0, 1.0, math.inf)
+    def test_companion_is_weight_when_beta_is_nu(self):
+        spec = WeightSpec(2.0, 2.0, math.inf)
         assert eval_companion(spec, 0.0) == pytest.approx(
             eval_weight(spec, 0.0), rel=1e-15)
 
     def test_companion_independent_of_nu_for_power_law(self):
-        a = make_power_weight(0.5, math.inf)
-        b = make_power_weight(3.0, math.inf)
+        a = WeightSpec(0.5, 1.0, math.inf)
+        b = WeightSpec(3.0, 1.0, math.inf)
         omega = 1.234
         assert eval_companion(a, omega) == eval_companion(b, omega)
 
@@ -146,8 +148,8 @@ class TestCompanionIntegral:
     def test_closed_form_matches_quadrature_family(self):
         # The general-power path (companion exponent 2) against Simpson on a
         # resolvable interval.
-        spec = make_general_power_weight(1.0, 2.0, math.inf)
-        value = self.mass(spec.companion_power, 0.2, 1.8)
+        spec = WeightSpec(1.0, 2.0, math.inf)
+        value = self.mass(spec.beta, 0.2, 1.8)
         brute = simpson(lambda w: ((PI - w) * (PI + w)) ** -2.0, 0.2, 1.8,
                         8192)
         assert value == pytest.approx(brute, rel=1e-9)
@@ -199,7 +201,7 @@ class TestCompanionIntegral:
 
 class TestValidateWeight:
     def test_power_law_all_pass(self):
-        report = validate_weight(make_power_weight(1.0, math.inf))
+        report = validate_weight(POWER)
         assert report.ok
         by_name = {c.name: c for c in report.checks}
         # nu = 1, q = 1: the ratio integrand is identically 1, so the
@@ -208,29 +210,32 @@ class TestValidateWeight:
             2.0 * PI, abs=1e-5)
 
     def test_power_law_finite_p(self):
-        assert validate_weight(make_power_weight(1.0, 2.0)).ok
+        assert validate_weight(WeightSpec(1.0, 1.0, 2.0)).ok
 
     def test_constant_weight_fails_divergence(self):
-        report = validate_weight(make_direct_weight(0.0))
+        report = validate_weight(WeightSpec(0.0, 0.0, math.inf))
         by_name = {c.name: c for c in report.checks}
         assert not by_name["companion_tail_divergent"].passed
         assert not report.ok
 
     def test_direct_admissible(self):
-        assert validate_weight(make_direct_weight(1.5)).ok
+        assert validate_weight(WeightSpec(1.5, 1.5, math.inf)).ok
 
     def test_general_power_admissible(self):
-        # nu a = 1.5 >= 1 diverges; q nu (a - 1) = 0.5 < 1 stays integrable.
-        spec = make_general_power_weight(1.0, 1.5, math.inf)
+        # beta = 1.5 >= 1 diverges; q (beta - nu) = 0.5 < 1 stays
+        # integrable.
+        spec = WeightSpec(1.0, 1.5, math.inf)
         assert validate_weight(spec).ok
 
     def test_general_power_ratio_check_fails(self):
-        # q nu (a - 1) = 2 >= 1: the ratio integral diverges.
-        spec = make_general_power_weight(1.0, 3.0, math.inf)
+        # q (beta - nu) = 2 >= 1: the ratio integral diverges.
+        spec = WeightSpec(1.0, 3.0, math.inf)
         report = validate_weight(spec)
         by_name = {c.name: c for c in report.checks}
         assert not by_name["ratio_integrable"].passed
 
     def test_report_is_printable(self):
-        text = str(validate_weight(make_power_weight(1.0, math.inf)))
-        assert "PASS" in text and "power_law" in text
+        lines = str(validate_weight(WeightSpec(2.0, 1.5, 4.0))).splitlines()
+        assert lines[0] == "weight nu=2.0 beta=1.5 p=4.0"
+        assert str(validate_weight(POWER)).startswith(
+            "weight nu=1.0 beta=1.0 p=inf\n  [PASS] symmetry")
