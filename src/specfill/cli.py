@@ -305,6 +305,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
             or any(isinstance(n, bool) or not isinstance(n, int)
                    for n in n_values)):
         raise ConfigError("n_values: expected a nonempty list of integers")
+    for n in n_values:
+        _finite(n, "n_values")
     if (any(hi <= lo for lo, hi in zip(n_values, n_values[1:]))
             or n_values[0] < 2):
         raise ConfigError("n_values: must be strictly ascending integers "

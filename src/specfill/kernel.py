@@ -91,14 +91,26 @@ def solve_epsilon_n(weight: WeightSpec, n: int) -> float:
 
     Companion exponent beta = 1 (the paper's power law) inverts the
     closed-form antiderivative exactly; other companions fall back to
-    bisection with quadrature (:func:`solve_epsilon_n_bisect`).
+    bisection with quadrature (:func:`solve_epsilon_n_bisect`).  A root
+    outside (0, 1/n), as when the closed form underflows to 0 at a huge n,
+    is a :class:`QuadratureError`.
     """
     _check_n(n)
     if weight.beta == 1.0:
         # (1/2pi) log((2pi - eps)/eps) = (1/2pi) log(2 pi n - 1) + pi - 1/n
         ratio = (2.0 * PI * n - 1.0) * math.exp(2.0 * PI * PI - 2.0 * PI / n)
-        return 2.0 * PI / (1.0 + ratio)
+        return _admissible(2.0 * PI / (1.0 + ratio), n,
+                           "closed form for beta=1.0")
     return solve_epsilon_n_bisect(weight, n)
+
+
+def _admissible(eps: float, n: int, route: str) -> float:
+    """eps, checked to lie in the admissible interval (0, 1/n)."""
+    if not 0.0 < eps < 1.0 / n:
+        raise QuadratureError(
+            f"{route} left the admissible interval (0, 1/{n}) for eps_n: "
+            f"{eps}")
+    return eps
 
 
 def solve_epsilon_n_bisect(weight: WeightSpec, n: int) -> float:
@@ -138,12 +150,8 @@ def solve_epsilon_n_bisect(weight: WeightSpec, n: int) -> float:
             u_lo = u_mid
         if (u_hi - u_lo) <= 8.0 * math.ulp(u_hi):
             break
-    eps = float(gap_from_u(0.5 * (u_lo + u_hi)))
-    if not 0.0 < eps < 1.0 / n:
-        raise QuadratureError(
-            f"bisection for beta={beta!r} left the admissible interval "
-            f"(0, 1/{n}): {eps}")
-    return eps
+    return _admissible(float(gap_from_u(0.5 * (u_lo + u_hi))), n,
+                       f"bisection for beta={beta!r}")
 
 
 def _band_mass_quad(beta: float, u_lo: float, u_hi: float,

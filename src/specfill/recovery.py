@@ -168,14 +168,13 @@ def spectral_error(spec: KernelSpec, signal: SpectralSignal) -> SpectralError:
 _Draw = tuple[int | None, TimeSignal]
 
 
-def _draws(signal: SpectralSignal, signal_half_length: int,
-           tap_half_length: int, noise_sigma: float | None,
-           seeds: tuple[int, ...], base_seed: int | None) -> list[_Draw]:
+def _draws(signal: SpectralSignal, tap_half_length: int,
+           noise_sigma: float | None, seeds: tuple[int, ...],
+           base_seed: int | None) -> list[_Draw]:
     if noise_sigma is None:
-        return [(base_seed, inverse_transform(signal, signal_half_length,
-                                              tap_half_length))]
+        return [(base_seed, inverse_transform(signal, tap_half_length))]
     return list(zip(seeds, noisy_inverse_transforms(
-        signal, signal_half_length, noise_sigma, seeds, tap_half_length)))
+        signal, tap_half_length, noise_sigma, seeds)))
 
 
 def _sweep_cell(weight: WeightSpec, signal: SpectralSignal, n: int,
@@ -216,20 +215,15 @@ def convergence_sweep(weight: WeightSpec, signal: SpectralSignal,
     ``noise_sigma`` None, one inverse transform of the clean spectrum;
     otherwise one per noise seed.  Each is formed only on the tap window
     |t| <= T = ``tap_half_length``, the 2T + 1 samples that the taps and
-    the truth x(0) read; ``signal_half_length`` S >= T only picks the
-    split of the fold, so the samples are those of the [-S, S] window, bit
-    for bit.  The clean positive half-grid is folded once, as D contiguous
-    rows; each seed adds its noise to a copy of the half-grid's top band,
-    refolds from that slice the blocks at both ends of every row in place,
-    and inverse-transforms the rows a block of rows at a time, forming
-    only the tap window's outputs (:func:`signals.noisy_inverse_transforms`,
-    bit for bit the transform of the noisy spectrum).  Then, for each n:
-    resolve the kernel, synthesize taps at ``tap_half_length``, and
-    assemble one report per seed carrying the estimate, truth, spectral
-    error split, and constants.  The report order is (n ascending, seed
-    ascending).  A tap window wider than the signal window is a
-    ValueError, raised before any transform.  Errors from the per-n stages
-    propagate tagged with their n.
+    the truth x(0) read; the noisy draws share one clean fold
+    (:func:`signals.noisy_inverse_transforms`, bit for bit the transforms
+    of the noisy spectra).  Then, for each n: resolve the kernel,
+    synthesize taps at ``tap_half_length``, and assemble one report per
+    seed carrying the estimate, truth, spectral error split, and constants.
+    The report order is (n ascending, seed ascending).
+    ``signal_half_length`` S is only checked (T <= S, a ValueError raised
+    before any transform) and echoed in each report; no number depends on
+    it.  Errors from the per-n stages propagate tagged with their n.
     """
     if sorted(n_values) != list(n_values):
         raise ValueError("n_values must be sorted ascending")
@@ -241,7 +235,7 @@ def convergence_sweep(weight: WeightSpec, signal: SpectralSignal,
         raise ValueError(
             f"tap window T={tap_half_length} exceeds signal window "
             f"S={signal_half_length}")
-    draws = _draws(signal, signal_half_length, tap_half_length, noise_sigma,
+    draws = _draws(signal, tap_half_length, noise_sigma,
                    tuple(sorted(noise_seeds)), base_seed)
 
     reports = []

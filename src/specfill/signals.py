@@ -5,10 +5,9 @@ X(-omega) = conj X(omega).  It is stored as its samples on the positive
 half of a midpoint grid of M uniform samples on (-pi, pi) (no sample at the
 band edges, none at zero), with M a power of two >= 1024.  The negative
 half is conj of the positive half reversed; it is never stored, so the
-symmetry holds by construction.  Sequences live on finite windows [-S, S];
+symmetry holds by construction.  Sequences live on finite windows [-W, W];
 window-growth assertions in the tests stand in for the infinite objects.
-A recovery sweep forms only the 2T + 1 samples its taps read, |t| <= T;
-S then only picks how the transform splits the grid.
+A recovery sweep forms only the 2T + 1 samples its taps read, |t| <= T.
 
 Generators are deterministic functions of (parameters, seed) built on the
 counter-based Philox bit generator.  They evaluate their profile once, in
@@ -20,20 +19,21 @@ to resolve sub-grid bands near the edges.
 
 The inverse transform folds the positive half and its conjugate mirror into
 one half-length array whose inverse DFT yields the real sequence two
-samples per output value.  Only the outputs the window reads are formed
-(for a sweep, the tap window [-T, T], not [-S, S]): the fold is held in
-row layout, a C-contiguous (D, P) array whose row r is fold[r::D]; blocks
-of at least two rows are inverse-transformed along their contiguous
-points into one reused block array, and each output accumulates its D
-phased row values block by block.  The fold runs in blocks of grid
-entries too, so no temporary grows with the grid; the fold is the only
-half-grid array.  Spectral noise is flat-magnitude and random-phase on the
-edge band omega > pi - NOISE_BAND, the top of the positive half-grid, so
-its mirror covers the other edge.  A sweep over noise seeds folds the clean
-spectrum once; each seed then adds its noise to a copy of the band's top
-entries and refolds from them, in place, only the block of entries at each
-end of every row that the band reaches, and reads the window from the fold
-block by block, with no noisy grid built.
+samples per output value.  The fold is held in row layout, a C-contiguous
+(8, M/16) array whose row r is fold[r::8]; only the outputs the window
+reads are formed: blocks of at least two rows are inverse-transformed
+along their contiguous points into one reused block array, and each output
+accumulates its 8 phased row values block by block.  The split depends on
+the grid alone, so a window is the slice of any longer one, bit for bit.
+The fold runs in blocks of grid entries too, so no temporary grows with the
+grid; the fold is the only half-grid array.  Spectral noise is
+flat-magnitude and random-phase on the edge band omega > pi - NOISE_BAND,
+the top of the positive half-grid, so its mirror covers the other edge.  A
+sweep over noise seeds folds the clean spectrum once; each seed then adds
+its noise to a copy of the band's top entries and refolds from them, in
+place, only the block of entries at each end of every row that the band
+reaches, and reads the window from the fold block by block, with no noisy
+grid built.
 
 Both generated families are uniformly well behaved: envelopes are bounded
 trigonometric polynomials, so any finite family drawn from them has
@@ -104,12 +104,11 @@ class SpectralSignal:
 
 @dataclass(frozen=True, eq=False)
 class TimeSignal:
-    """Real samples x(t) on t in [-S, S] with the center value retained.
+    """Real samples x(t) on t in [-W, W] with the center value retained.
 
-    ``samples`` is one-dimensional with an odd length 2S + 1.  A recovery
+    ``samples`` is one-dimensional with an odd length 2W + 1.  A recovery
     sweep's draws hold only the tap window [-T, T], so their half-length
-    is T: the 2T + 1 samples the taps read.  The sweep's signal
-    half-length only picks the split of the transform that forms them.
+    is T: the 2T + 1 samples the taps read.
     """
 
     samples: np.ndarray
@@ -124,7 +123,7 @@ class TimeSignal:
 
     @property
     def half_length(self) -> int:
-        """S, the largest |t| with a stored sample."""
+        """W, the largest |t| with a stored sample."""
         return self.samples.size // 2
 
     @property
@@ -259,28 +258,37 @@ def from_profile(profile: Callable[[np.ndarray], np.ndarray],
 #: block rather than a half-grid.
 _BLOCK = 2 ** 14
 
+#: D, the rows of the fold: its M/2 entries are inverse-transformed as D
+#: interleaved rows of P = M/16 points.  Any P is exact, as each row's
+#: inverse FFT is P-periodic; the window check M >= 8 (2W + 1) gives
+#: P >= W + 1, so a window's outputs fit in one period.  The split depends
+#: on the grid alone, so a window is the slice of any longer one, bit for
+#: bit.  D < _BLOCK, so a block of the fold spans whole columns.
+_ROWS = 8
+
 #: Grid entries per block of fold rows that the window reader
 #: inverse-transforms at once; a block holds at least two rows, because
 #: pocketfft transforms rows in pairs of SIMD lanes, so one-row calls are
 #: slower per row.  Each numpy ifft call also allocates about 5 MiB of
 #: scratch at P = 2^16, which glibc may return to the system and fault in
 #: again at the next call, so smaller blocks trade time for memory.  On a
-#: 2-core Xeon VM, CLI runs of a 2^20 grid with S = 32768 (D = 8 rows of
-#: 2^16) and 8 noise seeds took a median 0.418, 0.394 and 0.356 s of CPU at
-#: a peak RSS of 67.2, 69.2 and 73.2 MiB with blocks of 2^17, 2^18 and 2^19
-#: entries (2, 4 and 8 rows).  2^18 also keeps a fold of 2^17 entries, as
-#: of the README config, in one block.
+#: 2-core Xeon VM, CLI runs of a 2^20 grid (D = 8 rows of 2^16) with 8 noise
+#: seeds took a median 0.418, 0.394 and 0.356 s of CPU at a peak RSS of
+#: 67.2, 69.2 and 73.2 MiB with blocks of 2^17, 2^18 and 2^19 entries (2, 4
+#: and 8 rows).  2^18 also keeps a fold of 2^17 entries, as of the README
+#: config, in one block.
 _ROW_BLOCK = 2 ** 18
 
 
-def _fold_twiddle(grid_size: int, P: int,
-                  D: int) -> tuple[np.ndarray, np.ndarray]:
+def _fold_twiddle(grid_size: int) -> tuple[np.ndarray, np.ndarray]:
     """The factors of i e^(i theta_m) = -sin theta_m + i cos theta_m on the
     positive half-grid theta_m = (m + 1/2) h, h = 2 pi / M, in the fold's
     row layout: at m = D q + r it is head[r] step[q], with
     head = i e^(i (r + 1/2) h) (D values) and step = e^(i q D h) (P values).
     Trig runs on D + P points rather than M/2.
     """
+    D = _ROWS
+    P = grid_size // (2 * D)
     h = 2.0 * PI / grid_size
     head_angle = (np.arange(D) + 0.5) * h
     head = np.empty(D, dtype=complex)
@@ -303,13 +311,13 @@ def _fold_rows(mirror: np.ndarray, pos: np.ndarray, head: np.ndarray,
     C-contiguous array.  For the whole fold ``mirror`` is ``pos``, the
     positive half-grid, and neg is the negative one.  The fold is written
     once, through the transpose, from the (P, D) reshapes of
-    ``mirror[::-1]`` and ``pos``, ``_BLOCK`` entries (and at least one
-    column) at a time, so neither neg nor the twiddle is formed in full."""
+    ``mirror[::-1]`` and ``pos``, ``_BLOCK`` entries at a time, so neither
+    neg nor the twiddle is formed in full."""
     D, P = head.size, step.size
     if out is None:
         out = np.empty((D, P), dtype=complex)
     mirror, pos = mirror[::-1].reshape(P, D), pos.reshape(P, D)
-    columns = max(_BLOCK // D, 1)
+    columns = _BLOCK // D
     for start in range(0, P, columns):
         q = slice(start, start + columns)
         neg = np.conjugate(mirror[q])
@@ -329,73 +337,41 @@ def _check_window(grid_size: int, half_length: int) -> None:
             f"{8 * (2 * half_length + 1)}")
 
 
-def _split_shape(grid_size: int, half_length: int) -> tuple[int, int]:
-    """(P, D): the fold's M/2 entries inverse-transformed as D interleaved
-    rows of P points each.
-
-    The window reads the fold's inverse FFT at the S + 1 indices
-    s = floor(-S/2) .. floor(S/2).  The split is exact for any P, because
-    each row's P-point inverse FFT is P-periodic in s.  P is the least
-    power of two >= S + 1, so the window's indices fit in one period: each
-    row yields them as two contiguous slices, and the D (S + 1) phased
-    terms cost at most one pass over the fold.  P <= 2 S, and the window
-    check M/2 >= 8 S + 4 then leaves D >= 8.
-    """
-    P = 1 << int(half_length).bit_length()
-    return P, grid_size // 2 // P
-
-
-def _tap_window(half_length: int, tap_half_length: int | None) -> int:
-    """T, the half-length of the window a transform forms: S when
-    ``tap_half_length`` is None, else ``tap_half_length``, which must lie
-    in [1, S]."""
-    if tap_half_length is None:
-        return half_length
-    if not 1 <= tap_half_length <= half_length:
-        raise ValueError(
-            f"tap_half_length must lie in [1, half_length], got "
-            f"T={tap_half_length} S={half_length}")
-    return tap_half_length
-
-
-def _window_reader(grid_size: int, half_length: int,
-                   tap_half_length: int) -> Callable[[np.ndarray], TimeSignal]:
+def _window_reader(grid_size: int,
+                   half_length: int) -> Callable[[np.ndarray], TimeSignal]:
     """The map from a fold of an M-point grid, in the row layout of
-    :func:`_fold_rows` for the split that S = ``half_length`` picks, to
-    x(t) on the tap window [-T, T], T = ``tap_half_length`` <= S.
+    :func:`_fold_rows`, to x(t) on the window [-W, W], W = ``half_length``.
 
-    Writing L = M/2 and splitting the fold's index as m = D q + r (shape
-    from :func:`_split_shape`), the inverse FFT of the fold at s is
+    Writing L = M/2 and splitting the fold's index as m = D q + r (D =
+    ``_ROWS``, P = L/D), the inverse FFT of the fold at s is
     (1/D) sum_r e^(2 pi i r s / L) Z[r, s mod P], where row r of Z is the
     P-point inverse FFT of row r of the fold, fold[r::D].  With the pair
     phase (1/2) e^(2 pi i s / M) of :func:`inverse_transform` folded in,
     x(2s) + i x(2s+1) = sum_r phases[r, s] Z[r, s mod P] with
-    phases[r, s] = (0.5 / D) e^(2 pi i s (2r + 1) / M).  Only the T + 1
-    pairs that cover [-T, T] are formed, so the phases are a (D, T + 1)
-    table; P >= S + 1 >= T + 1 keeps them inside one period of Z.  Each
-    phase, each row transform and each pair's sum is that of the [-S, S]
-    window, so the samples are its slice at |t| <= T, bit for bit.  The
-    phases and a block array for Z are built once per reader, so a sweep
-    shares them across its folds.  Each call takes the fold's rows in
-    blocks of ``_ROW_BLOCK`` entries (at least two rows, at most D): it
-    runs one inverse FFT along the block's contiguous rows into the block
-    array and adds the block's terms into each output pair, with no
-    (D, T + 1) product formed.  A fold of one block sums each pair in one
-    pass; more blocks regroup each pair's sum, which moves it by rounding,
-    about 1e-16 of the sum of its terms' magnitudes.  The fold is left
-    unchanged, and the window is a view of a fresh pairs array, so no copy
-    is made.
+    phases[r, s] = (0.5 / D) e^(2 pi i s (2r + 1) / M).  Only the W + 1
+    pairs that cover [-W, W] are formed, so the phases are a (D, W + 1)
+    table; P >= W + 1 keeps them inside one period of Z.  The phases and a
+    block array for Z are built once per reader, so a sweep shares them
+    across its folds.  Each call takes the fold's rows in blocks of
+    ``_ROW_BLOCK`` entries (at least two rows, at most D): it runs one
+    inverse FFT along the block's contiguous rows into the block array and
+    adds the block's terms into each output pair, with no (D, W + 1)
+    product formed.  A fold of one block sums each pair in one pass; more
+    blocks regroup each pair's sum, which moves it by rounding, about 1e-16
+    of the sum of its terms' magnitudes.  The fold is left unchanged, and
+    the window is a view of a fresh pairs array, so no copy is made.
     """
-    P, D = _split_shape(grid_size, half_length)
-    T = tap_half_length
-    # Pairs (x(2s), x(2s+1)) for s = floor(-T/2) .. floor(T/2) cover [-T, T];
+    D = _ROWS
+    P = grid_size // (2 * D)
+    W = half_length
+    # Pairs (x(2s), x(2s+1)) for s = floor(-W/2) .. floor(W/2) cover [-W, W];
     # the `below` values s < 0 read the last entries of each row of Z, the
     # rest the first.
-    first = -T // 2
+    first = -W // 2
     below = -first
-    count = T // 2 + 1 - first
+    count = W // 2 + 1 - first
     # The angles are built in the phases' real parts, whose products
-    # s (2r + 1) are exact, so the set-up makes no (D, T + 1) temporary.
+    # s (2r + 1) are exact, so the set-up makes no (D, W + 1) temporary.
     phases = np.empty((D, count), dtype=complex)
     angle = phases.real
     np.multiply.outer(2.0 * np.arange(D) + 1,
@@ -411,7 +387,7 @@ def _window_reader(grid_size: int, half_length: int,
     halves = ((slice(None, below), slice(None, below), slice(P - below, None)),
               (slice(below, None), slice(below, None),
                slice(None, count - below)))
-    start = -T - 2 * first
+    start = -W - 2 * first
 
     def read(fold: np.ndarray) -> TimeSignal:
         pairs = np.empty(count, dtype=complex)
@@ -425,18 +401,17 @@ def _window_reader(grid_size: int, half_length: int,
                 else:
                     np.einsum("rs,rs->s", phases[:rows, cols], block[:, z],
                               out=pairs[out])
-        samples = pairs.view(float)[start:start + 2 * T + 1]
+        samples = pairs.view(float)[start:start + 2 * W + 1]
         if not np.all(np.isfinite(samples)):
             raise ValueError(
                 f"inverse transform overflows: the window of half-length "
-                f"{T} holds non-finite samples")
+                f"{W} holds non-finite samples")
         return TimeSignal(samples=samples)
 
     return read
 
 
-def inverse_transform(spec: SpectralSignal, half_length: int,
-                      tap_half_length: int | None = None) -> TimeSignal:
+def inverse_transform(spec: SpectralSignal, half_length: int) -> TimeSignal:
     """x(t) = (1/2pi) integral of X e^(i omega t), trapezoid on the grid.
 
     On the midpoint grid the trapezoid sum is a phase-shifted inverse DFT.
@@ -445,26 +420,21 @@ def inverse_transform(spec: SpectralSignal, half_length: int,
     P = ``spec.positive``, N = conj(P[::-1]) the negative half-grid and
     theta_m = (m + 1/2) 2 pi / M, and
     x(2s) + i x(2s+1) = (1/2) e^(2 pi i s / M) ifft(A)[s mod M/2].  The
-    window is [-S, S], S = ``half_length``, or with ``tap_half_length``
-    T <= S given, only [-T, T]: S then only picks the split, and the
-    samples are those of the [-S, S] window at |t| <= T, bit for bit.  Only
-    the T + 1 outputs the window reads are formed: A is held as D
-    contiguous rows of P >= S + 1 points, row r = A[r::D], the rows are
-    inverse-transformed a block at a time, and each output combines its D
-    row values (see :func:`_window_reader`).  Requires grid_size >= 8 *
-    (2 * half_length + 1).  A spectrum whose transform overflows or holds a
-    NaN, leaving a sample of the window infinite or NaN, is a ValueError.
+    window is [-W, W], W = ``half_length``, and only its W + 1 outputs are
+    formed: A is held as 8 contiguous rows of M/16 points, row r = A[r::8],
+    the rows are inverse-transformed a block at a time, and each output
+    combines its 8 row values (see :func:`_window_reader`).  Requires
+    grid_size >= 8 * (2 * half_length + 1).  A spectrum whose transform
+    overflows or holds a NaN, leaving a sample of the window infinite or
+    NaN, is a ValueError.
     """
     M = spec.grid_size
     _check_window(M, half_length)
-    T = _tap_window(half_length, tap_half_length)
-    P, D = _split_shape(M, half_length)
     # A finite spectrum can still overflow the sums; the window reader
     # reports that, so numpy's own warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
-        fold = _fold_rows(spec.positive, spec.positive,
-                          *_fold_twiddle(M, P, D))
-        return _window_reader(M, half_length, T)(fold)
+        fold = _fold_rows(spec.positive, spec.positive, *_fold_twiddle(M))
+        return _window_reader(M, half_length)(fold)
 
 
 def forward_transform(signal: TimeSignal, grid_size: int) -> SpectralSignal:
@@ -540,18 +510,6 @@ def _noise_band_count(grid_size: int) -> int:
     return half - first
 
 
-def _band_width(grid_size: int, half_length: int) -> int:
-    """ceil(count / D): the entries at each end of every fold row, in the
-    split of :func:`_split_shape`, that the noise band reaches.
-
-    The band is about 1/63 of the fold, so the width is about P / 63 + 1,
-    and P >= 2 keeps it at most P / 2: the blocks at the two ends never
-    overlap.
-    """
-    D = _split_shape(grid_size, half_length)[1]
-    return -(-_noise_band_count(grid_size) // D)
-
-
 def _noise_band(grid_size: int, sigma: float, noise_seed: int) -> np.ndarray:
     """The noise on the band of the positive half-grid, ascending in omega:
     flat amplitude, so that the Hermitian noise (this band and its mirror)
@@ -592,54 +550,47 @@ def add_spectral_noise(spec: SpectralSignal, sigma: float,
 
 
 def noisy_inverse_transforms(spec: SpectralSignal, half_length: int,
-                             sigma: float, seeds: tuple[int, ...],
-                             tap_half_length: int | None = None
-                             ) -> list[TimeSignal]:
+                             sigma: float,
+                             seeds: tuple[int, ...]) -> list[TimeSignal]:
     """``inverse_transform(add_spectral_noise(spec, sigma, seed),
-    half_length, tap_half_length)`` for each seed, bit for bit, with no
-    noisy grid built: each draw is formed only on the window [-T, T] (T
-    defaults to S = ``half_length``, which picks the fold's split).
+    half_length)`` for each seed, bit for bit, with no noisy grid built.
 
     The noise band is the top ``count`` bins of P = ``spec.positive``, so
     it enters both ends of the fold: entries M/2 - count .. M/2 - 1 through
     P and entries 0 .. count - 1 through N = conj(P[::-1]).  In the row
     layout of :func:`_fold_rows` those lie in the first and the last
-    ``width = ceil(count / D)`` entries of every row.  So the clean
-    spectrum is folded once, and one window reader (its (D, T + 1) phases
-    and its block array) serves every seed; of the twiddle's P column
-    factors only the 2 width that the band blocks use are kept past the
-    clean fold.  Each seed copies the top ``width D`` entries of P and adds
-    its band to them; that one noisy slice, paired with the clean bottom
-    ``width D`` entries, refolds both (D, width) blocks in place.  The
-    reader's blocked inverse FFT then leaves the fold unchanged.  The
-    D width - count entries of each block that the band misses are
-    refolded from clean values, so they keep their bits.  Errors are those
-    of the per-seed route.
+    ``width = ceil(count / D)`` entries of every row, which never overlap:
+    the band is about 1/63 of the fold.  So the clean spectrum is folded
+    once, and one window reader serves every seed; of the twiddle's column
+    factors only the 2 width that the band blocks use are kept.  Each seed
+    copies the top ``width D`` entries of P and adds its band to them; that
+    one noisy slice, paired with the clean bottom ``width D`` entries,
+    refolds both (D, width) blocks in place, and the reader leaves the fold
+    unchanged.  The D width - count entries of each block that the band
+    misses are refolded from clean values, so they keep their bits.  Errors
+    are those of the per-seed route.
     """
     if sigma == 0.0:
-        return [inverse_transform(spec, half_length,
-                                  tap_half_length)] * len(seeds)
+        return [inverse_transform(spec, half_length)] * len(seeds)
     M = spec.grid_size
     _check_window(M, half_length)
-    T = _tap_window(half_length, tap_half_length)
-    P, D = _split_shape(M, half_length)
     count = _noise_band_count(M)
-    width = _band_width(M, half_length)
+    width = -(-count // _ROWS)
     pos = spec.positive
-    bottom, top = pos[:width * D], pos[pos.size - width * D:]
+    bottom, top = pos[:width * _ROWS], pos[pos.size - width * _ROWS:]
     draws = []
     # As in inverse_transform, the window reader reports an overflow.
     with np.errstate(over="ignore", invalid="ignore"):
-        head, step = _fold_twiddle(M, P, D)
+        head, step = _fold_twiddle(M)
         fold = _fold_rows(pos, pos, head, step)
         # Only the band blocks' step factors outlive the clean fold.
-        low, high = step[:width].copy(), step[P - width:].copy()
+        low, high = step[:width].copy(), step[-width:].copy()
         del step
-        read = _window_reader(M, half_length, T)
+        read = _window_reader(M, half_length)
         for seed in seeds:
             noisy_top = top.copy()
             noisy_top[-count:] += _noise_band(M, sigma, seed)
             _fold_rows(noisy_top, bottom, head, low, out=fold[:, :width])
-            _fold_rows(bottom, noisy_top, head, high, out=fold[:, P - width:])
+            _fold_rows(bottom, noisy_top, head, high, out=fold[:, -width:])
             draws.append(read(fold))
     return draws

@@ -189,6 +189,9 @@ class TestConfigParsing:
          "weight.a"),
         ("kernel", {"weight": {"p": math.inf}}, "weight.p"),
         ("kernel", {"weight": {"nu": 10 ** 400}}, "weight.nu"),
+        # An index with no float: the closed-form eps_n cannot be formed.
+        ("kernel", {"n_values": [2, 10 ** 309]}, "n_values"),
+        ("recover", {"n_values": [2, 10 ** 309]}, "n_values"),
     ])
     def test_non_finite_numbers_exit_config_error(self, tmp_path, capsys,
                                                   command, overrides,
@@ -347,6 +350,22 @@ class TestKernelCommand:
         assert code == EXIT_CONFIG
         assert "exceed 1" in capsys.readouterr().err
 
+    # n = 10^300 is a float, but the closed-form eps_n underflows to 0,
+    # outside (0, 1/n): a one-line numerical failure, not a traceback.
+    @pytest.mark.parametrize("command", ["kernel", "recover"])
+    def test_huge_band_index_exits_numerical(self, tmp_path, capsys,
+                                             command):
+        config = write_config(tmp_path, {"n_values": [2, 10 ** 300]})
+        code = main([command, "--config", str(config),
+                     "--out", str(tmp_path / "k")])
+        assert code == EXIT_NUMERICAL
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"numerical failure in stage "
+                                   f"'{command}': ")
+        assert "closed form for beta=1.0 left the admissible interval" \
+            in lines[0]
+
     def test_inadmissible_weight_exits_numerical(self, tmp_path, capsys):
         config = write_config(
             tmp_path, {"weight": {"family": "direct", "nu": 0.0}})
@@ -398,6 +417,33 @@ class TestRecoverCommand:
         config = write_config(tmp_path)
         assert main(["recover", "--config", str(config)]) == EXIT_CONFIG
         assert "output_path" in capsys.readouterr().err
+
+    # The README config and the grid_noise benchmark config, each at its S
+    # and at another valid S: the data rows differ only in the S column.
+    @pytest.mark.parametrize("overrides, S_values", [
+        ({"n_values": [2, 4, 8, 16, 32], "T": 2048, "grid_size": 2 ** 18,
+          "noise": {"sigma": 1e-6, "seeds": [0, 1, 2]}}, (4096, 8192)),
+        ({"n_values": [2, 32], "T": 64, "grid_size": 2 ** 20,
+          "noise": {"sigma": 1e-6, "seeds": list(range(8))}}, (32768, 64))],
+        ids=["readme", "grid_noise"])
+    def test_signal_window_moves_no_number(self, tmp_path, overrides,
+                                           S_values):
+        signal = {"kind": "powerdecay", "nu": 1.0, "seed": 3}
+        bodies = []
+        for S in S_values:
+            raw = {**BASE_CONFIG, **overrides, "signal": signal, "S": S}
+            config = tmp_path / f"config_{S}.json"
+            config.write_text(json.dumps(raw))
+            out = tmp_path / f"r_{S}.csv"
+            assert main(["recover", "--config", str(config),
+                         "--out", str(out)]) == EXIT_OK
+            rows = [line.split(",") for line in out.read_text().splitlines()
+                    if not line.startswith("#")]
+            s_column = rows[0].index("S")
+            assert {row[s_column] for row in rows[1:]} == {str(S)}
+            bodies.append([row[:s_column] + row[s_column + 1:]
+                           for row in rows])
+        assert bodies[0] == bodies[1]
 
     @pytest.mark.parametrize("command, make_out", [
         ("recover", lambda path: path.mkdir()),

@@ -194,8 +194,8 @@ class TestConvergenceSweep:
             assert r.robust_bound is not None
             assert r.abs_error <= r.robust_bound
 
-    # At 2^14, S = 256 the fold is one block of D = 16 rows of P = 512; at
-    # 2^20, S = 4096 it is D = 64 rows of P = 8192, in 2 blocks of 32.
+    # The fold is D = 8 rows of P = M/16: at 2^14 one block of 8 rows of
+    # 1024, at 2^20 2 blocks of 4 rows of 65536, whatever S is.
     @pytest.mark.parametrize("grid_size, S, blocks", [(2 ** 14, 256, 1),
                                                       (2 ** 20, 4096, 2)])
     @pytest.mark.parametrize("n_values", [[2], [2, 3, 4]])
@@ -213,12 +213,10 @@ class TestConvergenceSweep:
             return ifft(a, *args, **kwargs)
 
         def transforms(count):
-            # The fold's M/2 entries as D rows of P >= S + 1 points; each
-            # transform covers all D rows exactly once, in blocks of at most
+            # The fold's M/2 entries as 8 rows of M/16 points; each
+            # transform covers all 8 rows exactly once, in blocks of at most
             # _ROW_BLOCK entries.
-            P = calls[0][1]
-            D = grid_size // 2 // P
-            assert P >= S + 1
+            P, D = grid_size // 16, 8
             assert len(calls) == count * blocks
             for k in range(count):
                 group = calls[k * blocks:(k + 1) * blocks]
@@ -257,6 +255,25 @@ class TestConvergenceSweep:
         assert [(r.n, r.seed, r.estimate, r.truth)
                 for r in reports] == expected
 
+    # The README config and the grid_noise benchmark config, each at its S
+    # and at another valid S: every CSV cell but S keeps its bytes.
+    @pytest.mark.parametrize("grid_size, n_values, T, seeds, S_values", [
+        (2 ** 18, [2, 4, 8, 16, 32], 2048, (0, 1, 2), (4096, 8192)),
+        (2 ** 20, [2, 32], 64, tuple(range(8)), (32768, 64))],
+        ids=["readme", "grid_noise"])
+    def test_signal_window_moves_no_number(self, grid_size, n_values, T,
+                                           seeds, S_values):
+        signal = make_power_decay(1.0, 3, grid_size)
+        s_column = CSV_COLUMNS.index("S")
+        runs = []
+        for S in S_values:
+            reports = convergence_sweep(POWER, signal, n_values, T, S,
+                                        noise_sigma=1e-6, noise_seeds=seeds)
+            assert {r.S for r in reports} == {S}
+            runs.append([r.csv_row()[:s_column] + r.csv_row()[s_column + 1:]
+                         for r in reports])
+        assert runs[0] == runs[1]
+
     def test_unsorted_n_rejected(self):
         signal = make_bandlimited(PI / 2, 7, 2 ** 14)
         with pytest.raises(ValueError):
@@ -274,8 +291,8 @@ class TestConvergenceSweep:
                                             "noise_seeds": (0,)}])
     def test_tap_window_wider_than_signal_window_rejected(self, monkeypatch,
                                                           noise):
-        # The draws are read at |t| <= T from a split sized by S, so T > S
-        # is refused before any transform runs, naming both.
+        # A report's S column claims a signal window that holds the taps,
+        # so T > S is refused before any transform runs, naming both.
         def no_ifft(*args, **kwargs):
             raise AssertionError("transformed before the window check")
 

@@ -12,13 +12,11 @@ from specfill.signals import (
     NOISE_BAND,
     SpectralSignal,
     TimeSignal,
-    _band_width,
     _envelope,
     _fold_rows,
     _fold_twiddle,
     _noise_band_count,
     _positive_omegas,
-    _split_shape,
     _window_reader,
     add_spectral_noise,
     class_norm,
@@ -133,13 +131,27 @@ def masked_noise_values(spec, sigma, noise_seed):
     return spec.positive + noise
 
 
-# (M, S) splits of the fold in row layout, P x D = M/2: one block of
-# _BLOCK entries or fewer (2^10, S = 1; 2^12, S = 100; 2^14 at its largest
-# S), two blocks of 256 columns (2^16, S = 511), eight blocks of 16 columns
-# (2^18, S = 100) or of 1024 (2^18, S = 4096), and D = 2^15 > _BLOCK, one
-# column per block (2^17, S = 1).
-SPLITS = [(2 ** 10, 1), (2 ** 12, 100), (2 ** 14, 1023), (2 ** 16, 511),
-          (2 ** 18, 100), (2 ** 18, 4096), (2 ** 17, 1)]
+# Grid sizes M of the fold in row layout, D = 8 rows of P = M/16: one block
+# of _BLOCK entries or fewer (2^10 to 2^14), 2 blocks of 2048 columns
+# (2^16), 8 blocks (2^18), and 32 blocks (2^20), whose 2^19 entries the
+# reader takes in two blocks of 4 rows.
+GRIDS = [2 ** 10, 2 ** 12, 2 ** 14, 2 ** 16, 2 ** 18, 2 ** 20]
+
+
+def largest_window(grid_size):
+    """The largest W with grid_size >= 8 (2W + 1): M/16 - 1, so P = W + 1
+    and the window spans a whole period of every row transform."""
+    return grid_size // 16 - 1
+
+
+def window(grid_size, which):
+    """The smallest window ("one") or the largest."""
+    return 1 if which == "one" else largest_window(grid_size)
+
+
+def split(grid_size):
+    """(P, D), the fold's row length and row count."""
+    return grid_size // 16, signals._ROWS
 
 
 class TestGrid:
@@ -370,106 +382,99 @@ class TestInverseTransform:
             with pytest.raises(ValueError, match="non-finite samples"):
                 inverse_transform(SpectralSignal(positive=positive), 8)
 
-    @pytest.mark.parametrize("grid_size, half_length, shape", [
-        (2 ** 10, 2 ** 10 // 16 - 1, (64, 8)),
-        (2 ** 18, 2 ** 18 // 16 - 1, (16384, 8)),
-        (2 ** 20, 2 ** 20 // 16 - 1, (65536, 8)),
-        (2 ** 20, 32768, (65536, 8)),
-        (2 ** 14, 256, (512, 16)),
-        (2 ** 17, 1, (2, 2 ** 15)),
-    ])
-    def test_split_shape(self, grid_size, half_length, shape):
-        # The least power of two P >= S + 1, and D = M / (2P).
-        assert _split_shape(grid_size, half_length) == shape
-
-    @pytest.mark.parametrize("grid_size, half_length", SPLITS)
-    def test_reader_leaves_fold_unchanged(self, grid_size, half_length):
+    @pytest.mark.parametrize("which", ["one", "largest"])
+    @pytest.mark.parametrize("grid_size", GRIDS)
+    def test_reader_leaves_fold_unchanged(self, grid_size, which):
         # A sweep runs one reader on one fold per seed, so a read must not
         # disturb the fold: two reads give the same bytes, and those of
         # inverse_transform.
+        half_length = window(grid_size, which)
         sig = random_spectrum(grid_size, seed=grid_size + half_length)
-        P, D = _split_shape(grid_size, half_length)
+        P, D = split(grid_size)
         fold = _fold_rows(sig.positive, sig.positive,
-                          *_fold_twiddle(grid_size, P, D))
+                          *_fold_twiddle(grid_size))
         assert fold.shape == (D, P) and fold.flags.c_contiguous
         before = fold.tobytes()
-        read = _window_reader(grid_size, half_length, half_length)
+        read = _window_reader(grid_size, half_length)
         first, second = read(fold), read(fold)
         assert fold.tobytes() == before
         assert first.samples.tobytes() == second.samples.tobytes()
         assert (first.samples.tobytes()
                 == inverse_transform(sig, half_length).samples.tobytes())
 
-    # Every SPLITS fold is one block of the default _ROW_BLOCK; 2 forces
-    # 2-row blocks (16384 of them at 2^17, S = 1) and 2^10 blocks of 2 to
-    # 512 rows.
+    # The default _ROW_BLOCK reads every GRIDS fold but the 2^20 one in one
+    # block; 2 forces four 2-row blocks, and 2^10 blocks of 8 rows (2^10),
+    # 4 rows (2^12) or 2 rows.
     @pytest.mark.parametrize("row_block", [2, 2 ** 10, signals._ROW_BLOCK])
-    @pytest.mark.parametrize("grid_size, half_length", SPLITS)
+    @pytest.mark.parametrize("which", ["one", "largest"])
+    @pytest.mark.parametrize("grid_size", GRIDS)
     def test_blocked_reader_matches_whole_fold_route(
-            self, monkeypatch, grid_size, half_length, row_block):
+            self, monkeypatch, grid_size, which, row_block):
         monkeypatch.setattr(signals, "_ROW_BLOCK", row_block)
+        half_length = window(grid_size, which)
         sig = random_spectrum(grid_size, seed=grid_size + half_length)
-        P, D = _split_shape(grid_size, half_length)
         fold = _fold_rows(sig.positive, sig.positive,
-                          *_fold_twiddle(grid_size, P, D))
-        read = _window_reader(grid_size, half_length, half_length)
+                          *_fold_twiddle(grid_size))
+        read = _window_reader(grid_size, half_length)
         samples = read(fold).samples
         ref, scale = whole_fold_read(fold, grid_size, half_length)
         if row_block >= fold.size:
             assert samples.tobytes() == ref.tobytes()
         else:
             # Blocks only regroup each output's sum of D terms, so the gap
-            # is rounding relative to the terms' magnitudes; the windows of
-            # a random spectrum cancel to far below that (to about 1/200 of
-            # it at 2^17, S = 1).
+            # is rounding relative to the terms' magnitudes.
             assert np.max(np.abs(samples - ref)) <= 1e-15 * scale
 
-    @pytest.mark.parametrize("grid_size, half_length", SPLITS)
-    def test_fold_twiddle_matches_direct_trig(self, grid_size, half_length):
+    @pytest.mark.parametrize("grid_size", GRIDS)
+    def test_fold_twiddle_matches_direct_trig(self, grid_size):
         # head[r] step[q] is i e^(i theta_m) at m = D q + r.
-        P, D = _split_shape(grid_size, half_length)
+        P, D = split(grid_size)
         theta = _positive_omegas(grid_size)
         direct = -np.sin(theta) + 1j * np.cos(theta)
-        head, step = _fold_twiddle(grid_size, P, D)
+        head, step = _fold_twiddle(grid_size)
         assert head.shape == (D,) and step.shape == (P,)
         twiddle = np.multiply.outer(head, step)
         assert np.max(np.abs(twiddle.T.reshape(-1) - direct)) <= 1e-15
 
-    @pytest.mark.parametrize("grid_size, half_length", SPLITS)
-    def test_fold_rows_blocks_keep_bits(self, grid_size, half_length):
+    @pytest.mark.parametrize("grid_size", GRIDS)
+    def test_fold_rows_blocks_keep_bits(self, grid_size):
         # The fold runs in blocks of columns, with a block's twiddle and
         # negative half-grid formed on the fly; its bytes are those of one
         # pass on the whole twiddle and the whole negative half-grid.
-        sig = random_spectrum(grid_size, seed=grid_size + half_length)
-        P, D = _split_shape(grid_size, half_length)
+        sig = random_spectrum(grid_size, seed=grid_size)
+        P, D = split(grid_size)
         neg = np.conj(sig.positive[::-1]).reshape(P, D)
         pos = sig.positive.reshape(P, D)
-        head, step = _fold_twiddle(grid_size, P, D)
+        head, step = _fold_twiddle(grid_size)
         whole = (pos - neg) * np.multiply.outer(head, step).T + (pos + neg)
         fold = _fold_rows(sig.positive, sig.positive, head, step)
         assert fold.tobytes() == np.ascontiguousarray(whole.T).tobytes()
 
-    def test_overflowing_transform_rejected(self):
-        # Each value is finite, but the fold's sums X(w) + X(-w) are not.
-        sig = SpectralSignal(positive=np.full(2 ** 11, 1.5e308,
-                                              dtype=complex))
+    # At 1.5e308 each value is finite, but the fold's sums X(w) + X(-w)
+    # are not; at 4e305 the fold is finite, but its row sums are not (see
+    # the next test).
+    @pytest.mark.parametrize("value", [1.5e308, 4e305])
+    def test_overflowing_transform_rejected(self, value):
+        sig = SpectralSignal(positive=np.full(2 ** 11, value, dtype=complex))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="overflows"):
                 inverse_transform(sig, 8)
 
     def test_large_flat_spectrum_is_finite_delta(self):
-        # Every |x(t)| <= max |X|, and each row transform sums only P
-        # terms of the fold, not all M/2, so a flat 1e306 spectrum gives
-        # 1e306 at t = 0 and zero elsewhere with no intermediate overflow.
-        sig = SpectralSignal(positive=np.full(2 ** 11, 1e306, dtype=complex))
+        # Every |x(t)| <= max |X|, but each row transform sums its M/16
+        # fold values 2X before scaling, so a flat spectrum transforms
+        # only while 2 X M/16 < 1.8e308: at M = 2^12 that is X < 3.5e305.
+        # A flat 3e305 spectrum gives 3e305 at t = 0 and zero elsewhere
+        # with no intermediate overflow; 4e305 overflows (test above).
+        sig = SpectralSignal(positive=np.full(2 ** 11, 3e305, dtype=complex))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             ts = inverse_transform(sig, 8)
         expected = np.zeros(17)
-        expected[8] = 1e306
+        expected[8] = 3e305
         np.testing.assert_allclose(ts.samples, expected, rtol=0.0,
-                                   atol=1e306 * 1e-15)
+                                   atol=3e305 * 1e-15)
 
 
 class TestRoundTripAndParseval:
@@ -630,9 +635,9 @@ class TestNoisyInverseTransforms:
             assert draw.samples.tobytes() == ref.samples.tobytes()
 
     @pytest.mark.parametrize("sigma", [1e-6, 0.3])
-    @pytest.mark.parametrize("grid_size, half_length", SPLITS)
-    def test_equals_per_seed_route_on_splits(self, grid_size, half_length,
-                                             sigma):
+    @pytest.mark.parametrize("grid_size", GRIDS)
+    def test_equals_per_seed_route_on_grids(self, grid_size, sigma):
+        half_length = largest_window(grid_size)
         sig = random_spectrum(grid_size, seed=grid_size + half_length)
         seeds = (4, 0, 9)
         draws = noisy_inverse_transforms(sig, half_length, sigma, seeds)
@@ -641,19 +646,17 @@ class TestNoisyInverseTransforms:
                                     half_length)
             assert draw.samples.tobytes() == ref.samples.tobytes()
 
-    # The narrowest band blocks: at 2^10, S = 1 (P = 2) the two one-entry
-    # blocks are the whole of every row; at 2^11, S = 63 each of the D = 16
-    # rows holds one band entry at each end; at 2^12, S = 31 the band's 33
-    # entries reach only some of the D = 64 rows, and at S = 63 some rows
-    # hold two band entries at each end and some one.
+    # The narrowest band blocks: at 2^10 the band's 8 entries are one at
+    # each end of each of the D = 8 rows; at 2^11 its 16 are two; at 2^12
+    # its 33 reach a fifth entry at each end of only one row.
     @pytest.mark.parametrize("sigma", [1e-6, 0.3])
-    @pytest.mark.parametrize("grid_size, half_length, width", [
-        (2 ** 10, 1, 1), (2 ** 11, 63, 1), (2 ** 12, 31, 1),
-        (2 ** 12, 63, 2)])
+    @pytest.mark.parametrize("which", ["one", "largest"])
+    @pytest.mark.parametrize("grid_size, count", [
+        (2 ** 10, 8), (2 ** 11, 16), (2 ** 12, 33)])
     def test_equals_per_seed_route_on_narrowest_blocks(self, grid_size,
-                                                       half_length, width,
-                                                       sigma):
-        assert _band_width(grid_size, half_length) == width
+                                                       count, which, sigma):
+        assert _noise_band_count(grid_size) == count
+        half_length = window(grid_size, which)
         sig = random_spectrum(grid_size, seed=grid_size + half_length)
         seeds = (0, 1, 2)
         draws = noisy_inverse_transforms(sig, half_length, sigma, seeds)
@@ -662,18 +665,18 @@ class TestNoisyInverseTransforms:
                                     half_length)
             assert draw.samples.tobytes() == ref.samples.tobytes()
 
-    @pytest.mark.parametrize("grid_size", [2 ** k for k in range(10, 21)])
+    @pytest.mark.parametrize("grid_size", [2 ** k for k in range(10, 25)])
     def test_band_blocks_cover_band_and_never_overlap(self, grid_size):
-        # Each seed rewrites the first and the last `width` entries of every
-        # fold row; together they must hold the band's count entries at
-        # each end of the fold, and stay apart, at every valid S.
+        # Each seed rewrites the first and the last width = ceil(count / D)
+        # entries of every fold row; together they must hold the band's
+        # count entries at each end of the fold, and stay apart, on every
+        # grid the CLI accepts.
         count = _noise_band_count(grid_size)
-        for half_length in range(1, (grid_size // 8 - 1) // 2 + 1):
-            P, D = _split_shape(grid_size, half_length)
-            width = _band_width(grid_size, half_length)
-            assert width * D >= count
-            assert (width - 1) * D < count
-            assert 2 * width <= P
+        P, D = split(grid_size)
+        width = -(-count // D)
+        assert width * D >= count
+        assert (width - 1) * D < count
+        assert 2 * width <= P
 
     # The fold runs _BLOCK entries at a time; at 2^16 the bin 20000 lies in
     # the second block, and the top bins lie in the noise band.
@@ -692,75 +695,72 @@ class TestNoisyInverseTransforms:
                 noisy_inverse_transforms(SpectralSignal(positive=positive),
                                          8, 1e-6, (0,))
 
-    def test_overflowing_transform_rejected(self):
-        # The band amplitude (about 1e308) is finite; the fold's sums of
-        # the band values are not.
+    # At sigma = 1e307 the band amplitude (about 1e308) is finite, but the
+    # fold's sums of the band values are not; at 1e306 the fold is finite,
+    # but its row sums are not (see the next test).
+    @pytest.mark.parametrize("sigma", [1e306, 1e307])
+    def test_overflowing_transform_rejected(self, sigma):
         sig = make_bandlimited(PI / 2, 7, 2 ** 14)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError,
                                match="inverse transform overflows"):
-                noisy_inverse_transforms(sig, 8, 1e307, (5,))
+                noisy_inverse_transforms(sig, 8, sigma, (5,))
 
     def test_large_sigma_window_is_finite_and_linear(self):
-        # At sigma = 1e306 (band amplitude about 1e307) the clean signal is
-        # lost to rounding, and the window is 1e306 times the window of
-        # unit noise alone.
+        # Each row transform of the 2^14 grid sums about 34 band values of
+        # the fold, each up to twice the band amplitude, about 10 sigma,
+        # before scaling; at seed 5 the sums stay finite up to sigma of
+        # about 8.8e305 (1e306 overflows, test above).  At sigma = 8e305
+        # the clean signal is lost to rounding, and the window is 8e305
+        # times the window of unit noise alone.
         sig = make_bandlimited(PI / 2, 7, 2 ** 14)
         zero = SpectralSignal(positive=np.zeros(2 ** 13, dtype=complex))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            (big,) = noisy_inverse_transforms(sig, 8, 1e306, (5,))
+            (big,) = noisy_inverse_transforms(sig, 8, 8e305, (5,))
         (unit,) = noisy_inverse_transforms(zero, 8, 1.0, (5,))
         scale = np.max(np.abs(big.samples))
         assert np.isfinite(scale)
-        assert (np.max(np.abs(big.samples - 1e306 * unit.samples))
+        assert (np.max(np.abs(big.samples - 8e305 * unit.samples))
                 <= 1e-14 * scale)
 
 
 class TestTapWindow:
-    """A transform formed only on the tap window [-T, T], its split still
-    picked by S, is the [-T, T] slice of the [-S, S] window, bit for bit."""
+    """A transform formed on the window [-T, T] is the [-T, T] slice of the
+    transform on any longer window [-S, S], bit for bit: the split, and so
+    every row transform, phase and per-pair sum, depends on the grid
+    alone."""
 
-    # 2 forces 2-row blocks, so every SPLITS fold with D > 2 is read in
-    # several blocks; the default reads each in one.
+    # 2 forces 2-row blocks, so every fold is read in four blocks; the
+    # default reads each GRIDS fold but the 2^20 one in one.
     @pytest.mark.parametrize("row_block", [2, signals._ROW_BLOCK])
     @pytest.mark.parametrize("sigma", [0.0, 1e-6])
-    @pytest.mark.parametrize("grid_size, half_length", SPLITS)
+    @pytest.mark.parametrize("grid_size", GRIDS)
     @pytest.mark.parametrize("make", [make_bandlimited, make_power_decay])
-    def test_tap_window_is_slice_of_signal_window(
-            self, monkeypatch, make, grid_size, half_length, sigma,
-            row_block):
+    def test_tap_window_is_slice_of_longer_window(
+            self, monkeypatch, make, grid_size, sigma, row_block):
         monkeypatch.setattr(signals, "_ROW_BLOCK", row_block)
-        S = half_length
+        S = largest_window(grid_size)
         sig = generated(make, grid_size)
         noisy = add_spectral_noise(sig, sigma, 4)
         seeds = (4, 0)
         whole = inverse_transform(noisy, S).samples
         whole_draws = noisy_inverse_transforms(sig, S, sigma, seeds)
-        for T in sorted({t for t in (1, 2, S // 2, S) if 1 <= t <= S}):
-            window = slice(S - T, S + T + 1)
-            part = inverse_transform(noisy, S, T)
+        for T in (1, 2, S // 2, S):
+            inner = slice(S - T, S + T + 1)
+            part = inverse_transform(noisy, T)
             assert part.half_length == T
-            assert part.samples.tobytes() == whole[window].tobytes()
-            draws = noisy_inverse_transforms(sig, S, sigma, seeds, T)
+            assert part.samples.tobytes() == whole[inner].tobytes()
+            draws = noisy_inverse_transforms(sig, T, sigma, seeds)
             for draw, ref in zip(draws, whole_draws, strict=True):
                 assert (draw.samples.tobytes()
-                        == ref.samples[window].tobytes())
-
-    @pytest.mark.parametrize("tap_half_length", [0, -1, 9])
-    def test_tap_window_outside_signal_window_rejected(self,
-                                                       tap_half_length):
-        sig = generated(make_bandlimited, 2 ** 12)
-        with pytest.raises(ValueError, match=f"T={tap_half_length} S=8"):
-            inverse_transform(sig, 8, tap_half_length)
-        with pytest.raises(ValueError, match=f"T={tap_half_length} S=8"):
-            noisy_inverse_transforms(sig, 8, 1e-6, (0,), tap_half_length)
+                        == ref.samples[inner].tobytes())
 
 
 class TestTracedMemory:
-    """Peaks of numpy allocations at grid_noise's scale (grid 2^20,
-    S = 32768): no whole-grid temporary beyond the arrays named."""
+    """Peaks of numpy allocations at grid_noise's scale (grid 2^20):
+    no whole-grid temporary beyond the arrays named."""
 
     M = 2 ** 20
     MiB = 2 ** 20
@@ -775,14 +775,13 @@ class TestTracedMemory:
         assert peak <= sig.positive.nbytes + self.MiB
 
     def test_noisy_tap_window_sweep_peaks_at_fold_and_one_row_block(self):
-        # grid_noise's sweep: S = 32768 picks the split, and each draw is
-        # formed only on the tap window T = 64, so the reader's phases and
-        # outputs are O(D T), with no (D, S + 1) table.
-        S, T, seeds = 32768, 64, (0, 1)
+        # grid_noise's sweep: each draw is formed only on the tap window
+        # T = 64, so the reader's phases and outputs are O(D T).
+        T, seeds = 64, (0, 1)
         sig = make_power_decay(1.0, 3, self.M)
         draws, peak = traced_peak(
-            lambda: noisy_inverse_transforms(sig, S, 1e-6, seeds, T))
-        P, D = _split_shape(self.M, S)
+            lambda: noisy_inverse_transforms(sig, T, 1e-6, seeds))
+        P, D = split(self.M)
         item = np.dtype(complex).itemsize
         fold = D * P * item
         row_block = min(D, max(2, signals._ROW_BLOCK // P)) * P * item
