@@ -55,6 +55,11 @@ error.
 
 The CLI runs OpenBLAS on one thread unless ``OPENBLAS_NUM_THREADS`` is
 set: its idle worker would spin on a second core that no command uses.
+Seeded draws come from specfill's own Philox4x64-10, equal byte for byte
+to numpy's ``Generator(Philox(seed))`` streams, and the config hash takes
+the interpreter's builtin SHA-256, so no command loads ``numpy.random``
+or OpenSSL (a smaller footprint per process) and numpy cannot move the
+stream under a rerun.
 
 Tap exports: ``taps_n<k>.txt`` (two columns: t, k(t), one header comment
 line) and ``taps_n<k>.f64`` (flat little-endian float64, t = -T..T).
@@ -63,13 +68,22 @@ line) and ``taps_n<k>.f64`` (flat little-endian float64, t = -T..T).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+
+# The interpreter's own SHA-256 hashes the config without loading OpenSSL,
+# which ``hashlib`` does on import.
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
 
 # Must run before numpy loads, which the first package import below does.
 # On import, OpenBLAS otherwise starts a worker thread that spin-waits on a
@@ -157,7 +171,7 @@ class ExperimentConfig:
                           separators=(",", ":"))
 
     def config_hash(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()
+        return sha256(self.canonical_json().encode()).hexdigest()
 
     def build_signal(self) -> SpectralSignal:
         if self.signal_kind == "bandlimited":

@@ -81,9 +81,20 @@ def _inner_edge_u(n: int) -> float:
     return math.log(2.0 * PI * n - 1.0)
 
 
+def _format_n(n: int) -> str:
+    """n for a message: every digit while a float holds it exactly
+    (|n| <= 2^53), three significant digits beyond that."""
+    if abs(n) <= 2 ** 53:
+        return str(n)
+    try:
+        return f"{n:.3g}"
+    except OverflowError:
+        return f"<{n.bit_length()}-bit integer>"
+
+
 def _check_n(n: int) -> None:
     if n <= 1:
-        raise ValueError(f"band index n must exceed 1, got {n}")
+        raise ValueError(f"band index n must exceed 1, got {_format_n(n)}")
 
 
 def solve_epsilon_n(weight: WeightSpec, n: int) -> float:
@@ -108,8 +119,8 @@ def _admissible(eps: float, n: int, route: str) -> float:
     """eps, checked to lie in the admissible interval (0, 1/n)."""
     if not 0.0 < eps < 1.0 / n:
         raise QuadratureError(
-            f"{route} left the admissible interval (0, 1/{n}) for eps_n: "
-            f"{eps}")
+            f"{route} left the admissible interval (0, 1/{_format_n(n)}) for "
+            f"eps_n: {eps}")
     return eps
 
 
@@ -138,7 +149,8 @@ def solve_epsilon_n_bisect(weight: WeightSpec, n: int) -> float:
         if step > 512.0:
             raise QuadratureError(
                 f"normalization equation has no root for beta={beta!r} "
-                f"at n={n}; the companion tail integral does not diverge")
+                f"at n={_format_n(n)}; the companion tail integral does not "
+                "diverge")
     u_lo = u_a + 0.5 * step if step > 1.0 else u_a
     for _ in range(200):
         u_mid = 0.5 * (u_lo + u_hi)
@@ -437,7 +449,8 @@ def _middle_band_fixed(spec: KernelSpec, half_length: int) -> np.ndarray:
     if err[worst] > QUAD_TOL:
         raise QuadratureError(
             f"tap quadrature error estimate {err[worst]:.3e} exceeds "
-            f"tolerance {QUAD_TOL:.1e} at t={worst + 1} (n={spec.n}, "
+            f"tolerance {QUAD_TOL:.1e} at t={worst + 1} "
+            f"(n={_format_n(spec.n)}, "
             f"beta={spec.weight.beta!r})")
     t = np.arange(1, half_length + 1)
     return np.where(t % 2 == 1, -1.0, 1.0) * kron
@@ -478,7 +491,7 @@ def synthesize_taps(spec: KernelSpec, half_length: int) -> KernelTaps:
         center_mid = _band_mass_quad(spec.weight.beta, u_a, u_b, QUAD_TOL)
     except QuadratureError as exc:
         raise QuadratureError(
-            f"tap quadrature failed at t=0 (n={n}, "
+            f"tap quadrature failed at t=0 (n={_format_n(n)}, "
             f"beta={spec.weight.beta!r}): {exc}") from exc
     zero_tap = (inner_edge - center_mid) / PI
     t = np.arange(1, half_length + 1)

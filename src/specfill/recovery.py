@@ -20,6 +20,7 @@ from .kernel import (
     QUAD_TOL,
     KernelSpec,
     KernelTaps,
+    _format_n,
     _inner_edge_u,
     resolve_kernel,
     synthesize_taps,
@@ -244,5 +245,6 @@ def convergence_sweep(weight: WeightSpec, signal: SpectralSignal,
             reports += _sweep_cell(weight, signal, n, tap_half_length,
                                    signal_half_length, noise_sigma, draws)
         except Exception as exc:
-            raise RuntimeError(f"sweep cell n={n} failed: {exc}") from exc
+            raise RuntimeError(
+                f"sweep cell n={_format_n(n)} failed: {exc}") from exc
     return reports

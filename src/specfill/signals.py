@@ -9,11 +9,14 @@ symmetry holds by construction.  Sequences live on finite windows [-W, W];
 window-growth assertions in the tests stand in for the infinite objects.
 A recovery sweep forms only the 2T + 1 samples its taps read, |t| <= T.
 
-Generators are deterministic functions of (parameters, seed) built on the
-counter-based Philox bit generator.  They evaluate their profile once, in
-chunks of samples, straight into the positive half-grid, forming each
-chunk's frequencies (and any factor applied to the profile) per chunk, so
-no temporary spans the half-grid.  Each generated spectrum carries its
+Generators are deterministic functions of (parameters, seed).  Their draws
+come from specfill's own Philox4x64-10 (``_philox``), equal byte for byte
+to numpy's ``Generator(Philox(seed)).uniform``: owning the stream keeps
+``numpy.random`` out of every process and pins the bytes against changes
+to numpy's ``Generator`` methods.  The generators evaluate their profile
+once, in chunks of samples, straight into the positive half-grid, forming
+each chunk's frequencies (and any factor applied to the profile) per chunk,
+so no temporary spans the half-grid.  Each generated spectrum carries its
 exact analytic profile as a callable, which downstream error integrals use
 to resolve sub-grid bands near the edges.
 
@@ -48,6 +51,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
+from . import _philox
 from .weights import PI, WeightSpec, _classify_tail, eval_weight
 
 #: Degree of the seeded trigonometric envelope polynomials.
@@ -158,10 +162,10 @@ def _envelope(seed: int) -> Callable[[np.ndarray], np.ndarray]:
     below negate every sine term exactly, so the closure is exactly
     Hermitian.
     """
-    rng = np.random.Generator(np.random.Philox(seed))
+    draw = _philox.uniform(seed, 2 * (ENVELOPE_DEGREE + 1), -1.0, 1.0)
     scale = 1.0 / (1.0 + np.arange(ENVELOPE_DEGREE + 1)) ** 2
-    re_coef = rng.uniform(-1.0, 1.0, ENVELOPE_DEGREE + 1) * scale
-    im_coef = rng.uniform(-1.0, 1.0, ENVELOPE_DEGREE + 1) * scale
+    re_coef = draw[:ENVELOPE_DEGREE + 1] * scale
+    im_coef = draw[ENVELOPE_DEGREE + 1:] * scale
     im_coef[0] = 0.0
 
     def profile(omega: np.ndarray) -> np.ndarray:
@@ -518,8 +522,7 @@ def _noise_band(grid_size: int, sigma: float, noise_seed: int) -> np.ndarray:
     if sigma < 0:
         raise ValueError(f"sigma must be nonnegative, got {sigma}")
     count = _noise_band_count(grid_size)
-    rng = np.random.Generator(np.random.Philox(noise_seed))
-    phases = np.exp(1j * rng.uniform(0.0, 2.0 * PI, count))
+    phases = np.exp(1j * _philox.uniform(noise_seed, count, 0.0, 2.0 * PI))
     amplitude = sigma / (2.0 * count * (2.0 * PI / grid_size))
     if not math.isfinite(amplitude):
         raise ValueError(

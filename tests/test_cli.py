@@ -365,6 +365,9 @@ class TestKernelCommand:
                                    f"'{command}': ")
         assert "closed form for beta=1.0 left the admissible interval" \
             in lines[0]
+        # n past a float's exact range prints in 3 digits, not 301.
+        assert "(0, 1/1e+300)" in lines[0]
+        assert len(lines[0]) < 200
 
     def test_inadmissible_weight_exits_numerical(self, tmp_path, capsys):
         config = write_config(

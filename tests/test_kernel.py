@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -393,32 +394,50 @@ class TestCosineIntegral:
 
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path):
-    # Runtime dependencies are numpy only; scipy and mpmath are test oracles.
-    # numpy.ma costs start-up time in every command that integrates, and
-    # none of them needs it.
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({
+    # Runtime dependencies are numpy only; scipy, mpmath and numpy.random
+    # are test oracles.  numpy.ma costs start-up time in every command that
+    # integrates, and none of them needs it.  The seeded draws come from
+    # specfill's own Philox and the config hash from the interpreter's
+    # builtin SHA-256, so no command loads numpy.random or OpenSSL
+    # (_hashlib) either.
+    base = {
         "weight": {"family": "general_power", "nu": 1.0, "a": 1.5,
                    "p": "inf"},
         "signal": {"kind": "bandlimited", "omega": 2.5, "seed": 3},
-        "n_values": [2], "T": 32, "S": 128, "grid_size": 4096}))
+        "n_values": [2], "T": 32, "S": 128, "grid_size": 4096}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(base))
+    noisy = tmp_path / "noisy.json"
+    noisy.write_text(json.dumps({
+        **base, "weight": {"family": "power_law", "nu": 1.0, "p": "inf"},
+        "noise": {"sigma": 1e-6, "seeds": [0, 1]}}))
     src = Path(specfill.__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (str(src), env.get("PYTHONPATH"))))
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, specfill.cli; "
+         "import json, sys, specfill.cli; "
          "print(sorted({'scipy', 'mpmath'} & set(sys.modules))); "
-         "code = specfill.cli.main(['validate-weight', '--config', "
-         "sys.argv[1]]); "
-         "print(code, sorted({'scipy', 'mpmath', 'numpy.ma'} "
-         "& set(sys.modules)))",
-         str(config)],
+         "config, noisy, out = sys.argv[1:]; "
+         "codes = [specfill.cli.main([*cmd, '--out', out + name]) "
+         "for cmd, name in ((['validate-weight', '--config', config], ''), "
+         "(['kernel', '--config', config], '/taps'), "
+         "(['robustness', '--config', noisy], '/rob.csv'))]; "
+         "print(json.dumps([codes, sorted({'scipy', 'mpmath', 'numpy.ma', "
+         "'numpy.random', '_hashlib'} & set(sys.modules))]))",
+         str(config), str(noisy), str(tmp_path)],
         env=env, capture_output=True, text=True, check=True, timeout=60)
     lines = out.stdout.strip().splitlines()
     assert lines[0] == "[]"
-    assert lines[-1] == "0 []"
+    codes, loaded = json.loads(lines[-1])
+    assert codes == [0, 0, 0]
+    if not any(importlib.util.find_spec(name) for name in ("_sha2",
+                                                           "_sha256")):
+        # An interpreter built without its own hashes falls back to
+        # hashlib, which loads OpenSSL.
+        loaded = [name for name in loaded if name != "_hashlib"]
+    assert loaded == []
 
 
 class TestExports:

@@ -287,6 +287,14 @@ class TestConvergenceSweep:
         with pytest.raises(RuntimeError, match="n=2.*analytic profile"):
             convergence_sweep(POWER, signal, [2], 32, 256)
 
+    def test_band_index_past_float_range_tagged_by_size(self):
+        # 10^400 overflows the cell's first float conversion; its tag gives
+        # the size, not 401 digits, and formatting it cannot fail.
+        signal = make_bandlimited(PI / 2, 7, 2 ** 14)
+        with pytest.raises(RuntimeError,
+                           match=r"^sweep cell n=<1329-bit integer> failed"):
+            convergence_sweep(POWER, signal, [10 ** 400], 32, 256)
+
     @pytest.mark.parametrize("noise", [{}, {"noise_sigma": 1e-6,
                                             "noise_seeds": (0,)}])
     def test_tap_window_wider_than_signal_window_rejected(self, monkeypatch,

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from specfill import signals
+from specfill import _philox, signals
 from specfill.signals import (
     ENVELOPE_DEGREE,
     NOISE_BAND,
@@ -285,6 +285,46 @@ class TestGenerators:
                              [-PI, 0.0, PI, 2.0 * PI, -7.5]])
         gap = np.abs(_envelope(seed)(om) - direct_envelope(seed, om))
         assert np.max(gap) <= 1e-14
+
+
+# Seeds across one, two and three 32-bit words of entropy, and counts from
+# part of one Philox block of 4 words to the 2086 blocks of a 2^20 grid's
+# noise band.
+PHILOX_SEEDS = [*range(40), 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 64 + 7,
+                10 ** 30]
+PHILOX_COUNTS = [0, 1, 3, 4, 5, 9, 18, 2086, 8344]
+
+
+class TestPhilox:
+    @pytest.mark.parametrize("low, high", [(-1.0, 1.0), (0.0, 2.0 * PI)])
+    @pytest.mark.parametrize("seed", PHILOX_SEEDS)
+    def test_uniform_equals_numpy_philox(self, seed, low, high):
+        for count in PHILOX_COUNTS:
+            expected = np.random.Generator(np.random.Philox(seed)).uniform(
+                low, high, count)
+            got = _philox.uniform(seed, count, low, high)
+            assert got.dtype == expected.dtype
+            assert got.tobytes() == expected.tobytes(), count
+
+    @pytest.mark.parametrize("seed", [0, 3, 8])
+    def test_envelope_draw_is_numpy_two_draws(self, seed):
+        # _envelope splits one 18-value draw 9/9; numpy's stream continues
+        # across calls, so that is its two consecutive 9-value draws.
+        rng = np.random.Generator(np.random.Philox(seed))
+        expected = np.concatenate([rng.uniform(-1.0, 1.0, 9),
+                                   rng.uniform(-1.0, 1.0, 9)])
+        assert (_philox.uniform(seed, 18, -1.0, 1.0).tobytes()
+                == expected.tobytes())
+
+    def test_numpy_integer_seeds(self):
+        for seed in (np.int64(7), np.uint64(2 ** 64 - 1), np.int32(0)):
+            assert (_philox.uniform(seed, 9, 0.0, 2.0 * PI).tobytes()
+                    == _philox.uniform(int(seed), 9, 0.0, 2.0 * PI).tobytes())
+
+    @pytest.mark.parametrize("seed", [-1, np.int64(-3), -(2 ** 64)])
+    def test_negative_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            _philox.uniform(seed, 4, -1.0, 1.0)
 
 
 class TestSignalTypes:
