@@ -116,6 +116,12 @@ EXIT_VIOLATIONS = 3
 #: command builds.
 MAX_GRID_SIZE = 2 ** 24
 
+#: Largest accepted band index: a float holds every integer up to 2^53,
+#: the range in which messages print n in full, and beyond it the inner
+#: band edge pi - 1/n is pi in double precision.  The library takes any n;
+#: the bound also keeps tap file names short.
+MAX_BAND_INDEX = 2 ** 53
+
 
 class ConfigError(ValueError):
     """A config field is missing, malformed, or violates a precondition."""
@@ -220,6 +226,17 @@ def _require(mapping: dict, key: str, kind, where: str):
     return value
 
 
+def _integer_list(mapping: dict, key: str, where: str) -> list[int]:
+    """A required nonempty list of integers (bools excluded)."""
+    values = _require(mapping, key, list, where)
+    if (not values
+            or any(isinstance(v, bool) or not isinstance(v, int)
+                   for v in values)):
+        field = key if where == "config" else f"{where}.{key}"
+        raise ConfigError(f"{field}: expected a nonempty list of integers")
+    return values
+
+
 def _finite(value: int | float, field: str) -> float:
     # json.load accepts NaN and Infinity, and an integer literal can
     # overflow a float.
@@ -314,13 +331,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
         if not nu > 0:
             raise ConfigError(f"signal.nu: must be positive, got {nu}")
 
-    n_values = _require(raw, "n_values", list, "config")
-    if (not n_values
-            or any(isinstance(n, bool) or not isinstance(n, int)
-                   for n in n_values)):
-        raise ConfigError("n_values: expected a nonempty list of integers")
+    n_values = _integer_list(raw, "n_values", "config")
     for n in n_values:
         _finite(n, "n_values")
+    if max(n_values) > MAX_BAND_INDEX:
+        raise ConfigError(f"n_values: must be at most 2^53 = "
+                          f"{MAX_BAND_INDEX}")
     if (any(hi <= lo for lo, hi in zip(n_values, n_values[1:]))
             or n_values[0] < 2):
         raise ConfigError("n_values: must be strictly ascending integers "
@@ -353,12 +369,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         if noise_sigma < 0:
             raise ConfigError(f"noise.sigma: must be nonnegative, "
                               f"got {noise_sigma}")
-        seeds = _require(noise, "seeds", list, "noise")
-        if (not seeds
-                or any(isinstance(s, bool) or not isinstance(s, int)
-                       for s in seeds)):
-            raise ConfigError("noise.seeds: expected a nonempty list of "
-                              "integers")
+        seeds = _integer_list(noise, "seeds", "noise")
         if any(s < 0 for s in seeds):
             raise ConfigError(f"noise.seeds: must be nonnegative, got "
                               f"{min(seeds)}")

@@ -139,7 +139,7 @@ def solve_epsilon_n_bisect(weight: WeightSpec, n: int) -> float:
     target = PI - 1.0 / n
 
     def excess(u: float) -> float:
-        return _band_mass_quad(beta, u_a, u) - target
+        return gap_power_integral(beta, u_a, u) - target
 
     step = 1.0
     u_hi = u_a + step
@@ -166,20 +166,6 @@ def solve_epsilon_n_bisect(weight: WeightSpec, n: int) -> float:
                        f"bisection for beta={beta!r}")
 
 
-def _band_mass_quad(beta: float, u_lo: float, u_hi: float,
-                    tol: float = 1e-13) -> float:
-    """Middle-band companion mass by plain quadrature in the log-band
-    coordinate; deliberately no closed-form shortcut, so callers get a route
-    independent of the analytic antiderivative."""
-
-    # rtol only binds for masses above tol/rtol (the bisection's bracket
-    # search reaches thousands); 1e-15 there asks for more digits than a
-    # double sum of many panels holds, and refinement never converges.
-    bp = np.linspace(u_lo, u_hi, 17)[1:-1]
-    return adaptive_quad(lambda u: gap_power_density(beta, u), u_lo, u_hi,
-                         tol=tol, rtol=1e-14, breakpoints=bp)
-
-
 def resolve_kernel(weight: WeightSpec, n: int) -> KernelSpec:
     """Solve the normalization equation for one band index."""
     return KernelSpec(weight=weight, n=n, epsilon_n=solve_epsilon_n(weight, n))
@@ -204,7 +190,7 @@ def normalization_residual(spec: KernelSpec) -> float:
     """
     u_a = _inner_edge_u(spec.n)
     u_b = u_from_gap(spec.epsilon_n)
-    value = gap_power_integral(spec.weight.beta, u_a, u_b, tol=1e-13)
+    value = gap_power_integral(spec.weight.beta, u_a, u_b)
     return value - (PI - 1.0 / spec.n)
 
 
@@ -247,9 +233,8 @@ def transfer_mean(spec: KernelSpec) -> float:
         return eval_transfer(spec, om)
 
     inner = adaptive_quad(f, 0.0, inner_edge, tol=_MEAN_TOL)
-    middle = -_band_mass_quad(spec.weight.beta,
-                              _inner_edge_u(spec.n),
-                              u_from_gap(spec.epsilon_n), _MEAN_TOL)
+    middle = -gap_power_integral(spec.weight.beta, _inner_edge_u(spec.n),
+                                 u_from_gap(spec.epsilon_n), tol=_MEAN_TOL)
     return (inner + middle) / PI
 
 
@@ -351,12 +336,12 @@ def _cosine_integral(x: np.ndarray) -> np.ndarray:
 
 
 def _power_law_middle_band(spec: KernelSpec, t: np.ndarray) -> np.ndarray:
-    """Integral of W(omega) cos(omega t) over the middle band for the
-    companion exponent 1, at integer t >= 1, in closed form.
+    """Integral of W(omega) cos(g t), g = pi - omega, over the middle band
+    for the companion exponent 1, at integer t >= 1, in closed form.
 
-    With g = pi - omega the companion splits into partial fractions,
-    W = (1/2pi) (1/g + 1/(2pi - g)), and cos(omega t) = (-1)^t cos(g t), so
-    each fraction integrates to a difference of cosine integrals.  The four
+    The companion splits into partial fractions,
+    W = (1/2pi) (1/g + 1/(2pi - g)), so each fraction integrates to a
+    difference of cosine integrals.  The four
     argument rows (gap_a t, eps_n t, (2pi - eps_n) t, (2pi - gap_a) t) go
     through one :func:`_cosine_integral` call, one per n.
     """
@@ -364,9 +349,7 @@ def _power_law_middle_band(spec: KernelSpec, t: np.ndarray) -> np.ndarray:
     gap_b = spec.epsilon_n
     gaps = np.array([gap_a, gap_b, 2.0 * PI - gap_b, 2.0 * PI - gap_a])
     ci = _cosine_integral(gaps[:, None] * t)
-    ci_sum = ci[0] - ci[1] + ci[2] - ci[3]
-    sign = np.where(t % 2 == 1, -1.0, 1.0)
-    return sign * ci_sum / (2.0 * PI)
+    return (ci[0] - ci[1] + ci[2] - ci[3]) / (2.0 * PI)
 
 
 # Fixed-panel evaluation of the middle band for every t at once.  Panels
@@ -417,8 +400,9 @@ def _middle_band_nodes(spec: KernelSpec, half_length: int):
 
 
 def _middle_band_fixed(spec: KernelSpec, half_length: int) -> np.ndarray:
-    """Integral of W(omega) cos(omega t) over the middle band for every
-    t = 1..T, on fixed Gauss-Kronrod panels in the log-band coordinate.
+    """Integral of W(omega) cos(g t), g = pi - omega, over the middle band
+    for every t = 1..T, on fixed Gauss-Kronrod panels in the log-band
+    coordinate.
 
     Each tap's K15 sum comes with its embedded G7 sum; when |K15 - G7|
     exceeds ``QUAD_TOL`` for any tap the worst one is named in the raised
@@ -452,8 +436,7 @@ def _middle_band_fixed(spec: KernelSpec, half_length: int) -> np.ndarray:
             f"tolerance {QUAD_TOL:.1e} at t={worst + 1} "
             f"(n={_format_n(spec.n)}, "
             f"beta={spec.weight.beta!r})")
-    t = np.arange(1, half_length + 1)
-    return np.where(t % 2 == 1, -1.0, 1.0) * kron
+    return kron
 
 
 def synthesize_taps(spec: KernelSpec, half_length: int) -> KernelTaps:
@@ -463,9 +446,11 @@ def synthesize_taps(spec: KernelSpec, half_length: int) -> KernelTaps:
 
         k(t) = (1/pi) [ sin((pi - 1/n) t)/t  -  integral of W cos(omega t) ],
 
-    with the inner-band term in closed form.  For companion exponent
-    beta = 1 the middle-band term is closed form too, through the cosine
-    integral Ci, for all t at once:
+    with the inner-band term in closed form.  The middle-band term is
+    (-1)^t times the integral of W cos(g t), g = pi - omega, which keeps
+    the phase free of cancellation near the edge.  For companion exponent
+    beta = 1 it is closed form too, through the cosine integral Ci, for all
+    t at once:
 
         (-1)^t/(2pi) [Ci(t/n) - Ci(eps_n t) + Ci((2pi - eps_n) t)
                       - Ci((2pi - 1/n) t)].
@@ -488,7 +473,8 @@ def synthesize_taps(spec: KernelSpec, half_length: int) -> KernelTaps:
     inner_edge = PI - 1.0 / n
 
     try:
-        center_mid = _band_mass_quad(spec.weight.beta, u_a, u_b, QUAD_TOL)
+        center_mid = gap_power_integral(spec.weight.beta, u_a, u_b,
+                                        tol=QUAD_TOL)
     except QuadratureError as exc:
         raise QuadratureError(
             f"tap quadrature failed at t=0 (n={_format_n(n)}, "
@@ -499,6 +485,9 @@ def synthesize_taps(spec: KernelSpec, half_length: int) -> KernelTaps:
         mid = _power_law_middle_band(spec, t)
     else:
         mid = _middle_band_fixed(spec, half_length)
+    # cos(omega t) = (-1)^t cos((pi - omega) t): both routes integrate the
+    # cosine of the gap, and the sign of odd t enters here.
+    mid *= np.where(t % 2 == 1, -1.0, 1.0)
     side = (np.sin(inner_edge * t) / t - mid) / PI
 
     zero_residual = float(abs(zero_tap))

@@ -25,12 +25,7 @@ from .kernel import (
     resolve_kernel,
     synthesize_taps,
 )
-from .signals import (
-    SpectralSignal,
-    TimeSignal,
-    inverse_transform,
-    noisy_inverse_transforms,
-)
+from .signals import SpectralSignal, TimeSignal, noisy_inverse_transforms
 from .weights import PI, WeightSpec, gap_from_u, u_from_gap
 
 
@@ -111,16 +106,25 @@ def robustness_bound(epsilon_est: float, sigma: float, kappa: float) -> float:
     return epsilon_est + sigma * (kappa + 1.0)
 
 
-def _band_l1_analytic(spec: KernelSpec,
-                      signal: SpectralSignal) -> tuple[float, float]:
-    """(I2, I3) for one side of the spectrum from the analytic profile.
+def spectral_error(spec: KernelSpec, signal: SpectralSignal) -> SpectralError:
+    """Spectral L1 error of one kernel against one spectrum, band by band:
+    the :class:`SpectralError` holding I2, I3 and their spectral bound.
 
-    I2 integrates |(-W - 1) X| over the middle band under the log-band
-    substitution (W is analytic there; the substitution flattens its
-    blow-up); I3 integrates |X| over the sub-grid outer band directly, which
-    is harmless because X carries no singularity.
+    The inner band contributes nothing because the transfer function is 1
+    there.  I2 and I3 integrate |(transfer - 1) X| over the middle and
+    outer bands from the spectrum's analytic profile, on one side of the
+    circle and doubled, as |X| is even; the outer band is far narrower than
+    any grid spacing, so a spectrum without a profile (for example a noisy
+    one) raises ValueError.  I2 runs under the log-band substitution (W is
+    analytic there; the substitution flattens its blow-up); I3 integrates
+    |X| over the outer band directly, which is harmless because X carries
+    no singularity.  A band-limited profile that ends inside the inner band
+    is exactly zero on both, so its bound is 0.
     """
     profile = signal.profile
+    if profile is None:
+        raise ValueError("spectral_error needs the spectrum's analytic "
+                         "profile; this spectrum has none")
 
     def magnitude(omega):
         return np.abs(profile(np.asarray(omega, dtype=float)))
@@ -144,44 +148,14 @@ def _band_l1_analytic(spec: KernelSpec,
         return magnitude(PI - np.asarray(gap))
 
     i3 = adaptive_quad(outer_integrand, 0.0, spec.epsilon_n, tol=QUAD_TOL)
-    return i2, i3
-
-
-def spectral_error(spec: KernelSpec, signal: SpectralSignal) -> SpectralError:
-    """Spectral L1 error of one kernel against one spectrum, band by band:
-    the :class:`SpectralError` holding I2, I3 and their spectral bound.
-
-    The inner band contributes nothing because the transfer function is 1
-    there.  I2 and I3 integrate |(transfer - 1) X| over the middle and
-    outer bands from the spectrum's analytic profile; the outer band is far
-    narrower than any grid spacing, so a spectrum without a profile (for
-    example a noisy one) raises ValueError.  A band-limited profile that
-    ends inside the inner band is exactly zero on both, so its bound is 0.
-    """
-    if signal.profile is None:
-        raise ValueError("spectral_error needs the spectrum's analytic "
-                         "profile; this spectrum has none")
-    half_i2, half_i3 = _band_l1_analytic(spec, signal)
-    return SpectralError(I2=2.0 * half_i2, I3=2.0 * half_i3)
-
-
-#: One seed and its time signal.
-_Draw = tuple[int | None, TimeSignal]
-
-
-def _draws(signal: SpectralSignal, tap_half_length: int,
-           noise_sigma: float | None, seeds: tuple[int, ...],
-           base_seed: int | None) -> list[_Draw]:
-    if noise_sigma is None:
-        return [(base_seed, inverse_transform(signal, tap_half_length))]
-    return list(zip(seeds, noisy_inverse_transforms(
-        signal, tap_half_length, noise_sigma, seeds)))
+    return SpectralError(I2=2.0 * i2, I3=2.0 * i3)
 
 
 def _sweep_cell(weight: WeightSpec, signal: SpectralSignal, n: int,
                 tap_half_length: int, signal_half_length: int,
                 noise_sigma: float | None,
-                draws: list[_Draw]) -> list[RecoveryReport]:
+                draws: list[tuple[int | None, TimeSignal]]
+                ) -> list[RecoveryReport]:
     spec = resolve_kernel(weight, n)
     spectral = spectral_error(spec, signal)
     taps = synthesize_taps(spec, tap_half_length)
@@ -212,13 +186,13 @@ def convergence_sweep(weight: WeightSpec, signal: SpectralSignal,
                       base_seed: int | None = None) -> list[RecoveryReport]:
     """Run kernel resolution, synthesis, and recovery over a band-index sweep.
 
-    First, the time signals, none of which depends on n: with
-    ``noise_sigma`` None, one inverse transform of the clean spectrum;
-    otherwise one per noise seed.  Each is formed only on the tap window
-    |t| <= T = ``tap_half_length``, the 2T + 1 samples that the taps and
-    the truth x(0) read; the noisy draws share one clean fold
-    (:func:`signals.noisy_inverse_transforms`, bit for bit the transforms
-    of the noisy spectra).  Then, for each n: resolve the kernel,
+    First, the time signals, none of which depends on n, all from
+    :func:`signals.noisy_inverse_transforms`: with ``noise_sigma`` None,
+    one noise-free draw tagged ``base_seed``; otherwise one per noise seed,
+    sharing one clean fold and bit for bit the transforms of the noisy
+    spectra.  Each is formed only on the tap window |t| <= T =
+    ``tap_half_length``, the 2T + 1 samples that the taps and the truth
+    x(0) read.  Then, for each n: resolve the kernel,
     synthesize taps at ``tap_half_length``, and assemble one report per
     seed carrying the estimate, truth, spectral error split, and constants.
     The report order is (n ascending, seed ascending).
@@ -236,8 +210,12 @@ def convergence_sweep(weight: WeightSpec, signal: SpectralSignal,
         raise ValueError(
             f"tap window T={tap_half_length} exceeds signal window "
             f"S={signal_half_length}")
-    draws = _draws(signal, tap_half_length, noise_sigma,
-                   tuple(sorted(noise_seeds)), base_seed)
+    if noise_sigma is None:
+        sigma, seeds = 0.0, (base_seed,)
+    else:
+        sigma, seeds = noise_sigma, tuple(sorted(noise_seeds))
+    draws = list(zip(seeds, noisy_inverse_transforms(
+        signal, tap_half_length, sigma, seeds)))
 
     reports = []
     for n in n_values:

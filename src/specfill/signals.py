@@ -13,12 +13,13 @@ Generators are deterministic functions of (parameters, seed).  Their draws
 come from specfill's own Philox4x64-10 (``_philox``), equal byte for byte
 to numpy's ``Generator(Philox(seed)).uniform``: owning the stream keeps
 ``numpy.random`` out of every process and pins the bytes against changes
-to numpy's ``Generator`` methods.  The generators evaluate their profile
-once, in chunks of samples, straight into the positive half-grid, forming
-each chunk's frequencies (and any factor applied to the profile) per chunk,
-so no temporary spans the half-grid.  Each generated spectrum carries its
-exact analytic profile as a callable, which downstream error integrals use
-to resolve sub-grid bands near the edges.
+to numpy's ``Generator`` methods.  Every spectrum built from a profile is
+evaluated once, ``_BLOCK`` samples at a time, straight into the positive
+half-grid by one sampler (:func:`from_profile`; ``make_power_decay`` runs
+the same chunks to scale its envelope in place), forming each chunk's
+frequencies per chunk, so no temporary spans the half-grid.  Each
+generated spectrum carries its exact analytic profile as a callable, which
+downstream error integrals use to resolve sub-grid bands near the edges.
 
 The inverse transform folds the positive half and its conjugate mirror into
 one half-length array whose inverse DFT yields the real sequence two
@@ -28,15 +29,17 @@ reads are formed: blocks of at least two rows are inverse-transformed
 along their contiguous points into one reused block array, and each output
 accumulates its 8 phased row values block by block.  The split depends on
 the grid alone, so a window is the slice of any longer one, bit for bit.
-The fold runs in blocks of grid entries too, so no temporary grows with the
-grid; the fold is the only half-grid array.  Spectral noise is
-flat-magnitude and random-phase on the edge band omega > pi - NOISE_BAND,
-the top of the positive half-grid, so its mirror covers the other edge.  A
-sweep over noise seeds folds the clean spectrum once; each seed then adds
-its noise to a copy of the band's top entries and refolds from them, in
-place, only the block of entries at each end of every row that the band
-reaches, and reads the window from the fold block by block, with no noisy
-grid built.
+The fold runs in the same blocks of ``_BLOCK`` grid entries, so no
+temporary grows with the grid; the fold is the only half-grid array.
+Spectral noise is flat-magnitude and random-phase on the edge band
+omega > pi - NOISE_BAND, the top of the positive half-grid, so its mirror
+covers the other edge.  Every draw takes one route,
+:func:`noisy_inverse_transforms`, of which :func:`inverse_transform` is the
+one-draw, noise-free case: it folds the clean spectrum once; each noise
+seed then adds its noise to a copy of the band's top entries and refolds
+from them, in place, only the block of entries at each end of every row
+that the band reaches, and reads the window from the fold block by block,
+with no noisy grid built.
 
 Both generated families are uniformly well behaved: envelopes are bounded
 trigonometric polynomials, so any finite family drawn from them has
@@ -60,11 +63,12 @@ ENVELOPE_DEGREE = 8
 #: Spectral noise is confined to the band |omega| > pi - NOISE_BAND.
 NOISE_BAND = 0.05
 
-# Grid samples per profile evaluation, so that the envelope recurrence's
-# temporaries stay cache-sized.  On a 2-core Xeon VM one 2^20-point
-# make_power_decay took 0.082-0.092 s CPU chunked and 0.095-0.109 s in one
-# piece, at the same peak RSS.
-_CHUNK_ROWS = 4096
+#: Grid entries per block of a profile evaluation and of the fold, whose
+#: temporaries then hold one block rather than a half-grid and stay
+#: cache-sized.  On a 2-core Xeon VM one 2^20-point make_power_decay took
+#: 0.082-0.092 s CPU in chunks of 4096 samples and 0.095-0.109 s in one
+#: piece, at the same peak RSS.
+_BLOCK = 4096
 
 
 def _check_grid_size(grid_size: int) -> None:
@@ -145,13 +149,13 @@ def _positive_omegas(grid_size: int) -> np.ndarray:
 
 
 def _chunks(grid_size: int) -> Iterator[tuple[slice, np.ndarray]]:
-    """(rows, omegas) over the positive half-grid, ``_CHUNK_ROWS`` samples
-    at a time: ``rows`` a slice of it and ``omegas`` its midpoints, with
-    the bits of :func:`_positive_omegas`, formed one chunk at a time."""
+    """(rows, omegas) over the positive half-grid, ``_BLOCK`` samples at a
+    time: ``rows`` a slice of it and ``omegas`` its midpoints, with the
+    bits of :func:`_positive_omegas`, formed one chunk at a time."""
     h = 2.0 * PI / grid_size
     half = grid_size // 2
-    for start in range(0, half, _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, half)
+    for start in range(0, half, _BLOCK):
+        stop = min(start + _BLOCK, half)
         yield slice(start, stop), (np.arange(start, stop) + 0.5) * h
 
 
@@ -196,7 +200,6 @@ def make_bandlimited(support: float, shape_seed: int,
     """
     if not 0.0 < support < PI:
         raise ValueError(f"support must lie in (0, pi), got {support}")
-    _check_grid_size(grid_size)
     envelope = _envelope(shape_seed)
     support = float(support)
 
@@ -208,10 +211,7 @@ def make_bandlimited(support: float, shape_seed: int,
                            0.0)
         return np.where(inside, envelope(om) * rolloff, 0.0 + 0.0j)
 
-    positive = np.empty(grid_size // 2, dtype=complex)
-    for rows, omegas in _chunks(grid_size):
-        positive[rows] = profile(omegas)
-    return SpectralSignal(positive=positive, profile=profile)
+    return from_profile(profile, grid_size)
 
 
 def make_power_decay(nu: float, shape_seed: int,
@@ -252,15 +252,14 @@ def make_power_decay(nu: float, shape_seed: int,
 
 def from_profile(profile: Callable[[np.ndarray], np.ndarray],
                  grid_size: int) -> SpectralSignal:
-    """Sample a Hermitian closure onto the positive half-grid, keeping it
-    as the ``profile`` that the spectral error bound integrates."""
-    positive = np.asarray(profile(_positive_omegas(grid_size)), dtype=complex)
+    """Sample a Hermitian closure onto the positive half-grid, chunk by
+    chunk (:func:`_chunks`), keeping it as the ``profile`` that the
+    spectral error bound integrates."""
+    _check_grid_size(grid_size)
+    positive = np.empty(grid_size // 2, dtype=complex)
+    for rows, omegas in _chunks(grid_size):
+        positive[rows] = profile(omegas)
     return SpectralSignal(positive=positive, profile=profile)
-
-
-#: Grid entries per block of the fold, whose temporaries then hold one
-#: block rather than a half-grid.
-_BLOCK = 2 ** 14
 
 #: D, the rows of the fold: its M/2 entries are inverse-transformed as D
 #: interleaved rows of P = M/16 points.  Any P is exact, as each row's
@@ -358,9 +357,9 @@ def _window_reader(grid_size: int,
     block array for Z are built once per reader, so a sweep shares them
     across its folds.  Each call takes the fold's rows in blocks of
     ``_ROW_BLOCK`` entries (at least two rows, at most D): it runs one
-    inverse FFT along the block's contiguous rows into the block array and
-    adds the block's terms into each output pair, with no (D, W + 1)
-    product formed.  A fold of one block sums each pair in one pass; more
+    inverse FFT along the block's contiguous rows into the block array,
+    gathers each pair's column s mod P, and adds the block's terms into
+    each output pair.  A fold of one block sums each pair in one pass; more
     blocks regroup each pair's sum, which moves it by rounding, about 1e-16
     of the sum of its terms' magnitudes.  The fold is left unchanged, and
     the window is a view of a fresh pairs array, so no copy is made.
@@ -368,11 +367,8 @@ def _window_reader(grid_size: int,
     D = _ROWS
     P = grid_size // (2 * D)
     W = half_length
-    # Pairs (x(2s), x(2s+1)) for s = floor(-W/2) .. floor(W/2) cover [-W, W];
-    # the `below` values s < 0 read the last entries of each row of Z, the
-    # rest the first.
+    # Pairs (x(2s), x(2s+1)) for s = floor(-W/2) .. floor(W/2) cover [-W, W].
     first = -W // 2
-    below = -first
     count = W // 2 + 1 - first
     # The angles are built in the phases' real parts, whose products
     # s (2r + 1) are exact, so the set-up makes no (D, W + 1) temporary.
@@ -387,24 +383,19 @@ def _window_reader(grid_size: int,
     # D and P are powers of two, so the blocks tile the rows.
     rows = min(D, max(2, _ROW_BLOCK // P))
     block = np.empty((rows, P), dtype=complex)
-    # (output pairs, their phase columns, their columns of Z)
-    halves = ((slice(None, below), slice(None, below), slice(P - below, None)),
-              (slice(below, None), slice(below, None),
-               slice(None, count - below)))
+    # The column of Z that each output pair reads: s mod P.
+    columns = np.arange(first, first + count) % P
     start = -W - 2 * first
 
     def read(fold: np.ndarray) -> TimeSignal:
-        pairs = np.empty(count, dtype=complex)
         for r in range(0, D, rows):
             np.fft.ifft(fold[r:r + rows], axis=1, out=block)
-            for out, cols, z in halves:
-                if r:
-                    pairs[out] += np.einsum("rs,rs->s",
-                                            phases[r:r + rows, cols],
-                                            block[:, z])
-                else:
-                    np.einsum("rs,rs->s", phases[:rows, cols], block[:, z],
-                              out=pairs[out])
+            terms = np.einsum("rs,rs->s", phases[r:r + rows],
+                              block[:, columns])
+            if r:
+                pairs += terms
+            else:
+                pairs = terms
         samples = pairs.view(float)[start:start + 2 * W + 1]
         if not np.all(np.isfinite(samples)):
             raise ValueError(
@@ -430,15 +421,10 @@ def inverse_transform(spec: SpectralSignal, half_length: int) -> TimeSignal:
     combines its 8 row values (see :func:`_window_reader`).  Requires
     grid_size >= 8 * (2 * half_length + 1).  A spectrum whose transform
     overflows or holds a NaN, leaving a sample of the window infinite or
-    NaN, is a ValueError.
+    NaN, is a ValueError.  This is the one-draw, noise-free case of
+    :func:`noisy_inverse_transforms`.
     """
-    M = spec.grid_size
-    _check_window(M, half_length)
-    # A finite spectrum can still overflow the sums; the window reader
-    # reports that, so numpy's own warnings would only repeat it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        fold = _fold_rows(spec.positive, spec.positive, *_fold_twiddle(M))
-        return _window_reader(M, half_length)(fold)
+    return noisy_inverse_transforms(spec, half_length, 0.0, (0,))[0]
 
 
 def forward_transform(signal: TimeSignal, grid_size: int) -> SpectralSignal:
@@ -499,19 +485,15 @@ def class_norm(spec: SpectralSignal, weight: WeightSpec) -> float:
 def _noise_band_count(grid_size: int) -> int:
     """Samples of the positive half-grid with omega > pi - NOISE_BAND.
 
-    The half-grid ascends, so the band is its tail; the first index in it
-    is estimated in closed form and then settled with the same
-    floating-point comparison as ``_positive_omegas(M) > pi - NOISE_BAND``.
+    The half-grid ascends, so the band is its tail, of about NOISE_BAND / h
+    samples at spacing h; its top ceil(NOISE_BAND / h) + 1 midpoints,
+    formed as in :func:`_positive_omegas`, take the same floating-point
+    comparison as ``_positive_omegas(M) > pi - NOISE_BAND``.
     """
-    half = grid_size // 2
     spacing = 2.0 * PI / grid_size
-    edge = PI - NOISE_BAND
-    first = math.ceil(edge / spacing - 0.5)
-    while first < half and not (first + 0.5) * spacing > edge:
-        first += 1
-    while first > 0 and (first - 0.5) * spacing > edge:
-        first -= 1
-    return half - first
+    top = np.arange(grid_size // 2 - math.ceil(NOISE_BAND / spacing) - 1,
+                    grid_size // 2)
+    return int(np.count_nonzero((top + 0.5) * spacing > PI - NOISE_BAND))
 
 
 def _noise_band(grid_size: int, sigma: float, noise_seed: int) -> np.ndarray:
@@ -558,31 +540,30 @@ def noisy_inverse_transforms(spec: SpectralSignal, half_length: int,
     """``inverse_transform(add_spectral_noise(spec, sigma, seed),
     half_length)`` for each seed, bit for bit, with no noisy grid built.
 
-    The noise band is the top ``count`` bins of P = ``spec.positive``, so
-    it enters both ends of the fold: entries M/2 - count .. M/2 - 1 through
-    P and entries 0 .. count - 1 through N = conj(P[::-1]).  In the row
-    layout of :func:`_fold_rows` those lie in the first and the last
-    ``width = ceil(count / D)`` entries of every row, which never overlap:
-    the band is about 1/63 of the fold.  So the clean spectrum is folded
-    once, and one window reader serves every seed; of the twiddle's column
-    factors only the 2 width that the band blocks use are kept.  Each seed
-    copies the top ``width D`` entries of P and adds its band to them; that
-    one noisy slice, paired with the clean bottom ``width D`` entries,
-    refolds both (D, width) blocks in place, and the reader leaves the fold
-    unchanged.  The D width - count entries of each block that the band
-    misses are refolded from clean values, so they keep their bits.  Errors
-    are those of the per-seed route.
+    The clean spectrum is folded once and one window reader serves every
+    draw; sigma = 0 reads the clean fold once and returns that draw for
+    every seed.  The noise band is the top ``count`` bins of
+    P = ``spec.positive``, so it enters both ends of the fold: entries
+    M/2 - count .. M/2 - 1 through P and entries 0 .. count - 1 through
+    N = conj(P[::-1]).  In the row layout of :func:`_fold_rows` those lie in
+    the first and the last ``width = ceil(count / D)`` entries of every row,
+    which never overlap: the band is about 1/63 of the fold.  Of the
+    twiddle's column factors only the 2 width that the band blocks use are
+    kept.  Each seed copies the top ``width D`` entries of P and adds its
+    band to them; that one noisy slice, paired with the clean bottom
+    ``width D`` entries, refolds both (D, width) blocks in place, and the
+    reader leaves the fold unchanged.  The D width - count entries of each
+    block that the band misses are refolded from clean values, so they keep
+    their bits.  Errors are those of the per-seed route.
     """
-    if sigma == 0.0:
-        return [inverse_transform(spec, half_length)] * len(seeds)
     M = spec.grid_size
     _check_window(M, half_length)
     count = _noise_band_count(M)
     width = -(-count // _ROWS)
     pos = spec.positive
     bottom, top = pos[:width * _ROWS], pos[pos.size - width * _ROWS:]
-    draws = []
-    # As in inverse_transform, the window reader reports an overflow.
+    # A finite spectrum can still overflow the sums; the window reader
+    # reports that, so numpy's own warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
         head, step = _fold_twiddle(M)
         fold = _fold_rows(pos, pos, head, step)
@@ -590,6 +571,9 @@ def noisy_inverse_transforms(spec: SpectralSignal, half_length: int,
         low, high = step[:width].copy(), step[-width:].copy()
         del step
         read = _window_reader(M, half_length)
+        if sigma == 0.0:
+            return [read(fold)] * len(seeds)
+        draws = []
         for seed in seeds:
             noisy_top = top.copy()
             noisy_top[-count:] += _noise_band(M, sigma, seed)

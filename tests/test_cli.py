@@ -350,24 +350,27 @@ class TestKernelCommand:
         assert code == EXIT_CONFIG
         assert "exceed 1" in capsys.readouterr().err
 
-    # n = 10^300 is a float, but the closed-form eps_n underflows to 0,
-    # outside (0, 1/n): a one-line numerical failure, not a traceback.
-    @pytest.mark.parametrize("command", ["kernel", "recover"])
-    def test_huge_band_index_exits_numerical(self, tmp_path, capsys,
-                                             command):
-        config = write_config(tmp_path, {"n_values": [2, 10 ** 300]})
-        code = main([command, "--config", str(config),
-                     "--out", str(tmp_path / "k")])
-        assert code == EXIT_NUMERICAL
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith(f"numerical failure in stage "
-                                   f"'{command}': ")
-        assert "closed form for beta=1.0 left the admissible interval" \
-            in lines[0]
-        # n past a float's exact range prints in 3 digits, not 301.
-        assert "(0, 1/1e+300)" in lines[0]
-        assert len(lines[0]) < 200
+    # A float holds every index up to 2^53, and past it pi - 1/n is pi; a
+    # larger index is bad input, named before any output is written.  At
+    # 10^294 the closed form still resolves, so without the bound the tap
+    # file name (every digit of n) would fail as a too-long output path.
+    @pytest.mark.parametrize("command, n", [
+        ("kernel", 10 ** 300), ("recover", 10 ** 300), ("kernel", 10 ** 294),
+        ("kernel", 2 ** 53 + 1)])
+    def test_huge_band_index_exits_config_error(self, tmp_path, capsys,
+                                                command, n):
+        config = write_config(tmp_path, {"n_values": [2, n]})
+        out = tmp_path / "k"
+        code = main([command, "--config", str(config), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: n_values: must be at most 2^53 = "
+            "9007199254740992\n")
+        assert not out.exists()
+
+    def test_band_index_2_53_accepted(self, tmp_path):
+        config = write_config(tmp_path, {"n_values": [2, 2 ** 53]})
+        assert load_config(config).n_values == (2, 2 ** 53)
 
     def test_inadmissible_weight_exits_numerical(self, tmp_path, capsys):
         config = write_config(

@@ -32,7 +32,7 @@ from specfill.kernel import (
     write_taps_binary,
     write_taps_text,
 )
-from specfill.weights import PI, WeightSpec
+from specfill.weights import PI, WeightSpec, gap_power_integral
 
 POWER = WeightSpec(1.0, 1.0, math.inf)
 N_SET = (2, 4, 8, 16, 32, 64)
@@ -95,6 +95,24 @@ class TestEpsilonSolve:
         constant = WeightSpec(0.0, 0.0, math.inf)
         with pytest.raises(QuadratureError, match="beta=0.0 at n=2"):
             solve_epsilon_n(constant, 2)
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 16, 32])
+    def test_band_mass_quadrature_matches_log_closed_form(self, n):
+        # W = 1 has density 1/(2 pi) per unit u, so the band mass between
+        # two u-limits is their difference over 2 pi, a closed form that
+        # the quadrature must match without taking it.
+        eps = solve_epsilon_n(POWER, n)
+        u_a = math.log(2 * PI * n - 1)
+        u_b = math.log((2 * PI - eps) / eps)
+        value = gap_power_integral(1.0, u_a, u_b)
+        assert value == pytest.approx((u_b - u_a) / (2 * PI), rel=1e-14)
+
+    @pytest.mark.parametrize("n", [2 ** k for k in range(1, 21)])
+    def test_power_law_residual_checks_closed_form(self, n):
+        # The residual integrates the band by quadrature, so for beta = 1
+        # it checks the closed-form eps_n rather than restating it.
+        spec = resolve_kernel(POWER, n)
+        assert abs(normalization_residual(spec)) <= 1e-13
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=2, max_value=64))
@@ -312,10 +330,10 @@ class TestTaps:
         def explode(beta, u_lo, u_hi, tol=1e-13):
             raise QuadratureError("synthetic")
 
-        # Resolve first: bisection also calls _band_mass_quad.
+        # Resolve first: bisection also calls gap_power_integral.
         spec = resolve_kernel(
             WeightSpec(1.0, 1.5, math.inf), 3)
-        monkeypatch.setattr(kernel_module, "_band_mass_quad", explode)
+        monkeypatch.setattr(kernel_module, "gap_power_integral", explode)
         with pytest.raises(QuadratureError, match="t=0"):
             synthesize_taps(spec, 8)
 

@@ -1,6 +1,7 @@
 import math
 from dataclasses import fields
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from specfill.recovery import (
     spectral_error,
 )
 from specfill.signals import (
+    ENVELOPE_DEGREE,
     SpectralSignal,
     TimeSignal,
     add_spectral_noise,
@@ -155,6 +157,88 @@ class TestSpectralError:
             spectral_error(spec2, noisy)
 
 
+def mp_spectral_error(spec, kind, seed, grid_size):
+    """Oracle for (I2, I3, spectral_bound): mpmath at 20 digits, in log g
+    on unit panels, g = pi - omega, with the envelope rebuilt from its
+    Philox coefficients and summed over the powers of e^(i omega).
+
+    I2 = 2 integral of (W + 1) |X| over g in [eps_n, 1/n]; I3 = 2 integral
+    of |X| over g in (0, eps_n], whose integrand falls like g^2 for the
+    power-decay signal, so g below e^-40 eps_n adds nothing at this
+    precision.
+    """
+    mp = mpmath.mp
+    rng = np.random.Generator(np.random.Philox(seed))
+    scale = 1.0 / (1.0 + np.arange(ENVELOPE_DEGREE + 1)) ** 2
+    re_coef = rng.uniform(-1.0, 1.0, ENVELOPE_DEGREE + 1) * scale
+    im_coef = rng.uniform(-1.0, 1.0, ENVELOPE_DEGREE + 1) * scale
+    im_coef[0] = 0.0
+    if kind == "powerdecay":
+        # The generator divides by max |envelope| over its grid.
+        om = (np.arange(grid_size // 2) + 0.5) * (2.0 * PI / grid_size)
+        angles = np.multiply.outer(om, np.arange(ENVELOPE_DEGREE + 1))
+        norm = float(np.max(np.abs(np.cos(angles) @ re_coef
+                                   + 1j * (np.sin(angles) @ im_coef))))
+    with mp.workdps(20):
+        beta = mp.mpf(spec.weight.beta)
+        coefs = [(mp.mpf(a), mp.mpf(b)) for a, b in zip(re_coef, im_coef)]
+
+        def magnitude(g):
+            omega = mp.pi - g
+            if kind == "bandlimited":
+                support = mp.mpf(2.5)
+                if omega >= support:
+                    return mp.zero
+                rolloff = (1 + mp.cos(mp.pi * omega / support)) / 2
+            else:
+                rolloff = g * (2 * mp.pi - g) / norm
+            # e^(i j omega) by powers: cos(j omega) and sin(j omega) are
+            # its parts.
+            z, power, env = mp.expj(omega), mp.one, mp.zero
+            for re, im in coefs:
+                env += mp.mpc(re * power.real, im * power.imag)
+                power *= z
+            return abs(env) * rolloff
+
+        def log_gap_quad(f, g_lo, g_hi):
+            v_lo, v_hi = mp.log(g_lo), mp.log(g_hi)
+            knots = mp.linspace(v_lo, v_hi, int(mp.ceil(v_hi - v_lo)) + 1)
+            return mp.quad(lambda v: f(mp.exp(v)) * mp.exp(v), knots)
+
+        eps = mp.mpf(spec.epsilon_n)
+        i2 = 2 * log_gap_quad(
+            lambda g: ((g * (2 * mp.pi - g)) ** -beta + 1) * magnitude(g),
+            eps, mp.mpf(1) / spec.n)
+        i3 = 2 * log_gap_quad(magnitude, eps * mp.exp(-40), eps)
+        return float(i2), float(i3), float((i2 + i3) / (2 * mp.pi))
+
+
+class TestSpectralErrorOracle:
+    @pytest.mark.parametrize("kind", ["powerdecay", "bandlimited"])
+    @pytest.mark.parametrize("n", [2, 32])
+    @pytest.mark.parametrize("weight", [
+        WeightSpec(1.0, 1.0, math.inf), WeightSpec(1.0, 1.5, math.inf)],
+        ids=["power_law", "general_power-a1.5"])
+    def test_matches_mpmath(self, weight, n, kind):
+        grid_size = 2 ** 12
+        if kind == "powerdecay":
+            signal = make_power_decay(1.0, 3, grid_size)
+        else:
+            signal = make_bandlimited(2.5, 3, grid_size)
+        spec = resolve_kernel(weight, n)
+        report = spectral_error(spec, signal)
+        i2, i3, bound = mp_spectral_error(spec, kind, 3, grid_size)
+        assert report.I2 == pytest.approx(i2, rel=1e-13, abs=0.0)
+        # The profile takes omega, and omega = pi - g holds g only to half
+        # an ulp of pi, so across the outer band of width eps_n the I3
+        # integrand is exact to about ulp(pi) / eps_n relative: 5e-7 at
+        # the power law's n = 32, where eps_n is 1e-10.
+        rel_i3 = max(1e-13, math.ulp(PI) / spec.epsilon_n)
+        assert report.I3 == pytest.approx(i3, rel=rel_i3, abs=0.0)
+        assert report.spectral_bound == pytest.approx(bound, rel=1e-13,
+                                                      abs=0.0)
+
+
 class TestRobustnessBound:
     def test_no_noise_reduces_to_epsilon(self):
         assert robustness_bound(0.01, 0.0, 1e6) == 0.01
@@ -286,6 +370,19 @@ class TestConvergenceSweep:
             positive=make_bandlimited(PI / 2, 7, 2 ** 14).positive)
         with pytest.raises(RuntimeError, match="n=2.*analytic profile"):
             convergence_sweep(POWER, signal, [2], 32, 256)
+
+    def test_huge_band_index_tagged_in_three_digits(self):
+        # 10^300 is a float, but the closed-form eps_n underflows to 0,
+        # outside (0, 1/n); past a float's exact range n prints in 3
+        # digits, not 301, in the kernel's message and the cell's tag.
+        signal = make_bandlimited(PI / 2, 7, 2 ** 14)
+        with pytest.raises(RuntimeError) as info:
+            convergence_sweep(POWER, signal, [10 ** 300], 32, 256)
+        message = str(info.value)
+        assert message.startswith(
+            "sweep cell n=1e+300 failed: closed form for beta=1.0 left the "
+            "admissible interval (0, 1/1e+300)")
+        assert len(message) < 200
 
     def test_band_index_past_float_range_tagged_by_size(self):
         # 10^400 overflows the cell's first float conversion; its tag gives

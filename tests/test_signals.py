@@ -132,9 +132,9 @@ def masked_noise_values(spec, sigma, noise_seed):
 
 
 # Grid sizes M of the fold in row layout, D = 8 rows of P = M/16: one block
-# of _BLOCK entries or fewer (2^10 to 2^14), 2 blocks of 2048 columns
-# (2^16), 8 blocks (2^18), and 32 blocks (2^20), whose 2^19 entries the
-# reader takes in two blocks of 4 rows.
+# of _BLOCK entries or fewer (2^10 and 2^12), 2 blocks of 512 columns
+# (2^14), 8 blocks (2^16), 32 blocks (2^18), and 128 blocks (2^20), whose
+# 2^19 entries the reader takes in two blocks of 4 rows.
 GRIDS = [2 ** 10, 2 ** 12, 2 ** 14, 2 ** 16, 2 ** 18, 2 ** 20]
 
 
@@ -407,7 +407,7 @@ class TestInverseTransform:
         assert ts.truth_center == ts.samples[half_length]
 
     # The fold runs _BLOCK entries at a time; at 2^16 the bin 20000 lies
-    # in the second block.
+    # in the fifth block and its mirror in the fourth.
     @pytest.mark.parametrize("grid_size, index", [
         (2 ** 12, 100), (2 ** 12, 2 ** 11 - 1), (2 ** 16, 20000)])
     def test_nan_bin_rejected(self, grid_size, index):
@@ -637,7 +637,8 @@ class TestNoise:
         assert (noisy.positive.tobytes()
                 == masked_noise_values(sig, 0.3, 11).tobytes())
 
-    @pytest.mark.parametrize("log2_size", range(10, 23))
+    # Every grid the CLI accepts, 2^10 to 2^24.
+    @pytest.mark.parametrize("log2_size", range(10, 25))
     def test_band_count_matches_mask(self, log2_size):
         M = 2 ** log2_size
         mask = _positive_omegas(M) > PI - NOISE_BAND
@@ -719,10 +720,10 @@ class TestNoisyInverseTransforms:
         assert 2 * width <= P
 
     # The fold runs _BLOCK entries at a time; at 2^16 the bin 20000 lies in
-    # the second block, and the top bins lie in the noise band.
+    # the fifth block, and the top bins lie in the noise band.
     @pytest.mark.parametrize("M, index", [
         (2 ** 12, 100), (2 ** 12, 2 ** 11 - 3), (2 ** 16, 20000)],
-        ids=["outside-band", "in-band", "outside-band-second-block"])
+        ids=["outside-band", "in-band", "outside-band-later-block"])
     def test_nan_bin_rejected(self, M, index):
         # The clean fold is built once and the band blocks are refolded per
         # seed; a NaN bin in either part leaves a non-finite window, which

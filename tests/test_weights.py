@@ -155,8 +155,8 @@ class TestCompanionIntegral:
         assert value == pytest.approx(brute, rel=1e-9)
 
     def test_closed_form_vs_brute_force_near_edge(self):
-        # Spec invariant: closed form matches brute-force quadrature within
-        # 1e-8 relative on [0, pi - 1e-3].
+        # Spec invariant: the power-1 mass matches brute-force quadrature
+        # within 1e-8 relative on [0, pi - 1e-3].
         hi = PI - 1e-3
         value = self.mass(1.0, 0.0, hi)
         # Composite Simpson under the flattening substitution (a brute-force
@@ -171,8 +171,8 @@ class TestCompanionIntegral:
         (0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan),
         (math.nan, math.nan)])
     def test_non_finite_limits_rejected(self, power, u_lo, u_hi):
-        # u = inf is omega = pi; both the closed form and the quadrature
-        # route report it before doing any arithmetic on the limits.
+        # u = inf is omega = pi; the quadrature reports it before doing
+        # any arithmetic on the limits.
         with pytest.raises(QuadratureError, match="limits must be finite"):
             gap_power_integral(power, u_lo, u_hi)
 
