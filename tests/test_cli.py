@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specfill
-from specfill import recovery
+from specfill import kernel, recovery
+from specfill._quadrature import QuadratureError
 from specfill.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -380,6 +381,19 @@ class TestKernelCommand:
         assert code == EXIT_NUMERICAL
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_quadrature_error_exits_numerical(self, tmp_path, capsys,
+                                              monkeypatch):
+        def fail(spec, T):
+            raise QuadratureError("no convergence")
+
+        monkeypatch.setattr(kernel, "synthesize_taps", fail)
+        config = write_config(tmp_path)
+        code = main(["kernel", "--config", str(config),
+                     "--out", str(tmp_path / "k")])
+        assert code == EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            "numerical failure in stage 'kernel': no convergence\n")
+
 
 class TestRecoverCommand:
     def test_zero_bound_column_for_in_band_signal(self, tmp_path):
@@ -591,10 +605,11 @@ class TestBlasThreadPin:
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
                         reason="needs Linux /proc thread listing")
     def test_cli_import_starts_no_blas_thread(self):
-        # Without the pin, numpy's OpenBLAS starts a spinning worker
-        # thread on import and this reads 2.
+        # specfill.cli loads no numpy itself; a command imports it after
+        # the pin has run.  Without the pin, numpy's OpenBLAS starts a
+        # spinning worker thread on import and this reads 2.
         assert print_fresh(
-            "import os, specfill.cli; "
+            "import os, specfill.cli, numpy; "
             "print(len(os.listdir('/proc/self/task')))") == "1"
 
     def test_exported_value_wins(self):
@@ -609,6 +624,85 @@ class TestBlasThreadPin:
         assert print_fresh(
             "import sys, specfill; "
             "print('numpy' in sys.modules)") == "False"
+
+
+#: Runs ``python -m specfill <argv>`` in this process, then prints its
+#: exit code and every loaded module as the last line of stdout.
+RUN_AND_LIST_MODULES = (
+    "import json, runpy, sys\n"
+    "sys.argv[0] = 'specfill'\n"
+    "try:\n"
+    "    runpy.run_module('specfill', run_name='__main__')\n"
+    "except SystemExit as exc:\n"
+    "    code = exc.code\n"
+    "print(json.dumps([code, sorted(sys.modules)]))\n")
+
+
+def run_and_list_modules(*argv):
+    """Exit code, loaded modules and stderr of a fresh CLI process."""
+    proc = run_fresh("-c", RUN_AND_LIST_MODULES, *argv)
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    return code, set(modules), proc.stderr
+
+
+class TestImportFootprint:
+    """Each command loads only the modules it runs, after its config has
+    parsed; answers that need no numbers load no numpy."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--version"], ["--help"], ["kernel", "--help"]])
+    def test_version_and_help_load_no_numpy(self, argv):
+        code, modules, _ = run_and_list_modules(*argv)
+        assert code == EXIT_OK
+        assert "numpy" not in modules
+
+    @pytest.mark.parametrize("command, overrides, out, message", [
+        ("recover", {"nosie": 1}, True, "config.nosie: unknown field"),
+        ("kernel", {"grid_size": 1000}, True, "grid_size: must be"),
+        ("validate-weight", {"weight": {"nu": -1.0}}, False,
+         "weight: nu must be positive"),
+        ("robustness", {}, True, "noise: required for robustness"),
+        ("kernel", {}, False, "output_path: required for kernel"),
+    ])
+    def test_config_errors_load_no_numpy(self, tmp_path, command,
+                                         overrides, out, message):
+        config = write_config(tmp_path, overrides)
+        argv = [command, "--config", str(config)]
+        if out:
+            argv += ["--out", str(tmp_path / "out")]
+        code, modules, err = run_and_list_modules(*argv)
+        assert code == EXIT_CONFIG
+        assert err.startswith(f"config error: {message}")
+        assert "numpy" not in modules
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, loaded, unloaded", [
+        ("validate-weight", "specfill.weights",
+         {"specfill.kernel", "specfill.signals", "specfill.recovery"}),
+        ("kernel", "specfill.kernel",
+         {"specfill.signals", "specfill.recovery", "specfill._philox"}),
+    ])
+    def test_command_loads_only_its_modules(self, tmp_path, command, loaded,
+                                            unloaded):
+        config = write_config(tmp_path, {"n_values": [2]})
+        code, modules, _ = run_and_list_modules(
+            command, "--config", str(config), "--out", str(tmp_path / "out"))
+        assert code == EXIT_OK
+        assert loaded in modules
+        assert not modules & unloaded
+
+    def test_fresh_robustness_csv_matches_in_process(self, tmp_path):
+        config = write_config(
+            tmp_path,
+            {"n_values": [2, 4], "noise": {"sigma": 1e-6, "seeds": [0, 1]}})
+        fresh, here = tmp_path / "fresh.csv", tmp_path / "here.csv"
+        proc = run_fresh("-m", "specfill", "robustness", "--config",
+                         str(config), "--out", str(fresh))
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        assert main(["robustness", "--config", str(config),
+                     "--out", str(here)]) == EXIT_OK
+        assert fresh.read_bytes() == here.read_bytes()
 
 
 class TestValidateWeightCommand:
