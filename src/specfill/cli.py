@@ -5,7 +5,7 @@ Subcommands
 ``kernel``          resolve kernels and export tap files plus a summary
 ``recover``         recovery sweep over band indices, CSV of report rows
 ``robustness``      the same sweep, with ``noise`` required
-``validate-weight`` run the numerical admissibility checks on a weight
+``validate-weight`` check a weight's admissibility conditions in closed form
 
 Every command takes ``--config <path>`` (JSON, schema below) and ``--out``
 (output file or directory, overriding the config's ``output_path``).  Exit
@@ -62,12 +62,13 @@ or OpenSSL (a smaller footprint per process) and numpy cannot move the
 stream under a rerun.
 
 At start-up the CLI loads only the standard library, ``__version__`` and
-the numpy-free ``WeightSpec``.  Each command imports its numeric modules
-once its config has parsed and its output path is known:
-``validate-weight`` loads ``weights`` (with ``_quadrature``); ``kernel``
-loads ``kernel`` (with ``weights``), and nothing of ``signals``,
-``recovery`` or ``_philox``; ``recover`` and ``robustness`` load
-``recovery``, which brings in ``kernel`` and ``signals``.  So
+the numpy-free ``_weightspec``, which holds ``WeightSpec`` and the
+closed-form ``validate_weight``, so ``validate-weight`` loads no numeric
+module.  Each other command imports its numeric modules once its config
+has parsed and its output path is known: ``kernel`` loads ``kernel``
+(with ``weights``), and nothing of ``signals``, ``recovery`` or
+``_philox``; ``recover`` and ``robustness`` load ``recovery``, which
+brings in ``kernel`` and ``signals``.  So ``validate-weight``,
 ``--version``, ``--help`` and every config error answer without numpy:
 ``--version`` takes about 0.07 s and 15.5 MiB of peak RSS (Python 3.11,
 2-core x86-64 VM), against about 0.15-0.17 s and 29.5 MiB when every
@@ -110,7 +111,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 # after its config has parsed, so --version, --help and a config error
 # answer without them.
 from . import __version__
-from ._weightspec import WeightSpec
+from ._weightspec import WeightSpec, validate_weight
 
 if TYPE_CHECKING:
     from .signals import SpectralSignal
@@ -498,8 +499,6 @@ def cmd_sweep(args) -> int:
 
 def cmd_validate_weight(args) -> int:
     config = load_config(args.config)
-    from .weights import validate_weight
-
     report = validate_weight(config.weight)
     print(report)
     return EXIT_OK if report.ok else EXIT_NUMERICAL

@@ -55,7 +55,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import _philox
-from .weights import PI, WeightSpec, _classify_tail, eval_weight
+from .weights import PI, WeightSpec, eval_weight
 
 #: Degree of the seeded trigonometric envelope polynomials.
 ENVELOPE_DEGREE = 8
@@ -219,8 +219,8 @@ def make_power_decay(nu: float, shape_seed: int,
     """Spectrum decaying like (pi^2 - omega^2)^nu toward the band edges.
 
     X = (pi^2 - omega^2)^nu * g with g a seeded Hermitian envelope
-    normalized to |g| <= 1 on the grid.  Class membership is a numerical
-    question for :func:`class_norm`, not an assumption.
+    normalized to |g| <= 1 on the grid.  |X| vanishes at the band edges to
+    order nu, the ``edge_order`` that :func:`class_norm` takes.
     """
     if not nu > 0:
         raise ValueError(f"nu must be positive, got {nu}")
@@ -443,43 +443,30 @@ def forward_transform(signal: TimeSignal, grid_size: int) -> SpectralSignal:
     return SpectralSignal(positive=np.fft.fft(packed)[M // 2:])
 
 
-def _tail_decades(grid_size: int) -> np.ndarray:
-    """Nested edge distances for stabilization checks, down to grid scale."""
-    spacing = 2.0 * PI / grid_size
-    deltas = [PI / 4]
-    while deltas[-1] / 4.0 > 2.0 * spacing:
-        deltas.append(deltas[-1] / 4.0)
-    return np.array(deltas)
-
-
-def class_norm(spec: SpectralSignal, weight: WeightSpec) -> float:
+def class_norm(spec: SpectralSignal, weight: WeightSpec,
+               edge_order: float) -> float:
     """Weighted spectral norm of X against a weight; inf when it diverges.
 
-    Finite p: the grid integral of h |X|^p.  p = inf: the grid essential
-    sup of h |X|.  h and |X| are even, so both run on the positive
-    half-grid, the integral counting each sample twice.  Both are scanned
-    over nested windows approaching the band edges; a value that keeps
-    growing toward the edge instead of stabilizing (or overflows) is
-    reported as ``math.inf``.
+    ``edge_order`` is the order at which |X| vanishes at +-pi: ``nu`` for
+    :func:`make_power_decay`, ``math.inf`` for a band-limited or zero
+    spectrum, 0 for one that does not vanish there.  Near the edges
+    h |X|^p behaves like the gap to the power p * edge_order - nu_w, so the
+    norm is finite exactly when edge_order >= nu_w at p = inf, and when
+    p * edge_order - nu_w > -1 at finite p.  A finite norm is its grid
+    value: the max of h |X| at p = inf, the integral of h |X|^p at finite
+    p.  h and |X| are even, so both run on the positive half-grid, the
+    integral counting each sample twice.
     """
-    omegas = _positive_omegas(spec.grid_size)
-    absx = np.abs(spec.positive)
-    h = eval_weight(weight, omegas)
-    deltas = _tail_decades(spec.grid_size)
-
-    if weight.p == math.inf:
-        pointwise = h * absx
-        partials = [float(np.max(pointwise[omegas <= PI - d]))
-                    for d in deltas]
-    else:
-        density = h * absx ** weight.p
-        spacing = 2.0 * PI / spec.grid_size
-        partials = [float(np.sum(density[omegas <= PI - d]) * 2.0 * spacing)
-                    for d in deltas]
-
-    if _classify_tail(partials) == "divergent":
+    p, nu = weight.p, weight.nu
+    finite = edge_order >= nu if p == math.inf else p * edge_order - nu > -1
+    if not finite:
         return math.inf
-    return partials[-1]
+    h = eval_weight(weight, _positive_omegas(spec.grid_size))
+    absx = np.abs(spec.positive)
+    if p == math.inf:
+        return float(np.max(h * absx))
+    spacing = 2.0 * PI / spec.grid_size
+    return float(np.sum(h * absx ** p) * 2.0 * spacing)
 
 
 def _noise_band_count(grid_size: int) -> int:

@@ -1,4 +1,4 @@
-"""Admissible spectral weights and their companion functions.
+"""Spectral weights, their companions, and band-gap integrals.
 
 A weight ``h`` assigns growing mass toward the band edges ``±pi``; sequences
 whose spectrum decays fast enough against ``h`` are the recoverable classes.
@@ -14,10 +14,13 @@ weight h(omega)                companion W(omega)
 ``(pi^2 - omega^2)^(-nu)``     ``(pi^2 - omega^2)^(-beta)``
 =============================  =============================
 
-:class:`WeightSpec` checks only that the numbers are in range.  It takes
-``nu >= 0`` so that deliberately inadmissible weights (for example the
-constant ``h = 1`` at ``nu = 0``) can be built and then rejected by
-:func:`validate_weight`.
+so both admissibility conditions are inequalities on the exponents:
+``beta >= 1`` and ``(beta - nu) q < 1``.  :func:`validate_weight` checks
+them in closed form; it lives with :class:`WeightSpec` in the numpy-free
+``_weightspec`` and is re-exported here.  :class:`WeightSpec` checks only
+that the numbers are in range.  It takes ``nu >= 0`` so that deliberately
+inadmissible weights (for example the constant ``h = 1`` at ``nu = 0``) can
+be built and then rejected by :func:`validate_weight`.
 
 All near-edge integrals run under the substitution
 ``u = log((pi + omega)/(pi - omega))``, which flattens the companion
@@ -28,17 +31,21 @@ singularity; composite rules on the raw integrand lose all accuracy within
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from ._quadrature import QuadratureError, adaptive_quad
-# Defined without numpy, so that the CLI can check a config before numpy
-# loads; this module is their public home.
-from ._weightspec import WeightSpec, conjugate_exponent  # noqa: F401
+# Defined without numpy, so that the CLI can check a config and validate a
+# weight before numpy loads; this module is their public home.
+from ._weightspec import (  # noqa: F401
+    WeightCheck,
+    WeightSpec,
+    WeightValidation,
+    conjugate_exponent,
+    validate_weight,
+)
 
 PI = math.pi
-INF = math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -115,130 +122,3 @@ def gap_power_integral(power: float, u_lo: float, u_hi: float,
     bp = np.linspace(u_lo, u_hi, 17)[1:-1]
     return adaptive_quad(lambda u: gap_power_density(power, u), u_lo, u_hi,
                          tol=tol, rtol=1e-14, breakpoints=bp)
-
-
-# ---------------------------------------------------------------------------
-# Numerical admissibility checks.
-# ---------------------------------------------------------------------------
-
-#: Points of the grid on [0, pi) that the symmetry and positivity checks
-#: sample.
-_CHECK_GRID = 1024
-
-#: Geometric tail probes: steps shrinking the edge distance by RATIO each
-#: time.  The divergence check uses 8 steps so a logarithmically divergent
-#: tail still classifies as divergent (constant increments, share 1/8 >
-#: 0.1); the finiteness check probes deeper (12 steps, down to 1e-13) so
-#: slowly converging tails like sqrt(edge distance) fall under 1e-6.
-_TAIL_STEPS_DIVERGENT = 8
-_TAIL_STEPS_FINITE = 12
-_TAIL_RATIO = 10.0
-_FINITE_SHARE = 1e-6
-_DIVERGENT_SHARE = 1e-1
-
-
-def _classify_tail(values) -> str:
-    """'finite' | 'divergent' | 'inconclusive' from nested partial values."""
-    values = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(values)):
-        return "divergent"
-    last = values[-1]
-    if last == 0.0:
-        return "finite"
-    share = (values[-1] - values[-2]) / abs(last)
-    if share < _FINITE_SHARE:
-        return "finite"
-    if share > _DIVERGENT_SHARE:
-        return "divergent"
-    return "inconclusive"
-
-
-@dataclass(frozen=True)
-class WeightCheck:
-    name: str
-    passed: bool
-    value: float
-    detail: str
-
-
-@dataclass(frozen=True)
-class WeightValidation:
-    spec: WeightSpec
-    checks: tuple[WeightCheck, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def __str__(self) -> str:
-        spec = self.spec
-        p = "inf" if spec.p == INF else repr(spec.p)
-        lines = [f"weight nu={spec.nu!r} beta={spec.beta!r} p={p}"]
-        for c in self.checks:
-            status = "PASS" if c.passed else "FAIL"
-            lines.append(f"  [{status}] {c.name}: {c.detail} "
-                         f"(value={c.value:.6g})")
-        return "\n".join(lines)
-
-
-def validate_weight(spec: WeightSpec) -> WeightValidation:
-    """Numerically check the admissibility conditions of a weight.
-
-    Checks, each reported pass/fail with its computed value:
-
-    * symmetry of h on a 1024-point grid over [0, pi) (exact, h is computed
-      through omega^2 only);
-    * positivity of h (infimum over the grid strictly positive);
-    * integrability of |W|^q h^(-q) over (-pi, pi): partial integrals over
-      expanding symmetric subintervals must stabilize;
-    * divergence of the companion tail integral toward the band edge:
-      partial integrals must keep growing without stabilizing.
-
-    Finite/divergent classification probes a geometric sequence of edge
-    distances (factor 10; 12 steps for the finiteness check, 8 for the
-    divergence check): last relative increment below 1e-6 means finite,
-    above 0.1 means divergent, otherwise inconclusive (which fails
-    whichever check needed the opposite verdict).
-    """
-    checks = []
-
-    omegas = np.linspace(0.0, PI - PI / _CHECK_GRID, _CHECK_GRID)
-    h_pos = eval_weight(spec, omegas)
-    h_neg = eval_weight(spec, -omegas)
-    sym_ok = bool(np.array_equal(h_pos, h_neg))
-    checks.append(WeightCheck(
-        "symmetry", sym_ok, float(np.max(np.abs(h_pos - h_neg))),
-        "h(omega) == h(-omega) on the grid"))
-
-    h_min = float(np.min(h_pos))
-    checks.append(WeightCheck(
-        "positivity", h_min > 0.0, h_min, "inf h over the grid"))
-
-    # |W|^q h^(-q) = (pi^2 - omega^2)^(-(beta - nu) q); integrate over
-    # symmetric windows [-(pi - d_k), pi - d_k] with d_k shrinking
-    # geometrically and look for stabilization.
-    s = (spec.beta - spec.nu) * spec.q
-    deltas = 0.1 * _TAIL_RATIO ** -np.arange(_TAIL_STEPS_FINITE + 1)
-    partials = []
-    for d in deltas:
-        partials.append(2.0 * gap_power_integral(s, 0.0, u_from_gap(d),
-                                                 tol=1e-11))
-    verdict = _classify_tail(partials)
-    checks.append(WeightCheck(
-        "ratio_integrable", verdict == "finite", partials[-1],
-        f"integral of |W|^q h^-q stabilization: {verdict}"))
-
-    # Companion tail: integral of W over [pi - 0.1, pi - d_k] must grow
-    # without stabilizing as d_k -> 0.
-    u_lo = u_from_gap(0.1)
-    tail_deltas = 0.1 * _TAIL_RATIO ** -np.arange(1, _TAIL_STEPS_DIVERGENT + 1)
-    tails = []
-    for d in tail_deltas:
-        tails.append(gap_power_integral(spec.beta, u_lo, u_from_gap(d),
-                                        tol=1e-11))
-    verdict = _classify_tail(tails)
-    checks.append(WeightCheck(
-        "companion_tail_divergent", verdict == "divergent", tails[-1],
-        f"integral of W toward the edge: {verdict}"))
-
-    return WeightValidation(spec=spec, checks=tuple(checks))

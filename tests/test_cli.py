@@ -678,8 +678,9 @@ class TestImportFootprint:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, loaded, unloaded", [
-        ("validate-weight", "specfill.weights",
-         {"specfill.kernel", "specfill.signals", "specfill.recovery"}),
+        ("validate-weight", "specfill._weightspec",
+         {"numpy", "specfill.weights", "specfill._quadrature",
+          "specfill.kernel", "specfill.signals", "specfill.recovery"}),
         ("kernel", "specfill.kernel",
          {"specfill.signals", "specfill.recovery", "specfill._philox"}),
     ])
@@ -710,6 +711,13 @@ class TestValidateWeightCommand:
         config = write_config(tmp_path)
         assert main(["validate-weight", "--config", str(config)]) == EXIT_OK
         assert "PASS" in capsys.readouterr().out
+
+    def test_power_law_at_its_p_boundary(self, tmp_path, capsys):
+        # nu = 0.5, p = 4 > 1/nu is a valid power_law config, and
+        # (beta - nu) q = 2/3 < 1 makes it admissible.
+        config = write_config(tmp_path, {"weight": {"nu": 0.5, "p": 4.0}})
+        assert main(["validate-weight", "--config", str(config)]) == EXIT_OK
+        assert "FAIL" not in capsys.readouterr().out
 
     def test_inadmissible(self, tmp_path, capsys):
         config = write_config(

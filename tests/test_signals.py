@@ -208,7 +208,7 @@ class TestGenerators:
 
     def test_bandlimited_class_norm_finite(self):
         sig = make_bandlimited(PI / 2, 7, 2 ** 14)
-        value = class_norm(sig, W_P2)
+        value = class_norm(sig, W_P2, math.inf)
         assert math.isfinite(value)
         # Brute-force Riemann oracle at 4x grid density via the profile.
         m4 = 4 * 2 ** 14
@@ -241,7 +241,7 @@ class TestGenerators:
         # Weight exponent equals decay exponent: pointwise product is |g|,
         # capped at 1; oracle is the plain grid maximum.
         sig = make_power_decay(1.0, 3, 2 ** 14)
-        value = class_norm(sig, W_INF)
+        value = class_norm(sig, W_INF, 1.0)
         assert math.isfinite(value)
         om = _positive_omegas(2 ** 14)
         om = np.concatenate([-om[::-1], om])
@@ -567,18 +567,51 @@ class TestRoundTripAndParseval:
 class TestClassNorm:
     def test_zero_signal(self):
         sig = SpectralSignal(positive=np.zeros(2 ** 13, dtype=complex))
-        assert class_norm(sig, W_INF) == 0.0
+        assert class_norm(sig, W_INF, math.inf) == 0.0
+        assert class_norm(sig, W_P2, math.inf) == 0.0
 
     def test_flat_signal_divergent(self):
-        assert class_norm(flat_signal(), W_INF) == math.inf
+        assert class_norm(flat_signal(), W_INF, 0.0) == math.inf
 
     def test_flat_signal_divergent_finite_p(self):
-        assert class_norm(flat_signal(), W_P2) == math.inf
+        # p * 0 - 1 = -1: the integral of h diverges logarithmically.
+        assert class_norm(flat_signal(), W_P2, 0.0) == math.inf
+
+    def test_flat_signal_finite_below_unit_exponent(self):
+        # p * 0 - 0.9 > -1: the integral of (pi^2 - omega^2)^-0.9 is
+        # finite; its value is the grid sum.
+        sig = flat_signal()
+        value = class_norm(sig, WeightSpec(0.9, 1.0, 2.0), 0.0)
+        om = _positive_omegas(sig.grid_size)
+        oracle = (2.0 * np.sum(((PI - om) * (PI + om)) ** -0.9)
+                  * (2.0 * PI / sig.grid_size))
+        assert value == pytest.approx(oracle, rel=1e-12)
 
     def test_noisy_sum_divergent(self):
         clean = make_bandlimited(PI / 2, 7, 2 ** 14)
         noisy = add_spectral_noise(clean, 0.3, 11)
-        assert class_norm(noisy, W_INF) == math.inf
+        assert class_norm(noisy, W_INF, 0.0) == math.inf
+
+    @pytest.mark.parametrize("signal_nu, nu_w, p, finite", [
+        # p = inf: finite exactly when edge_order >= nu_w (the equal case
+        # is test_power_decay_class_norm_sup).
+        (0.99, 1.0, math.inf, False),
+        # Finite p: finite exactly when p * edge_order - nu_w > -1.
+        (0.5, 1.9, 2.0, True),
+        (0.5, 2.0, 2.0, False),
+    ])
+    def test_power_decay_edge_boundary(self, signal_nu, nu_w, p, finite):
+        sig = make_power_decay(signal_nu, 3, 2 ** 14)
+        weight = WeightSpec(nu_w, 1.0, p)
+        value = class_norm(sig, weight, signal_nu)
+        if not finite:
+            assert value == math.inf
+            return
+        om = _positive_omegas(sig.grid_size)
+        weighted = ((PI - om) * (PI + om)) ** -nu_w
+        oracle = (2.0 * np.sum(weighted * np.abs(sig.positive) ** p)
+                  * (2.0 * PI / sig.grid_size))
+        assert value == pytest.approx(oracle, rel=1e-12)
 
 
 class TestNoise:

@@ -204,10 +204,10 @@ class TestValidateWeight:
         report = validate_weight(POWER)
         assert report.ok
         by_name = {c.name: c for c in report.checks}
-        # nu = 1, q = 1: the ratio integrand is identically 1, so the
-        # symmetric integral is 2 pi.
-        assert by_name["ratio_integrable"].value == pytest.approx(
-            2.0 * PI, abs=1e-5)
+        # nu = beta = 1: the ratio exponent s = (beta - nu) q is 0.
+        assert by_name["ratio_integrable"].value == 0.0
+        assert by_name["positivity"].value == pytest.approx(1.0 / PI ** 2,
+                                                            rel=1e-15)
 
     def test_power_law_finite_p(self):
         assert validate_weight(WeightSpec(1.0, 1.0, 2.0)).ok
@@ -239,3 +239,33 @@ class TestValidateWeight:
         assert lines[0] == "weight nu=2.0 beta=1.5 p=4.0"
         assert str(validate_weight(POWER)).startswith(
             "weight nu=1.0 beta=1.0 p=inf\n  [PASS] symmetry")
+
+    @pytest.mark.parametrize("nu, beta, p, failed", [
+        # s = (beta - nu) q = 0.9 and 0.99, 2/3: admissible.
+        (1.0, 1.9, math.inf, set()),
+        (1.0, 1.99, math.inf, set()),
+        (0.5, 1.0, 4.0, set()),
+        # beta < 1: W's integral toward the edge converges.
+        (0.5, 0.999, math.inf, {"companion_tail_divergent"}),
+        # s = 1 exactly is outside; beta = 1 exactly is inside (above).
+        (1.0, 2.0, math.inf, {"ratio_integrable"}),
+        (0.0, 1.0, math.inf, {"ratio_integrable"}),
+    ])
+    def test_boundary_cases(self, nu, beta, p, failed):
+        report = validate_weight(WeightSpec(nu, beta, p))
+        assert {c.name for c in report.checks if not c.passed} == failed
+        assert report.ok == (not failed)
+
+    @pytest.mark.parametrize("s", [-1.0, 0.0, 0.5, 0.9])
+    def test_ratio_closed_form_matches_quadrature(self, s):
+        # The integral of (pi^2 - omega^2)^-s over (-pi, pi) is the Beta
+        # function 2 pi (2 pi)^-2s B(1 - s, 1 - s), finite for s < 1, which
+        # is what ratio_integrable tests.  Quadrature up to d of each edge
+        # plus the leading-order tails must reach it.
+        d = 1e-8
+        inner = 2.0 * gap_power_integral(s, 0.0, u_from_gap(d))
+        tails = 2.0 * (2.0 * PI) ** -s * d ** (1.0 - s) / (1.0 - s)
+        beta = 2.0 * PI * math.exp(-2.0 * s * math.log(2.0 * PI)
+                                   + 2.0 * math.lgamma(1.0 - s)
+                                   - math.lgamma(2.0 - 2.0 * s))
+        assert inner + tails == pytest.approx(beta, rel=1e-8)
