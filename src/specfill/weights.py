@@ -73,10 +73,10 @@ def gap_product_from_u(u):
 
 
 def gap_power_density(power: float, u):
-    """(pi^2 - omega^2)^(-power) d(omega) / (2 pi), per unit u.
+    """The integrand in u of (pi^2 - omega^2)^(-power) d(omega).
 
-    The Jacobian d(omega)/du is the gap product itself, so the integrand in
-    u is (gap product)^(1 - power) / (2 pi).
+    The Jacobian d(omega)/du is the gap product over 2 pi, so the integrand
+    in u is (gap product)^(1 - power) / (2 pi), with no further factor.
     """
     return gap_product_from_u(u) ** (1.0 - power) / (2.0 * PI)
 

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specfill
-from specfill import kernel, recovery
+from specfill import cli, kernel, recovery
+from specfill._config import ExperimentConfig, load_config, parse_config
 from specfill._quadrature import QuadratureError
 from specfill.cli import (
     EXIT_CONFIG,
@@ -19,10 +20,7 @@ from specfill.cli import (
     EXIT_OK,
     EXIT_VIOLATIONS,
     ConfigError,
-    ExperimentConfig,
-    load_config,
     main,
-    parse_config,
 )
 from specfill.weights import WeightSpec
 
@@ -601,6 +599,42 @@ class TestRobustnessCommand:
         assert "noise" in capsys.readouterr().err
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv, message", [
+        (["kernel"], "the following arguments are required: --config"),
+        ([], "the following arguments are required: command"),
+        (["bogus"], "argument command: invalid choice: 'bogus'"),
+    ], ids=["no-config", "no-command", "unknown-command"])
+    def test_exit_config_error(self, capsys, argv, message):
+        # argparse's own code is 2, which this CLI uses for a numerical
+        # failure.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("usage: specfill")
+        assert f": error: {message}" in err
+
+    def test_module_run_as_script(self, tmp_path):
+        # python -m specfill.cli runs a second copy of the module; a config
+        # error from _config must still exit 1.
+        config = write_config(tmp_path, {"grid_size": 1000})
+        proc = run_fresh("-m", "specfill.cli", "kernel", "--config",
+                         str(config), "--out", str(tmp_path / "out"))
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr.startswith("config error: grid_size: must be")
+
+    def test_cli_load_config_forwards(self, tmp_path):
+        # perfbench/tracing.py imports load_config from specfill.cli.
+        path = write_config(tmp_path)
+        config = cli.load_config(path)
+        assert isinstance(config, ExperimentConfig)
+        assert config == load_config(path)
+        assert print_fresh(
+            "import sys; from specfill.cli import load_config; "
+            "print('specfill._config' in sys.modules)") == "False"
+
+
 class TestBlasThreadPin:
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
                         reason="needs Linux /proc thread listing")
@@ -627,15 +661,18 @@ class TestBlasThreadPin:
 
 
 #: Runs ``python -m specfill <argv>`` in this process, then prints its
-#: exit code and every loaded module as the last line of stdout.
+#: exit code and every module it loaded as the last line of stdout.  json
+#: is imported only after the list is taken.
 RUN_AND_LIST_MODULES = (
-    "import json, runpy, sys\n"
+    "import runpy, sys\n"
     "sys.argv[0] = 'specfill'\n"
     "try:\n"
     "    runpy.run_module('specfill', run_name='__main__')\n"
     "except SystemExit as exc:\n"
     "    code = exc.code\n"
-    "print(json.dumps([code, sorted(sys.modules)]))\n")
+    "modules = sorted(sys.modules)\n"
+    "import json\n"
+    "print(json.dumps([code, modules]))\n")
 
 
 def run_and_list_modules(*argv):
@@ -650,12 +687,16 @@ class TestImportFootprint:
     """Each command loads only the modules it runs, after its config has
     parsed; answers that need no numbers load no numpy."""
 
-    @pytest.mark.parametrize("argv", [
-        ["--version"], ["--help"], ["kernel", "--help"]])
-    def test_version_and_help_load_no_numpy(self, argv):
+    @pytest.mark.parametrize("argv, expected", [
+        (["--version"], EXIT_OK), (["--help"], EXIT_OK),
+        (["kernel", "--help"], EXIT_OK), (["kernel"], EXIT_CONFIG)])
+    def test_version_and_help_load_no_numpy(self, argv, expected):
+        # The parser answers these alone: neither the config code nor
+        # what it imports is loaded.
         code, modules, _ = run_and_list_modules(*argv)
-        assert code == EXIT_OK
-        assert "numpy" not in modules
+        assert code == expected
+        assert not modules & {"numpy", "specfill._config",
+                              "specfill._weightspec", "json", "dataclasses"}
 
     @pytest.mark.parametrize("command, overrides, out, message", [
         ("recover", {"nosie": 1}, True, "config.nosie: unknown field"),
