@@ -387,7 +387,7 @@ def cmd_sweep(args) -> int:
     from .recovery import convergence_sweep
 
     rows = convergence_sweep(
-        config.weight, config.build_signal(), list(config.n_values),
+        config.weight, config.build_signal, list(config.n_values),
         config.T, config.S, noise_sigma=config.noise_sigma,
         noise_seeds=config.noise_seeds, base_seed=config.signal_seed)
     summary = f"{args.command}: wrote {len(rows)} rows to {out}"

@@ -11,7 +11,9 @@ stand in for it.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -25,7 +27,7 @@ from .kernel import (
     resolve_kernel,
     synthesize_taps,
 )
-from .signals import SpectralSignal, TimeSignal, noisy_inverse_transforms
+from .signals import SpectralSignal, TimeSignal, fold_spectrum
 from .weights import PI, WeightSpec, gap_from_u, u_from_gap
 
 
@@ -151,34 +153,18 @@ def spectral_error(spec: KernelSpec, signal: SpectralSignal) -> SpectralError:
     return SpectralError(I2=2.0 * i2, I3=2.0 * i3)
 
 
-def _sweep_cell(weight: WeightSpec, signal: SpectralSignal, n: int,
-                tap_half_length: int, signal_half_length: int,
-                noise_sigma: float | None,
-                draws: list[tuple[int | None, TimeSignal]]
-                ) -> list[RecoveryReport]:
-    spec = resolve_kernel(weight, n)
-    spectral = spectral_error(spec, signal)
-    taps = synthesize_taps(spec, tap_half_length)
-    robust = None
-    if noise_sigma is not None:
-        robust = robustness_bound(spectral.spectral_bound, noise_sigma,
-                                  spec.kappa)
-
-    reports = []
-    for seed, time_sig in draws:
-        estimate = recover_center(taps, time_sig)
-        truth = time_sig.truth_center
-        reports.append(RecoveryReport(
-            n=n, epsilon_n=spec.epsilon_n, kappa=spec.kappa,
-            estimate=estimate, truth=truth, abs_error=abs(truth - estimate),
-            spectral_bound=spectral.spectral_bound,
-            I2=spectral.I2, I3=spectral.I3, robust_bound=robust,
-            zero_residual=taps.zero_residual, T=tap_half_length,
-            S=signal_half_length, seed=seed))
-    return reports
+@contextmanager
+def _cell(n: int) -> Iterator[None]:
+    """Tag an error raised in the cell of band index n with n."""
+    try:
+        yield
+    except Exception as exc:
+        raise RuntimeError(
+            f"sweep cell n={_format_n(n)} failed: {exc}") from exc
 
 
-def convergence_sweep(weight: WeightSpec, signal: SpectralSignal,
+def convergence_sweep(weight: WeightSpec,
+                      build_signal: Callable[[], SpectralSignal],
                       n_values: list[int], tap_half_length: int,
                       signal_half_length: int, *,
                       noise_sigma: float | None = None,
@@ -186,26 +172,38 @@ def convergence_sweep(weight: WeightSpec, signal: SpectralSignal,
                       base_seed: int | None = None) -> list[RecoveryReport]:
     """Run kernel resolution, synthesis, and recovery over a band-index sweep.
 
-    First, the time signals, none of which depends on n, all from
-    :func:`signals.noisy_inverse_transforms`: with ``noise_sigma`` None,
-    one noise-free draw tagged ``base_seed``; otherwise one per noise seed,
-    sharing one clean fold and bit for bit the transforms of the noisy
-    spectra.  Each is formed only on the tap window |t| <= T =
-    ``tap_half_length``, the 2T + 1 samples that the taps and the truth
-    x(0) read.  Then, for each n: resolve the kernel,
-    synthesize taps at ``tap_half_length``, and assemble one report per
-    seed carrying the estimate, truth, spectral error split, and constants.
-    The report order is (n ascending, seed ascending).
-    ``signal_half_length`` S is only checked (T <= S, a ValueError raised
-    before any transform) and echoed in each report; no number depends on
-    it.  Errors from the per-n stages propagate tagged with their n.
+    ``build_signal`` is called once, with no arguments, for the spectrum
+    (the CLI passes ``ExperimentConfig.build_signal``, tests a lambda).
+    First, for each n, the kernel is resolved and its spectral error taken
+    from the spectrum's profile.  Then the spectrum is folded by
+    :func:`signals.fold_spectrum` and the sweep drops it, so a builder
+    that keeps no reference, as the CLI's, has its half-grid freed before
+    any row transform.  The time signals, none of which depends on n, are
+    read from the fold: with ``noise_sigma`` None, one
+    noise-free draw tagged ``base_seed``; otherwise one per noise seed,
+    bit for bit the transforms of the noisy spectra.  Each is formed only
+    on the tap window |t| <= T = ``tap_half_length``, the 2T + 1 samples
+    that the taps and the truth x(0) read.  Last, for each n, the taps are
+    synthesized at ``tap_half_length`` and one report per seed carries the
+    estimate, truth, spectral error split, and constants.  The report
+    order is (n ascending, seed ascending).
+    ``n_values`` must be strictly ascending and ``noise_seeds`` distinct.
+    ``signal_half_length`` S is only checked (T <= S) and echoed in each
+    report; no number depends on it.  These checks are ValueErrors raised
+    before the spectrum is built.  Errors from the per-n stages propagate
+    tagged with their n; those of resolution and spectral error, for every
+    n, come before any transform.
     """
-    if sorted(n_values) != list(n_values):
-        raise ValueError("n_values must be sorted ascending")
+    if any(hi <= lo for lo, hi in zip(n_values, n_values[1:])):
+        raise ValueError(
+            f"n_values must be strictly ascending, got {list(n_values)}")
     if any(n < 2 for n in n_values):
         raise ValueError("every n must be at least 2")
     if noise_sigma is not None and not noise_seeds:
         raise ValueError("noise_sigma given without noise seeds")
+    if len(set(noise_seeds)) != len(noise_seeds):
+        raise ValueError(
+            f"noise_seeds must be distinct, got {list(noise_seeds)}")
     if tap_half_length > signal_half_length:
         raise ValueError(
             f"tap window T={tap_half_length} exceeds signal window "
@@ -214,15 +212,36 @@ def convergence_sweep(weight: WeightSpec, signal: SpectralSignal,
         sigma, seeds = 0.0, (base_seed,)
     else:
         sigma, seeds = noise_sigma, tuple(sorted(noise_seeds))
-    draws = list(zip(seeds, noisy_inverse_transforms(
-        signal, tap_half_length, sigma, seeds)))
+
+    signal = build_signal()
+    cells = []
+    for n in n_values:
+        with _cell(n):
+            spec = resolve_kernel(weight, n)
+            cells.append((n, spec, spectral_error(spec, signal)))
+    read_draws = fold_spectrum(signal, tap_half_length)
+    # The read phase keeps no view of the half-grid, so with the builder
+    # holding none either, this frees it before the first row transform.
+    del signal
+    draws = list(zip(seeds, read_draws(sigma, seeds)))
 
     reports = []
-    for n in n_values:
-        try:
-            reports += _sweep_cell(weight, signal, n, tap_half_length,
-                                   signal_half_length, noise_sigma, draws)
-        except Exception as exc:
-            raise RuntimeError(
-                f"sweep cell n={_format_n(n)} failed: {exc}") from exc
+    for n, spec, spectral in cells:
+        with _cell(n):
+            taps = synthesize_taps(spec, tap_half_length)
+            robust = None
+            if noise_sigma is not None:
+                robust = robustness_bound(spectral.spectral_bound,
+                                          noise_sigma, spec.kappa)
+            for seed, time_sig in draws:
+                estimate = recover_center(taps, time_sig)
+                truth = time_sig.truth_center
+                reports.append(RecoveryReport(
+                    n=n, epsilon_n=spec.epsilon_n, kappa=spec.kappa,
+                    estimate=estimate, truth=truth,
+                    abs_error=abs(truth - estimate),
+                    spectral_bound=spectral.spectral_bound,
+                    I2=spectral.I2, I3=spectral.I3, robust_bound=robust,
+                    zero_residual=taps.zero_residual, T=tap_half_length,
+                    S=signal_half_length, seed=seed))
     return reports

@@ -30,16 +30,21 @@ along their contiguous points into one reused block array, and each output
 accumulates its 8 phased row values block by block.  The split depends on
 the grid alone, so a window is the slice of any longer one, bit for bit.
 The fold runs in the same blocks of ``_BLOCK`` grid entries, so no
-temporary grows with the grid; the fold is the only half-grid array.
-Spectral noise is flat-magnitude and random-phase on the edge band
-omega > pi - NOISE_BAND, the top of the positive half-grid, so its mirror
-covers the other edge.  Every draw takes one route,
+temporary grows with the grid; the fold is the only half-grid array a
+transform makes.  Spectral noise is flat-magnitude and random-phase on the
+edge band omega > pi - NOISE_BAND, the top of the positive half-grid, so
+its mirror covers the other edge.  Every draw takes one route,
 :func:`noisy_inverse_transforms`, of which :func:`inverse_transform` is the
-one-draw, noise-free case: it folds the clean spectrum once; each noise
-seed then adds its noise to a copy of the band's top entries and refolds
-from them, in place, only the block of entries at each end of every row
-that the band reaches, and reads the window from the fold block by block,
-with no noisy grid built.
+one-draw, noise-free case.  It runs in two phases.  The fold phase,
+:func:`fold_spectrum`, is the only one that reads the half-grid: it folds
+the clean spectrum once and copies the clean entries at both ends of the
+half-grid that the band blocks refold from.  The read phase it returns
+needs only those: each noise seed adds its noise to a copy of the band's
+top entries and refolds from them, in place, only the block of entries at
+each end of every row that the band reaches, and reads the window from the
+fold block by block, with no noisy grid built.  A recovery sweep drops its
+spectrum between the phases, so its row transforms run beside one
+half-grid array, the fold, rather than two.
 
 Both generated families are uniformly well behaved: envelopes are bounded
 trigonometric polynomials, so any finite family drawn from them has
@@ -274,12 +279,14 @@ _ROWS = 8
 #: pocketfft transforms rows in pairs of SIMD lanes, so one-row calls are
 #: slower per row.  Each numpy ifft call also allocates about 5 MiB of
 #: scratch at P = 2^16, which glibc may return to the system and fault in
-#: again at the next call, so smaller blocks trade time for memory.  On a
-#: 2-core Xeon VM, CLI runs of a 2^20 grid (D = 8 rows of 2^16) with 8 noise
-#: seeds took a median 0.418, 0.394 and 0.356 s of CPU at a peak RSS of
-#: 67.2, 69.2 and 73.2 MiB with blocks of 2^17, 2^18 and 2^19 entries (2, 4
-#: and 8 rows).  2^18 also keeps a fold of 2^17 entries, as of the README
-#: config, in one block.
+#: again at the next call; once a sweep has freed its half-grid, glibc's
+#: raised thresholds keep it.  On a 2-core Xeon VM, CLI runs of a 2^20 grid
+#: (D = 8 rows of 2^16) with 8 noise seeds took a median 0.31-0.33 s of CPU
+#: at each of blocks of 2^17, 2^18 and 2^19 entries (2, 4 and 8 rows), at a
+#: peak RSS of 47.8, 48.7 and 52.7 MiB.  The block size sets how each
+#: output's sum is grouped, so a new size moves the bits of every grid
+#: whose fold the two sizes split differently, such as 2^20.  2^18 also
+#: keeps a fold of 2^17 entries, as of the README config, in one block.
 _ROW_BLOCK = 2 ** 18
 
 
@@ -486,8 +493,10 @@ def _noise_band_count(grid_size: int) -> int:
 def _noise_band(grid_size: int, sigma: float, noise_seed: int) -> np.ndarray:
     """The noise on the band of the positive half-grid, ascending in omega:
     flat amplitude, so that the Hermitian noise (this band and its mirror)
-    has grid L1 norm sigma, and seeded random phases.  A negative sigma and
-    an amplitude that overflows are ValueErrors."""
+    has grid L1 norm sigma, and seeded random phases.  A NaN or negative
+    sigma and an amplitude that overflows are ValueErrors."""
+    if math.isnan(sigma):
+        raise ValueError("sigma must be a number, got nan")
     if sigma < 0:
         raise ValueError(f"sigma must be nonnegative, got {sigma}")
     count = _noise_band_count(grid_size)
@@ -521,50 +530,81 @@ def add_spectral_noise(spec: SpectralSignal, sigma: float,
     return SpectralSignal(positive=positive)
 
 
-def noisy_inverse_transforms(spec: SpectralSignal, half_length: int,
-                             sigma: float,
-                             seeds: tuple[int, ...]) -> list[TimeSignal]:
-    """``inverse_transform(add_spectral_noise(spec, sigma, seed),
-    half_length)`` for each seed, bit for bit, with no noisy grid built.
+def fold_spectrum(spec: SpectralSignal, half_length: int
+                  ) -> Callable[[float, tuple[int, ...]], list[TimeSignal]]:
+    """The fold phase of :func:`noisy_inverse_transforms`: fold the clean
+    spectrum once and return the read phase, ``draws(sigma, seeds)``.
 
-    The clean spectrum is folded once and one window reader serves every
-    draw; sigma = 0 reads the clean fold once and returns that draw for
-    every seed.  The noise band is the top ``count`` bins of
-    P = ``spec.positive``, so it enters both ends of the fold: entries
-    M/2 - count .. M/2 - 1 through P and entries 0 .. count - 1 through
-    N = conj(P[::-1]).  In the row layout of :func:`_fold_rows` those lie in
-    the first and the last ``width = ceil(count / D)`` entries of every row,
-    which never overlap: the band is about 1/63 of the fold.  Of the
-    twiddle's column factors only the 2 width that the band blocks use are
-    kept.  Each seed copies the top ``width D`` entries of P and adds its
-    band to them; that one noisy slice, paired with the clean bottom
-    ``width D`` entries, refolds both (D, width) blocks in place, and the
-    reader leaves the fold unchanged.  The D width - count entries of each
-    block that the band misses are refolded from clean values, so they keep
-    their bits.  Errors are those of the per-seed route.
+    The noise band is the top ``count`` bins of P = ``spec.positive``, so
+    it enters both ends of the fold: entries M/2 - count .. M/2 - 1
+    through P and entries 0 .. count - 1 through N = conj(P[::-1]).  In the
+    row layout of :func:`_fold_rows` those lie in the first and the last
+    ``width = ceil(count / D)`` entries of every row, which never overlap:
+    the band is about 1/63 of the fold.  This phase is the only one that
+    reads P.  Besides the fold it copies the bottom and the top
+    ``width D`` entries of P (about 0.25 MiB at M = 2^20) and keeps, of the
+    twiddle's column factors, only the 2 width that the band blocks use,
+    so the read phase holds no view of P: a caller that drops the spectrum
+    once this returns frees the half-grid before any row transform runs.
+
+    ``draws(sigma, seeds)`` builds one window reader for every draw.
+    sigma = 0 reads the clean fold once and returns that draw for every
+    seed.  Otherwise each seed copies the top entries, adds its band to
+    them, and from that one noisy slice, paired with the clean bottom
+    entries, refolds both (D, width) blocks in place before the reader
+    reads the fold; the D width - count entries of each block that the
+    band misses are refolded from clean values, so they keep their bits.
+    The clean blocks are refolded once the seeds are done, so the read
+    phase may run again.  A grid too coarse for the window is a ValueError
+    of this phase; a sigma the noise cannot take and a transform that
+    overflows are ValueErrors of the read phase.
     """
     M = spec.grid_size
     _check_window(M, half_length)
     count = _noise_band_count(M)
     width = -(-count // _ROWS)
     pos = spec.positive
-    bottom, top = pos[:width * _ROWS], pos[pos.size - width * _ROWS:]
+    bottom = pos[:width * _ROWS].copy()
+    top = pos[pos.size - width * _ROWS:].copy()
     # A finite spectrum can still overflow the sums; the window reader
     # reports that, so numpy's own warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
         head, step = _fold_twiddle(M)
         fold = _fold_rows(pos, pos, head, step)
-        # Only the band blocks' step factors outlive the clean fold.
-        low, high = step[:width].copy(), step[-width:].copy()
-        del step
-        read = _window_reader(M, half_length)
-        if sigma == 0.0:
-            return [read(fold)] * len(seeds)
-        draws = []
-        for seed in seeds:
-            noisy_top = top.copy()
-            noisy_top[-count:] += _noise_band(M, sigma, seed)
-            _fold_rows(noisy_top, bottom, head, low, out=fold[:, :width])
-            _fold_rows(bottom, noisy_top, head, high, out=fold[:, -width:])
-            draws.append(read(fold))
+    low, high = step[:width].copy(), step[-width:].copy()
+
+    def refold(top_values: np.ndarray) -> None:
+        _fold_rows(top_values, bottom, head, low, out=fold[:, :width])
+        _fold_rows(bottom, top_values, head, high, out=fold[:, -width:])
+
+    def draws(sigma: float, seeds: tuple[int, ...]) -> list[TimeSignal]:
+        with np.errstate(over="ignore", invalid="ignore"):
+            read = _window_reader(M, half_length)
+            if sigma == 0.0:
+                return [read(fold)] * len(seeds)
+            out = []
+            try:
+                for seed in seeds:
+                    noisy_top = top.copy()
+                    noisy_top[-count:] += _noise_band(M, sigma, seed)
+                    refold(noisy_top)
+                    out.append(read(fold))
+            finally:
+                refold(top)
+        return out
+
     return draws
+
+
+def noisy_inverse_transforms(spec: SpectralSignal, half_length: int,
+                             sigma: float,
+                             seeds: tuple[int, ...]) -> list[TimeSignal]:
+    """``inverse_transform(add_spectral_noise(spec, sigma, seed),
+    half_length)`` for each seed, bit for bit, with no noisy grid built.
+
+    This is :func:`fold_spectrum`'s two phases in one call: the clean
+    spectrum is folded once, and one window reader serves every draw.  A
+    recovery sweep calls the phases itself, so that it can drop the
+    spectrum between them.  Errors are those of the per-seed route.
+    """
+    return fold_spectrum(spec, half_length)(sigma, seeds)

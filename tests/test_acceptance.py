@@ -96,7 +96,7 @@ def test_c4_convergence():
     """Power-decay signals: spectral bound at n = 32 within 10% of its n = 2
     value, and the measured error strictly decreasing in n."""
     signal = make_power_decay(1.0, 3, 2 ** 18)
-    reports = convergence_sweep(POWER, signal, [2, 4, 8, 16, 32],
+    reports = convergence_sweep(POWER, lambda: signal, [2, 4, 8, 16, 32],
                                 2048, 4096, base_seed=3)
     bounds = [r.spectral_bound for r in reports]
     errors = [r.abs_error for r in reports]

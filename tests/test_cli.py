@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -526,6 +527,40 @@ class TestRobustnessCommand:
         assert main(["robustness", "--config", str(config),
                      "--out", str(tmp_path / "rob.csv")]) == EXIT_OK
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command, noise", [
+        ("recover", None), ("robustness", {"sigma": 1e-6, "seeds": [0, 1]})])
+    def test_half_grid_dead_at_first_row_transform(self, tmp_path,
+                                                   monkeypatch, command,
+                                                   noise):
+        # The command hands the sweep the config's builder, not a built
+        # spectrum, so no caller's frame keeps the half-grid alive while
+        # the rows are transformed.
+        half_grids = []
+        alive = []
+        build_signal = ExperimentConfig.build_signal
+        ifft = np.fft.ifft
+
+        def tracked(config):
+            signal = build_signal(config)
+            half_grids.append(weakref.ref(signal.positive))
+            return signal
+
+        def spy(*args, **kwargs):
+            alive.append(half_grids[0]() is not None)
+            return ifft(*args, **kwargs)
+
+        monkeypatch.setattr(ExperimentConfig, "build_signal", tracked)
+        monkeypatch.setattr(np.fft, "ifft", spy)
+        overrides = {"signal": {"kind": "powerdecay", "nu": 1.0, "seed": 3},
+                     "n_values": [2], "T": 64, "S": 64, "grid_size": 2 ** 20}
+        if noise is not None:
+            overrides["noise"] = noise
+        config = write_config(tmp_path, overrides, drop=("signal",))
+        assert main([command, "--config", str(config),
+                     "--out", str(tmp_path / "out.csv")]) == EXIT_OK
+        assert len(half_grids) == 1
+        assert alive and not any(alive)
 
     def test_overflowing_noise_row_counts_as_violation(self, tmp_path,
                                                         capsys):

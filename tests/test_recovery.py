@@ -1,4 +1,5 @@
 import math
+import weakref
 from dataclasses import fields
 
 import mpmath
@@ -261,7 +262,7 @@ class TestRobustnessBound:
 class TestConvergenceSweep:
     def test_band_limited_rows_zero_bound(self):
         signal = make_bandlimited(PI / 2, 7, 2 ** 14)
-        reports = convergence_sweep(POWER, signal, [2, 4], 64, 256,
+        reports = convergence_sweep(POWER, lambda: signal, [2, 4], 64, 256,
                                     base_seed=7)
         assert [r.n for r in reports] == [2, 4]
         assert all(r.spectral_bound == 0.0 for r in reports)
@@ -270,7 +271,7 @@ class TestConvergenceSweep:
     def test_noise_rows_carry_bound_and_respect_it(self):
         signal = make_bandlimited(PI / 2, 7, 2 ** 14)
         reports = convergence_sweep(
-            POWER, signal, [4], 128, 512,
+            POWER, lambda: signal, [4], 128, 512,
             noise_sigma=1e-6, noise_seeds=tuple(range(10)))
         assert len(reports) == 10
         assert [r.seed for r in reports] == list(range(10))
@@ -316,17 +317,17 @@ class TestConvergenceSweep:
         monkeypatch.setattr(np.fft, "ifft", counting)
         signal = make_power_decay(1.0, 3, grid_size)
         seeds = (0, 1, 2)
-        convergence_sweep(POWER, signal, n_values, 32, S,
+        convergence_sweep(POWER, lambda: signal, n_values, 32, S,
                           noise_sigma=1e-6, noise_seeds=seeds)
         transforms(len(seeds))
-        convergence_sweep(POWER, signal, n_values, 32, S, base_seed=3)
+        convergence_sweep(POWER, lambda: signal, n_values, 32, S, base_seed=3)
         transforms(1)
 
     def test_shared_draws_match_per_cell_route(self):
         # Reference: draw and transform the noisy spectrum inside every
         # (n, seed) cell, as the sweep once did.
         signal = make_power_decay(1.0, 3, 2 ** 14)
-        reports = convergence_sweep(POWER, signal, [2, 3], 32, 256,
+        reports = convergence_sweep(POWER, lambda: signal, [2, 3], 32, 256,
                                     noise_sigma=1e-6, noise_seeds=(2, 0))
         expected = []
         for n in (2, 3):
@@ -351,17 +352,52 @@ class TestConvergenceSweep:
         s_column = CSV_COLUMNS.index("S")
         runs = []
         for S in S_values:
-            reports = convergence_sweep(POWER, signal, n_values, T, S,
+            reports = convergence_sweep(POWER, lambda: signal, n_values, T, S,
                                         noise_sigma=1e-6, noise_seeds=seeds)
             assert {r.S for r in reports} == {S}
             runs.append([r.csv_row()[:s_column] + r.csv_row()[s_column + 1:]
                          for r in reports])
         assert runs[0] == runs[1]
 
-    def test_unsorted_n_rejected(self):
-        signal = make_bandlimited(PI / 2, 7, 2 ** 14)
-        with pytest.raises(ValueError):
-            convergence_sweep(POWER, signal, [4, 2], 32, 256)
+    @pytest.mark.parametrize("n_values, seeds, name", [
+        ([4, 2], (0,), "n_values"), ([2, 2], (1, 3), "n_values"),
+        ([2], (1, 1), "noise_seeds")],
+        ids=["unsorted-n", "repeated-n", "repeated-seed"])
+    def test_repeats_rejected_before_build(self, n_values, seeds, name):
+        # A repeated n or seed would only repeat rows; like the config, the
+        # sweep refuses it, naming the argument, before any spectrum.
+        def build():
+            raise AssertionError("built the spectrum before the checks")
+
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            convergence_sweep(POWER, build, n_values, 8, 8,
+                              noise_sigma=1e-6, noise_seeds=seeds)
+
+    @pytest.mark.parametrize("noise", [
+        {"base_seed": 3}, {"noise_sigma": 1e-6, "noise_seeds": (0, 1)}],
+        ids=["clean", "noisy"])
+    def test_half_grid_dead_at_first_row_transform(self, monkeypatch,
+                                                   noise):
+        # The sweep holds the only reference to the spectrum it builds,
+        # and drops it once folded, so no row transform runs beside the
+        # half-grid.
+        half_grids = []
+        alive = []
+        ifft = np.fft.ifft
+
+        def build():
+            signal = make_power_decay(1.0, 3, 2 ** 20)
+            half_grids.append(weakref.ref(signal.positive))
+            return signal
+
+        def spy(*args, **kwargs):
+            alive.append(half_grids[0]() is not None)
+            return ifft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "ifft", spy)
+        convergence_sweep(POWER, build, [2], 64, 64, **noise)
+        assert len(half_grids) == 1
+        assert alive and not any(alive)
 
     def test_errors_tagged_with_n(self):
         # A spectrum with no analytic profile transforms, but
@@ -369,7 +405,7 @@ class TestConvergenceSweep:
         signal = SpectralSignal(
             positive=make_bandlimited(PI / 2, 7, 2 ** 14).positive)
         with pytest.raises(RuntimeError, match="n=2.*analytic profile"):
-            convergence_sweep(POWER, signal, [2], 32, 256)
+            convergence_sweep(POWER, lambda: signal, [2], 32, 256)
 
     def test_huge_band_index_tagged_in_three_digits(self):
         # 10^300 is a float, but the closed-form eps_n underflows to 0,
@@ -377,7 +413,7 @@ class TestConvergenceSweep:
         # digits, not 301, in the kernel's message and the cell's tag.
         signal = make_bandlimited(PI / 2, 7, 2 ** 14)
         with pytest.raises(RuntimeError) as info:
-            convergence_sweep(POWER, signal, [10 ** 300], 32, 256)
+            convergence_sweep(POWER, lambda: signal, [10 ** 300], 32, 256)
         message = str(info.value)
         assert message.startswith(
             "sweep cell n=1e+300 failed: closed form for beta=1.0 left the "
@@ -390,7 +426,7 @@ class TestConvergenceSweep:
         signal = make_bandlimited(PI / 2, 7, 2 ** 14)
         with pytest.raises(RuntimeError,
                            match=r"^sweep cell n=<1329-bit integer> failed"):
-            convergence_sweep(POWER, signal, [10 ** 400], 32, 256)
+            convergence_sweep(POWER, lambda: signal, [10 ** 400], 32, 256)
 
     @pytest.mark.parametrize("noise", [{}, {"noise_sigma": 1e-6,
                                             "noise_seeds": (0,)}])
@@ -404,13 +440,13 @@ class TestConvergenceSweep:
         monkeypatch.setattr(np.fft, "ifft", no_ifft)
         signal = make_bandlimited(PI / 2, 7, 2 ** 14)
         with pytest.raises(ValueError, match=r"T=512 .*S=256"):
-            convergence_sweep(POWER, signal, [2], 512, 256, **noise)
+            convergence_sweep(POWER, lambda: signal, [2], 512, 256, **noise)
 
 
 class TestCsvRow:
     def test_no_noise_row(self):
         signal = make_bandlimited(PI / 2, 7, 2 ** 14)
-        [report] = convergence_sweep(POWER, signal, [2], 32, 256,
+        [report] = convergence_sweep(POWER, lambda: signal, [2], 32, 256,
                                      base_seed=7)
         row = report.csv_row()
         assert len(row) == len(CSV_COLUMNS)

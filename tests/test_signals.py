@@ -2,6 +2,7 @@ import functools
 import math
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from specfill.signals import (
     _window_reader,
     add_spectral_noise,
     class_norm,
+    fold_spectrum,
     forward_transform,
     from_profile,
     inverse_transform,
@@ -27,6 +29,7 @@ from specfill.signals import (
     make_power_decay,
     noisy_inverse_transforms,
 )
+from specfill.recovery import convergence_sweep
 from specfill.weights import PI, WeightSpec
 
 W_INF = WeightSpec(1.0, 1.0, math.inf)
@@ -687,6 +690,17 @@ class TestNoise:
         with pytest.raises(ValueError, match=r"sigma=1e\+308"):
             add_spectral_noise(sig, 1e308, 5)
 
+    def test_nan_sigma_rejected_as_nan(self):
+        # NaN passes the sign check; it is named as NaN, not as an
+        # overflowing amplitude, on both noise routes.
+        sig = make_bandlimited(PI / 2, 7, 2 ** 14)
+        with pytest.raises(ValueError, match="sigma must be a number, got "
+                                             "nan") as info:
+            add_spectral_noise(sig, math.nan, 5)
+        assert "overflows" not in str(info.value)
+        with pytest.raises(ValueError, match="sigma must be a number"):
+            noisy_inverse_transforms(sig, 8, math.nan, (5,))
+
 
 class TestNoisyInverseTransforms:
     @pytest.mark.parametrize("sigma", [0.0, 1e-6, 0.3])
@@ -800,6 +814,44 @@ class TestNoisyInverseTransforms:
                 <= 1e-14 * scale)
 
 
+    @pytest.mark.parametrize("sigma", [0.0, 1e-6])
+    def test_fold_phase_keeps_no_view_of_half_grid(self, sigma):
+        # The read phase holds the fold and copies of the band's clean
+        # entries only, so dropping the spectrum frees its half-grid.
+        M, half_length, seeds = 2 ** 14, 64, (4, 0)
+        sig = make_power_decay(1.0, 3, M)
+        half_grid = weakref.ref(sig.positive)
+        draws = fold_spectrum(sig, half_length)
+        del sig
+        assert half_grid() is None
+        expected = noisy_inverse_transforms(make_power_decay(1.0, 3, M),
+                                            half_length, sigma, seeds)
+        for draw, ref in zip(draws(sigma, seeds), expected, strict=True):
+            assert draw.samples.tobytes() == ref.samples.tobytes()
+
+    @pytest.mark.parametrize("grid_size", [2 ** 10, 2 ** 14])
+    def test_read_phase_runs_again(self, grid_size):
+        # Each noisy read refolds the band blocks in place; the clean ones
+        # are restored after the seeds, so a later read of any sigma, and
+        # one after a seed that fails, keeps the one-route bits.
+        half_length = largest_window(grid_size)
+        sig = random_spectrum(grid_size, seed=grid_size)
+        draws = fold_spectrum(sig, half_length)
+
+        def same(got, sigma, seeds):
+            ref = noisy_inverse_transforms(sig, half_length, sigma, seeds)
+            assert ([d.samples.tobytes() for d in got]
+                    == [r.samples.tobytes() for r in ref])
+
+        same(draws(0.3, (4, 0)), 0.3, (4, 0))
+        same(draws(0.0, (1,)), 0.0, (1,))
+        # Seed 2 refolds its noise; seed -1 then fails.
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            draws(0.3, (2, -1))
+        same(draws(0.0, (1,)), 0.0, (1,))
+        same(draws(1e-6, (2, 9)), 1e-6, (2, 9))
+
+
 class TestTapWindow:
     """A transform formed on the window [-T, T] is the [-T, T] slice of the
     transform on any longer window [-S, S], bit for bit: the split, and so
@@ -864,3 +916,36 @@ class TestTracedMemory:
         phases_and_outputs = (D + len(seeds)) * (T + 1) * item
         assert [draw.half_length for draw in draws] == [T] * len(seeds)
         assert peak <= fold + row_block + phases_and_outputs + self.MiB
+
+    @pytest.mark.parametrize("noise", [
+        {"base_seed": 3}, {"noise_sigma": 1e-6, "noise_seeds": (0, 1)}],
+        ids=["clean", "noisy"])
+    def test_sweep_frees_half_grid_before_row_transforms(self, monkeypatch,
+                                                         noise):
+        # grid_noise's sweep: the spectrum is folded and dropped before the
+        # first row transform, which then runs beside the fold and one row
+        # block alone; the sweep peaks while the fold is built beside the
+        # half-grid.
+        T = 64
+        held = {}
+        ifft = np.fft.ifft
+
+        def build():
+            held["before"] = tracemalloc.get_traced_memory()[0]
+            return make_power_decay(1.0, 3, self.M)
+
+        def spy(*args, **kwargs):
+            held.setdefault("first", tracemalloc.get_traced_memory()[0])
+            return ifft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "ifft", spy)
+        reports, peak = traced_peak(lambda: convergence_sweep(
+            W_INF, build, [2], T, T, **noise))
+        P, D = split(self.M)
+        item = np.dtype(complex).itemsize
+        half_grid = fold = D * P * item
+        row_block = min(D, max(2, signals._ROW_BLOCK // P)) * P * item
+        seeds = noise.get("noise_seeds", (3,))
+        assert [(r.n, r.seed) for r in reports] == [(2, s) for s in seeds]
+        assert held["first"] - held["before"] <= fold + row_block + self.MiB
+        assert peak <= 2 * half_grid + 2 * self.MiB
