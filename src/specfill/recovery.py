@@ -103,8 +103,8 @@ def recover_center(taps: KernelTaps, signal: TimeSignal) -> float:
 
 def robustness_bound(epsilon_est: float, sigma: float, kappa: float) -> float:
     """Noise-aware error bound: epsilon_est + sigma (kappa + 1)."""
-    if epsilon_est < 0 or sigma < 0 or kappa < 0:
-        raise ValueError("bound inputs must be nonnegative")
+    if not (epsilon_est >= 0 and sigma >= 0 and kappa >= 0):
+        raise ValueError("bound inputs must be nonnegative numbers")
     return epsilon_est + sigma * (kappa + 1.0)
 
 
@@ -117,19 +117,20 @@ def spectral_error(spec: KernelSpec, signal: SpectralSignal) -> SpectralError:
     outer bands from the spectrum's analytic profile, on one side of the
     circle and doubled, as |X| is even; the outer band is far narrower than
     any grid spacing, so a spectrum without a profile (for example a noisy
-    one) raises ValueError.  I2 runs under the log-band substitution (W is
+    one) raises ValueError.  Both integrals hand the profile their own gap
+    g = pi - omega.  I2 runs under the log-band substitution (W is
     analytic there; the substitution flattens its blow-up); I3 integrates
-    |X| over the outer band directly, which is harmless because X carries
-    no singularity.  A band-limited profile that ends inside the inner band
-    is exactly zero on both, so its bound is 0.
+    |X| over the outer band g in (0, eps_n] directly, which is harmless
+    because X carries no singularity.  A band-limited profile that ends
+    inside the inner band is exactly zero on both, so its bound is 0.
     """
     profile = signal.profile
     if profile is None:
         raise ValueError("spectral_error needs the spectrum's analytic "
                          "profile; this spectrum has none")
 
-    def magnitude(omega):
-        return np.abs(profile(np.asarray(omega, dtype=float)))
+    def magnitude(gap):
+        return np.abs(profile(np.asarray(gap, dtype=float)))
 
     beta = spec.weight.beta
     u_a = _inner_edge_u(spec.n)
@@ -137,19 +138,14 @@ def spectral_error(spec: KernelSpec, signal: SpectralSignal) -> SpectralError:
 
     def mid_integrand(u):
         gap = gap_from_u(u)
-        om = PI - gap
         gap_prod = gap * (2.0 * PI - gap)
         w_plus_one = gap_prod ** -beta + 1.0
-        return w_plus_one * magnitude(om) * gap_prod / (2.0 * PI)
+        return w_plus_one * magnitude(gap) * gap_prod / (2.0 * PI)
 
     bp = np.linspace(u_a, u_b, 33)[1:-1]
     i2 = adaptive_quad(mid_integrand, u_a, u_b, tol=QUAD_TOL,
                        breakpoints=bp)
-
-    def outer_integrand(gap):
-        return magnitude(PI - np.asarray(gap))
-
-    i3 = adaptive_quad(outer_integrand, 0.0, spec.epsilon_n, tol=QUAD_TOL)
+    i3 = adaptive_quad(magnitude, 0.0, spec.epsilon_n, tol=QUAD_TOL)
     return SpectralError(I2=2.0 * i2, I3=2.0 * i3)
 
 
@@ -187,12 +183,12 @@ def convergence_sweep(weight: WeightSpec,
     synthesized at ``tap_half_length`` and one report per seed carries the
     estimate, truth, spectral error split, and constants.  The report
     order is (n ascending, seed ascending).
-    ``n_values`` must be strictly ascending and ``noise_seeds`` distinct.
-    ``signal_half_length`` S is only checked (T <= S) and echoed in each
-    report; no number depends on it.  These checks are ValueErrors raised
-    before the spectrum is built.  Errors from the per-n stages propagate
-    tagged with their n; those of resolution and spectral error, for every
-    n, come before any transform.
+    ``n_values`` must be strictly ascending, ``noise_seeds`` distinct and
+    ``noise_sigma`` a nonnegative number.  ``signal_half_length`` S is only
+    checked (T <= S) and echoed in each report; no number depends on it.
+    These checks are ValueErrors raised before the spectrum is built.
+    Errors from the per-n stages propagate tagged with their n; those of
+    resolution and spectral error, for every n, come before any transform.
     """
     if any(hi <= lo for lo, hi in zip(n_values, n_values[1:])):
         raise ValueError(
@@ -201,6 +197,9 @@ def convergence_sweep(weight: WeightSpec,
         raise ValueError("every n must be at least 2")
     if noise_sigma is not None and not noise_seeds:
         raise ValueError("noise_sigma given without noise seeds")
+    if noise_sigma is not None and not noise_sigma >= 0:
+        raise ValueError(f"noise_sigma must be a nonnegative number, got "
+                         f"{noise_sigma}")
     if len(set(noise_seeds)) != len(noise_seeds):
         raise ValueError(
             f"noise_seeds must be distinct, got {list(noise_seeds)}")

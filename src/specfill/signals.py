@@ -17,9 +17,12 @@ to numpy's ``Generator`` methods.  Every spectrum built from a profile is
 evaluated once, ``_BLOCK`` samples at a time, straight into the positive
 half-grid by one sampler (:func:`from_profile`; ``make_power_decay`` runs
 the same chunks to scale its envelope in place), forming each chunk's
-frequencies per chunk, so no temporary spans the half-grid.  Each
-generated spectrum carries its exact analytic profile as a callable, which
-downstream error integrals use to resolve sub-grid bands near the edges.
+gaps per chunk, so no temporary spans the half-grid.  Each generated
+spectrum carries its exact analytic profile, a callable of the gap
+g = pi - omega in (0, pi] that returns X at omega = pi - g: the grid hands
+it the gaps (M/2 - m - 1/2) h of its midpoints, and the error integrals,
+which resolve sub-grid bands near the edges, their own g.  No g is rounded
+through omega, so the outer band's I3 keeps a double's full precision.
 
 The inverse transform folds the positive half and its conjugate mirror into
 one half-length array whose inverse DFT yields the real sequence two
@@ -91,9 +94,10 @@ class SpectralSignal:
     (0, pi), ascending (see :func:`_positive_omegas`); the grid size M is
     twice its length and must be a power of two >= 1024.  X at the
     negative grid points is ``conj(positive[::-1])``.  ``profile`` is the
-    exact generator closure (omega array -> complex values), which the
-    spectral error bound integrates; None for spectra with no closed form
-    (for example after noise injection).
+    exact generator closure of the gap, g = pi - omega -> X(omega) for g in
+    (0, pi], which the spectral error bound integrates; ``positive[m]`` is
+    its value at g = (M/2 - m - 1/2) 2 pi / M.  None for spectra with no
+    closed form (for example after noise injection).
     """
 
     positive: np.ndarray
@@ -154,35 +158,36 @@ def _positive_omegas(grid_size: int) -> np.ndarray:
 
 
 def _chunks(grid_size: int) -> Iterator[tuple[slice, np.ndarray]]:
-    """(rows, omegas) over the positive half-grid, ``_BLOCK`` samples at a
-    time: ``rows`` a slice of it and ``omegas`` its midpoints, with the
-    bits of :func:`_positive_omegas`, formed one chunk at a time."""
+    """(rows, gaps) over the positive half-grid, ``_BLOCK`` samples at a
+    time: ``rows`` a slice of it and ``gaps`` the gaps pi - omega of its
+    midpoints, (M/2 - m - 1/2) h at index m, formed one chunk at a time."""
     h = 2.0 * PI / grid_size
     half = grid_size // 2
     for start in range(0, half, _BLOCK):
         stop = min(start + _BLOCK, half)
-        yield slice(start, stop), (np.arange(start, stop) + 0.5) * h
+        yield slice(start, stop), (half - 0.5 - np.arange(start, stop)) * h
 
 
 def _envelope(seed: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Seeded Hermitian trig-polynomial envelope (even real + odd imaginary).
+    """Seeded Hermitian trig-polynomial envelope, a profile of the gap.
 
-    cos/sin of negated arguments are bit-exact mirrors, and the recurrences
-    below negate every sine term exactly, so the closure is exactly
-    Hermitian.
+    At omega it is sum_k a_k cos(k omega) + i b_k sin(k omega); as
+    cos(k omega) = (-1)^k cos(k g) and sin(k omega) = (-1)^(k+1) sin(k g),
+    the signs fold exactly into the coefficients, so it takes g alone.
     """
     draw = _philox.uniform(seed, 2 * (ENVELOPE_DEGREE + 1), -1.0, 1.0)
-    scale = 1.0 / (1.0 + np.arange(ENVELOPE_DEGREE + 1)) ** 2
+    sign = (-1.0) ** np.arange(ENVELOPE_DEGREE + 1)
+    scale = sign / (1.0 + np.arange(ENVELOPE_DEGREE + 1)) ** 2
     re_coef = draw[:ENVELOPE_DEGREE + 1] * scale
-    im_coef = draw[ENVELOPE_DEGREE + 1:] * scale
+    im_coef = draw[ENVELOPE_DEGREE + 1:] * -scale
     im_coef[0] = 0.0
 
-    def profile(omega: np.ndarray) -> np.ndarray:
-        om = np.asarray(omega, dtype=float)
-        # Chebyshev recurrences f_(k+1) = 2 cos(omega) f_k - f_(k-1) give
-        # cos(k omega) and sin(k omega) from one cos and one sin per sample.
-        cos_prev, cos_k = 1.0, np.cos(om)
-        sin_prev, sin_k = 0.0, np.sin(om)
+    def profile(gap: np.ndarray) -> np.ndarray:
+        g = np.asarray(gap, dtype=float)
+        # Chebyshev recurrences f_(k+1) = 2 cos(g) f_k - f_(k-1) give
+        # cos(k g) and sin(k g) from one cos and one sin per sample.
+        cos_prev, cos_k = 1.0, np.cos(g)
+        sin_prev, sin_k = 0.0, np.sin(g)
         twice_cos = 2.0 * cos_k
         re = re_coef[0] + re_coef[1] * cos_k
         im = im_coef[1] * sin_k
@@ -208,62 +213,61 @@ def make_bandlimited(support: float, shape_seed: int,
     envelope = _envelope(shape_seed)
     support = float(support)
 
-    def profile(omega: np.ndarray) -> np.ndarray:
-        om = np.asarray(omega, dtype=float)
-        inside = np.abs(om) < support
-        rolloff = np.where(inside,
-                           0.5 * (1.0 + np.cos(PI * om / support)),
-                           0.0)
-        return np.where(inside, envelope(om) * rolloff, 0.0 + 0.0j)
+    def profile(gap: np.ndarray) -> np.ndarray:
+        g = np.asarray(gap, dtype=float)
+        om = PI - g
+        rolloff = 0.5 * (1.0 + np.cos(PI * om / support))
+        return np.where(om < support, envelope(g) * rolloff, 0.0 + 0.0j)
 
     return from_profile(profile, grid_size)
 
 
 def make_power_decay(nu: float, shape_seed: int,
                      grid_size: int) -> SpectralSignal:
-    """Spectrum decaying like (pi^2 - omega^2)^nu toward the band edges.
+    """Spectrum decaying like (g (2 pi - g))^nu toward the band edges.
 
-    X = (pi^2 - omega^2)^nu * g with g a seeded Hermitian envelope
-    normalized to |g| <= 1 on the grid.  |X| vanishes at the band edges to
-    order nu, the ``edge_order`` that :func:`class_norm` takes.
+    X = (g (2 pi - g))^nu e, g = pi - |omega|, with e a seeded Hermitian
+    envelope normalized to |e| <= 1 on the grid.  |X| vanishes at the band
+    edges to order nu, the ``edge_order`` that :func:`class_norm` takes.
     """
     if not nu > 0:
         raise ValueError(f"nu must be positive, got {nu}")
     _check_grid_size(grid_size)
     envelope = _envelope(shape_seed)
     # The envelope fills the output, and then the decay scales it in place,
-    # chunk by chunk, so no temporary spans the half-grid.  |g| is even, so
+    # chunk by chunk, so no temporary spans the half-grid.  |e| is even, so
     # the positive half-grid holds its maximum on the grid.
     positive = np.empty(grid_size // 2, dtype=complex)
     norm = 0.0
-    for rows, omegas in _chunks(grid_size):
+    for rows, gaps in _chunks(grid_size):
         env = positive[rows]
-        env[...] = envelope(omegas)
+        env[...] = envelope(gaps)
         norm = max(norm, float(np.max(np.abs(env))))
 
-    def decay(om: np.ndarray, env: np.ndarray,
+    def decay(g: np.ndarray, env: np.ndarray,
               out: np.ndarray | None = None) -> np.ndarray:
-        gap = ((PI - om) * (PI + om)) ** nu
-        return np.divide(np.multiply(gap, env, out=out), norm, out=out)
+        factor = (g * (2.0 * PI - g)) ** nu
+        return np.divide(np.multiply(factor, env, out=out), norm, out=out)
 
-    def profile(omega: np.ndarray) -> np.ndarray:
-        om = np.asarray(omega, dtype=float)
-        return decay(om, envelope(om))
+    def profile(gap: np.ndarray) -> np.ndarray:
+        g = np.asarray(gap, dtype=float)
+        return decay(g, envelope(g))
 
-    for rows, omegas in _chunks(grid_size):
-        decay(omegas, positive[rows], out=positive[rows])
+    for rows, gaps in _chunks(grid_size):
+        decay(gaps, positive[rows], out=positive[rows])
     return SpectralSignal(positive=positive, profile=profile)
 
 
 def from_profile(profile: Callable[[np.ndarray], np.ndarray],
                  grid_size: int) -> SpectralSignal:
-    """Sample a Hermitian closure onto the positive half-grid, chunk by
-    chunk (:func:`_chunks`), keeping it as the ``profile`` that the
-    spectral error bound integrates."""
+    """Sample a profile of the gap (see :class:`SpectralSignal`) onto the
+    positive half-grid at its gaps (M/2 - m - 1/2) h, chunk by chunk
+    (:func:`_chunks`), so the grid values are the profile's bit for bit;
+    keep it as the ``profile`` that the spectral error bound integrates."""
     _check_grid_size(grid_size)
     positive = np.empty(grid_size // 2, dtype=complex)
-    for rows, omegas in _chunks(grid_size):
-        positive[rows] = profile(omegas)
+    for rows, gaps in _chunks(grid_size):
+        positive[rows] = profile(gaps)
     return SpectralSignal(positive=positive, profile=profile)
 
 #: D, the rows of the fold: its M/2 entries are inverse-transformed as D
@@ -277,17 +281,14 @@ _ROWS = 8
 #: Grid entries per block of fold rows that the window reader
 #: inverse-transforms at once; a block holds at least two rows, because
 #: pocketfft transforms rows in pairs of SIMD lanes, so one-row calls are
-#: slower per row.  Each numpy ifft call also allocates about 5 MiB of
-#: scratch at P = 2^16, which glibc may return to the system and fault in
-#: again at the next call; once a sweep has freed its half-grid, glibc's
-#: raised thresholds keep it.  On a 2-core Xeon VM, CLI runs of a 2^20 grid
-#: (D = 8 rows of 2^16) with 8 noise seeds took a median 0.31-0.33 s of CPU
-#: at each of blocks of 2^17, 2^18 and 2^19 entries (2, 4 and 8 rows), at a
-#: peak RSS of 47.8, 48.7 and 52.7 MiB.  The block size sets how each
-#: output's sum is grouped, so a new size moves the bits of every grid
-#: whose fold the two sizes split differently, such as 2^20.  2^18 also
-#: keeps a fold of 2^17 entries, as of the README config, in one block.
-_ROW_BLOCK = 2 ** 18
+#: slower per row.  On a 2-core Xeon VM, CLI runs of a 2^20 grid (D = 8
+#: rows of 2^16) with 8 noise seeds took a median 0.277 s of CPU with
+#: blocks of 2^17 entries (2 rows) and 0.276 s with 2^18 (4 rows), in 20
+#: alternating pairs, at a peak RSS of 47.74 against 48.57 MiB.  The block
+#: size sets how each output's sum is grouped, so a new size moves the bits
+#: of every grid whose fold the two sizes split differently, such as 2^20;
+#: a fold of 2^17 entries or fewer (grid 2^18, the README's) is one block.
+_ROW_BLOCK = 2 ** 17
 
 
 def _fold_twiddle(grid_size: int) -> tuple[np.ndarray, np.ndarray]:

@@ -158,13 +158,13 @@ class TestSpectralError:
             spectral_error(spec2, noisy)
 
 
-def mp_spectral_error(spec, kind, seed, grid_size):
+def mp_spectral_error(spec, kind, nu, seed, grid_size):
     """Oracle for (I2, I3, spectral_bound): mpmath at 20 digits, in log g
     on unit panels, g = pi - omega, with the envelope rebuilt from its
     Philox coefficients and summed over the powers of e^(i omega).
 
     I2 = 2 integral of (W + 1) |X| over g in [eps_n, 1/n]; I3 = 2 integral
-    of |X| over g in (0, eps_n], whose integrand falls like g^2 for the
+    of |X| over g in (0, eps_n], whose integrand falls like g^nu for the
     power-decay signal, so g below e^-40 eps_n adds nothing at this
     precision.
     """
@@ -192,7 +192,7 @@ def mp_spectral_error(spec, kind, seed, grid_size):
                     return mp.zero
                 rolloff = (1 + mp.cos(mp.pi * omega / support)) / 2
             else:
-                rolloff = g * (2 * mp.pi - g) / norm
+                rolloff = (g * (2 * mp.pi - g)) ** nu / norm
             # e^(i j omega) by powers: cos(j omega) and sin(j omega) are
             # its parts.
             z, power, env = mp.expj(omega), mp.one, mp.zero
@@ -202,9 +202,13 @@ def mp_spectral_error(spec, kind, seed, grid_size):
             return abs(env) * rolloff
 
         def log_gap_quad(f, g_lo, g_hi):
+            # mp.quad stops on an absolute error estimate, so the integrand
+            # is scaled to order one at the top of the band.
+            scale = f(g_hi) * g_hi or mp.one
             v_lo, v_hi = mp.log(g_lo), mp.log(g_hi)
             knots = mp.linspace(v_lo, v_hi, int(mp.ceil(v_hi - v_lo)) + 1)
-            return mp.quad(lambda v: f(mp.exp(v)) * mp.exp(v), knots)
+            return scale * mp.quad(lambda v: f(mp.exp(v)) * mp.exp(v) / scale,
+                                   knots)
 
         eps = mp.mpf(spec.epsilon_n)
         i2 = 2 * log_gap_quad(
@@ -215,27 +219,26 @@ def mp_spectral_error(spec, kind, seed, grid_size):
 
 
 class TestSpectralErrorOracle:
-    @pytest.mark.parametrize("kind", ["powerdecay", "bandlimited"])
-    @pytest.mark.parametrize("n", [2, 32])
+    @pytest.mark.parametrize("kind, nu", [("powerdecay", 1.0),
+                                          ("powerdecay", 3.0),
+                                          ("bandlimited", None)],
+                             ids=["powerdecay", "powerdecay-nu3",
+                                  "bandlimited"])
+    @pytest.mark.parametrize("n", [2, 8, 32])
     @pytest.mark.parametrize("weight", [
         WeightSpec(1.0, 1.0, math.inf), WeightSpec(1.0, 1.5, math.inf)],
         ids=["power_law", "general_power-a1.5"])
-    def test_matches_mpmath(self, weight, n, kind):
+    def test_matches_mpmath(self, weight, n, kind, nu):
         grid_size = 2 ** 12
         if kind == "powerdecay":
-            signal = make_power_decay(1.0, 3, grid_size)
+            signal = make_power_decay(nu, 3, grid_size)
         else:
             signal = make_bandlimited(2.5, 3, grid_size)
         spec = resolve_kernel(weight, n)
         report = spectral_error(spec, signal)
-        i2, i3, bound = mp_spectral_error(spec, kind, 3, grid_size)
+        i2, i3, bound = mp_spectral_error(spec, kind, nu, 3, grid_size)
         assert report.I2 == pytest.approx(i2, rel=1e-13, abs=0.0)
-        # The profile takes omega, and omega = pi - g holds g only to half
-        # an ulp of pi, so across the outer band of width eps_n the I3
-        # integrand is exact to about ulp(pi) / eps_n relative: 5e-7 at
-        # the power law's n = 32, where eps_n is 1e-10.
-        rel_i3 = max(1e-13, math.ulp(PI) / spec.epsilon_n)
-        assert report.I3 == pytest.approx(i3, rel=rel_i3, abs=0.0)
+        assert report.I3 == pytest.approx(i3, rel=1e-13, abs=0.0)
         assert report.spectral_bound == pytest.approx(bound, rel=1e-13,
                                                       abs=0.0)
 
@@ -257,6 +260,13 @@ class TestRobustnessBound:
             robustness_bound(-0.1, 0.0, 1.0)
         with pytest.raises(ValueError):
             robustness_bound(0.0, -1e-9, 1.0)
+
+    @pytest.mark.parametrize("args", [(math.nan, 0.0, 1.0),
+                                      (0.0, math.nan, 1.0),
+                                      (0.0, 0.0, math.nan)])
+    def test_rejects_nan(self, args):
+        with pytest.raises(ValueError, match="nonnegative numbers"):
+            robustness_bound(*args)
 
 
 class TestConvergenceSweep:
@@ -280,9 +290,9 @@ class TestConvergenceSweep:
             assert r.abs_error <= r.robust_bound
 
     # The fold is D = 8 rows of P = M/16: at 2^14 one block of 8 rows of
-    # 1024, at 2^20 2 blocks of 4 rows of 65536, whatever S is.
+    # 1024, at 2^20 4 blocks of 2 rows of 65536, whatever S is.
     @pytest.mark.parametrize("grid_size, S, blocks", [(2 ** 14, 256, 1),
-                                                      (2 ** 20, 4096, 2)])
+                                                      (2 ** 20, 4096, 4)])
     @pytest.mark.parametrize("n_values", [[2], [2, 3, 4]])
     def test_one_inverse_transform_per_seed(self, monkeypatch, n_values,
                                             grid_size, S, blocks):
@@ -372,6 +382,17 @@ class TestConvergenceSweep:
         with pytest.raises(ValueError, match=f"^{name} must be"):
             convergence_sweep(POWER, build, n_values, 8, 8,
                               noise_sigma=1e-6, noise_seeds=seeds)
+
+    @pytest.mark.parametrize("sigma", [math.nan, -1e-6])
+    def test_bad_sigma_rejected_before_build(self, sigma):
+        def build():
+            raise AssertionError("built the spectrum before the checks")
+
+        with pytest.raises(ValueError, match=f"^noise_sigma must be a "
+                                             f"nonnegative number, got "
+                                             f"{sigma}"):
+            convergence_sweep(POWER, build, [2], 8, 8, noise_sigma=sigma,
+                              noise_seeds=(0,))
 
     @pytest.mark.parametrize("noise", [
         {"base_seed": 3}, {"noise_sigma": 1e-6, "noise_seeds": (0, 1)}],

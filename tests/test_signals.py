@@ -65,8 +65,16 @@ def full_grid_inverse(spec, half_length):
     return (parity * np.exp(1j * PI * ts / M) * base[ts % M]).real
 
 
+def positive_gaps(grid_size):
+    """The gaps pi - omega of the positive half-grid's midpoints, as a
+    profile takes them: (M/2 - m - 1/2) 2 pi / M at index m."""
+    return ((grid_size // 2 - np.arange(grid_size // 2) - 0.5)
+            * (2.0 * PI / grid_size))
+
+
 def direct_envelope(seed, omega):
-    """Reference route: the envelope from a full cos/sin angle matrix."""
+    """Reference route: the envelope at omega from a full cos/sin angle
+    matrix."""
     rng = np.random.Generator(np.random.Philox(seed))
     scale = 1.0 / (1.0 + np.arange(ENVELOPE_DEGREE + 1)) ** 2
     re_coef = rng.uniform(-1.0, 1.0, ENVELOPE_DEGREE + 1) * scale
@@ -137,7 +145,7 @@ def masked_noise_values(spec, sigma, noise_seed):
 # Grid sizes M of the fold in row layout, D = 8 rows of P = M/16: one block
 # of _BLOCK entries or fewer (2^10 and 2^12), 2 blocks of 512 columns
 # (2^14), 8 blocks (2^16), 32 blocks (2^18), and 128 blocks (2^20), whose
-# 2^19 entries the reader takes in two blocks of 4 rows.
+# 2^19 entries the reader takes in four blocks of 2 rows.
 GRIDS = [2 ** 10, 2 ** 12, 2 ** 14, 2 ** 16, 2 ** 18, 2 ** 20]
 
 
@@ -166,6 +174,11 @@ class TestGrid:
         om = _positive_omegas(M)
         whole = (np.arange(M) - M // 2 + 0.5) * (2.0 * PI / M)
         np.testing.assert_array_equal(np.concatenate([-om[::-1], om]), whole)
+        # The gaps pi - omega that the generators hand their profiles are
+        # the midpoints reversed, bit for bit.
+        gaps = np.concatenate([g for _, g in signals._chunks(M)])
+        np.testing.assert_array_equal(gaps, positive_gaps(M))
+        np.testing.assert_array_equal(gaps[::-1], om)
 
     def test_open_interval(self):
         om = _positive_omegas(4096)
@@ -184,9 +197,11 @@ class TestGenerators:
         om = _positive_omegas(2 ** 16)
         outside = om > PI / 2
         assert np.all(sig.positive[outside] == 0)
-        # Point values beyond the declared support, via the kept profile.
-        assert sig.profile(np.array([3 * PI / 4]))[0] == 0
-        assert sig.profile(np.array([-3 * PI / 4]))[0] == 0
+        # Point values beyond the declared support, at gaps below
+        # pi - support, via the kept profile.
+        gaps = np.array([5e-324, 1e-12, PI / 4, PI / 2 - 1e-9])
+        assert np.all(sig.profile(gaps) == 0)
+        assert np.all(sig.profile(np.array([2.0, PI])) != 0)
 
     def test_bandlimited_deterministic(self):
         a = make_bandlimited(PI / 2, 7, 2 ** 14)
@@ -198,27 +213,16 @@ class TestGenerators:
         b = make_bandlimited(PI / 2, 8, 2 ** 14)
         assert not np.array_equal(a.positive, b.positive)
 
-    @pytest.mark.parametrize("make, arg", [(make_bandlimited, 1.1),
-                                           (make_power_decay, 1.0)],
-                             ids=["bandlimited", "power_decay"])
-    def test_profile_hermitian_exact(self, make, arg):
-        # Storing only the positive half loses nothing: each profile is
-        # Hermitian bit for bit, at grid points and off them.
-        sig = make(arg, 3, 2 ** 14)
-        om = np.concatenate([_positive_omegas(2 ** 14), [0.3, 1.7, 3.1]])
-        np.testing.assert_array_equal(sig.profile(-om),
-                                      np.conj(sig.profile(om)))
-
     def test_bandlimited_class_norm_finite(self):
         sig = make_bandlimited(PI / 2, 7, 2 ** 14)
         value = class_norm(sig, W_P2, math.inf)
         assert math.isfinite(value)
-        # Brute-force Riemann oracle at 4x grid density via the profile.
+        # Brute-force Riemann oracle at 4x grid density via the profile,
+        # on the positive half and doubled, as h and |X| are even.
         m4 = 4 * 2 ** 14
-        om4 = _positive_omegas(m4)
-        om4 = np.concatenate([-om4[::-1], om4])
-        h4 = 1.0 / ((PI - om4) * (PI + om4))
-        riemann = float(np.sum(h4 * np.abs(sig.profile(om4)) ** 2)
+        g4 = positive_gaps(m4)
+        h4 = 1.0 / (g4 * (2 * PI - g4))
+        riemann = float(2 * np.sum(h4 * np.abs(sig.profile(g4)) ** 2)
                         * (2 * PI / m4))
         assert value == pytest.approx(riemann, rel=1e-6)
 
@@ -273,21 +277,19 @@ class TestGenerators:
     def test_grid_values_are_the_profile_bit_for_bit(self, make, arg, seed,
                                                      grid_size):
         # Values come from the positive half in chunks; the profile here
-        # runs on the whole grid at once, and on the negative half it is
-        # the exact Hermitian mirror of the stored values.
+        # runs on all of its gaps at once.
         sig = make(arg, seed, grid_size)
-        om = _positive_omegas(grid_size)
-        whole = sig.profile(np.concatenate([-om[::-1], om]))
-        assert np.array_equal(whole, full_grid(sig))
+        assert np.array_equal(sig.profile(positive_gaps(grid_size)),
+                              sig.positive)
 
     @pytest.mark.parametrize("seed", [0, 3, 8])
     def test_envelope_recurrence_matches_angle_matrix(self, seed):
-        # Whole grid plus points at the band edges, zero and beyond.
-        pos = _positive_omegas(2 ** 14)
-        om = np.concatenate([-pos[::-1], pos,
-                             [-PI, 0.0, PI, 2.0 * PI, -7.5]])
-        gap = np.abs(_envelope(seed)(om) - direct_envelope(seed, om))
-        assert np.max(gap) <= 1e-14
+        # The positive half-grid's gaps plus gaps toward 0 (omega -> pi)
+        # and at pi (omega = 0); the oracle takes omega = pi - g.
+        gaps = np.concatenate([positive_gaps(2 ** 14),
+                               [5e-324, 1e-300, 1e-12, PI / 2, PI]])
+        diff = np.abs(_envelope(seed)(gaps) - direct_envelope(seed, PI - gaps))
+        assert np.max(diff) <= 1e-14
 
 
 # Seeds across one, two and three 32-bit words of entropy, and counts from
@@ -673,12 +675,17 @@ class TestNoise:
         assert (noisy.positive.tobytes()
                 == masked_noise_values(sig, 0.3, 11).tobytes())
 
-    # Every grid the CLI accepts, 2^10 to 2^24.
+    # Every grid the CLI accepts, 2^10 to 2^24, with its band count: the
+    # count decides every noise draw, so it is pinned, and taken in omega.
     @pytest.mark.parametrize("log2_size", range(10, 25))
     def test_band_count_matches_mask(self, log2_size):
+        counts = [8, 16, 33, 65, 130, 261, 522, 1043, 2086, 4172, 8344,
+                  16689, 33377, 66754, 133509]
         M = 2 ** log2_size
-        mask = _positive_omegas(M) > PI - NOISE_BAND
-        assert _noise_band_count(M) == int(np.count_nonzero(mask))
+        omegas = (np.arange(M // 2) + 0.5) * (2.0 * PI / M)
+        mask = omegas > PI - NOISE_BAND
+        assert (_noise_band_count(M) == int(np.count_nonzero(mask))
+                == counts[log2_size - 10])
 
     def test_negative_sigma_rejected(self):
         sig = make_bandlimited(PI / 2, 7, 2 ** 14)
