@@ -47,8 +47,8 @@ def conjugate_exponent(p: float) -> float:
     return p / (p - 1.0)
 
 
-# Every CLI process, --version included, loads this module: a NamedTuple
-# class costs a fifth of a frozen dataclass to create.
+# Every command loads this module as it parses its config (not --version or
+# --help): a NamedTuple class costs a fifth of a frozen dataclass to create.
 class WeightCheck(NamedTuple):
     name: str
     passed: bool

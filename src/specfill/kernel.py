@@ -500,34 +500,20 @@ def synthesize_taps(spec: KernelSpec, half_length: int) -> KernelTaps:
     return KernelTaps(taps=taps, zero_residual=zero_residual)
 
 
-#: Values per formatting block of :func:`write_taps_text`, whose kept rows
-#: are then a few joined strings rather than one string object per tap.
-_TEXT_BLOCK = 512
-
-
 def write_taps_text(taps: KernelTaps, path, *, header: str = "") -> None:
     """Two-column text export: t and k(t), one row per tap.
 
-    The taps are even, so each value's text is formed once and serves the
-    rows of -t and t.  Blocks of ``_TEXT_BLOCK`` values are formatted from
-    the largest |t| down: a block's -t rows are written at once, and its
-    t rows are kept as one string until the rows t >= 0 follow, in
-    ascending order.
+    The taps are even, so each value's text is formed once, for |t|, and
+    serves the rows of -t and t: rows -T..-1 are written from the strings
+    of |t| = T..1, then rows 0..T.
     """
     T = taps.half_length
-    ascending = []
+    values = [repr(v) for v in taps.taps[T:].tolist()]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if header:
             fh.write(f"# {header}\n")
-        for stop in range(T + 1, 0, -_TEXT_BLOCK):
-            ts = range(max(stop - _TEXT_BLOCK, 0), stop)
-            block = taps.taps[T + ts.start:T + stop].tolist()
-            values = [repr(v) for v in block]
-            fh.writelines(f"{-t} {v}\n"
-                          for t, v in zip(ts[::-1], values[::-1]) if t)
-            ascending.append("".join(f"{t} {v}\n"
-                                     for t, v in zip(ts, values)))
-        fh.writelines(ascending[::-1])
+        fh.write("".join([f"-{t} {values[t]}\n" for t in range(T, 0, -1)]))
+        fh.write("".join([f"{t} {v}\n" for t, v in enumerate(values)]))
 
 
 def write_taps_binary(taps: KernelTaps, path) -> None:

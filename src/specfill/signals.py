@@ -36,18 +36,17 @@ The fold runs in the same blocks of ``_BLOCK`` grid entries, so no
 temporary grows with the grid; the fold is the only half-grid array a
 transform makes.  Spectral noise is flat-magnitude and random-phase on the
 edge band omega > pi - NOISE_BAND, the top of the positive half-grid, so
-its mirror covers the other edge.  Every draw takes one route,
-:func:`noisy_inverse_transforms`, of which :func:`inverse_transform` is the
-one-draw, noise-free case.  It runs in two phases.  The fold phase,
-:func:`fold_spectrum`, is the only one that reads the half-grid: it folds
-the clean spectrum once and copies the clean entries at both ends of the
-half-grid that the band blocks refold from.  The read phase it returns
-needs only those: each noise seed adds its noise to a copy of the band's
-top entries and refolds from them, in place, only the block of entries at
-each end of every row that the band reaches, and reads the window from the
-fold block by block, with no noisy grid built.  A recovery sweep drops its
-spectrum between the phases, so its row transforms run beside one
-half-grid array, the fold, rather than two.
+its mirror covers the other edge.  Every draw takes one route in two
+phases, of which :func:`inverse_transform` is the one-draw, noise-free
+case.  The fold phase, :func:`fold_spectrum`, is the only one that reads
+the half-grid: it folds the clean spectrum once and copies the clean
+entries at both ends of the half-grid that the band blocks refold from.
+The read phase it returns needs only those: each noise seed adds its noise
+to a copy of the band's top entries and refolds from them, in place, only
+the block of entries at each end of every row that the band reaches, and
+reads the window from the fold block by block, with no noisy grid built.  A
+recovery sweep drops its spectrum between the phases, so its row transforms
+run beside one half-grid array, the fold, rather than two.
 
 Both generated families are uniformly well behaved: envelopes are bounded
 trigonometric polynomials, so any finite family drawn from them has
@@ -63,7 +62,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import _philox
-from .weights import PI, WeightSpec, eval_weight
+from .weights import PI
 
 #: Degree of the seeded trigonometric envelope polynomials.
 ENVELOPE_DEGREE = 8
@@ -228,7 +227,7 @@ def make_power_decay(nu: float, shape_seed: int,
 
     X = (g (2 pi - g))^nu e, g = pi - |omega|, with e a seeded Hermitian
     envelope normalized to |e| <= 1 on the grid.  |X| vanishes at the band
-    edges to order nu, the ``edge_order`` that :func:`class_norm` takes.
+    edges to order nu.
     """
     if not nu > 0:
         raise ValueError(f"nu must be positive, got {nu}")
@@ -429,10 +428,10 @@ def inverse_transform(spec: SpectralSignal, half_length: int) -> TimeSignal:
     combines its 8 row values (see :func:`_window_reader`).  Requires
     grid_size >= 8 * (2 * half_length + 1).  A spectrum whose transform
     overflows or holds a NaN, leaving a sample of the window infinite or
-    NaN, is a ValueError.  This is the one-draw, noise-free case of
-    :func:`noisy_inverse_transforms`.
+    NaN, is a ValueError.  This is the one-draw, noise-free read of
+    :func:`fold_spectrum`.
     """
-    return noisy_inverse_transforms(spec, half_length, 0.0, (0,))[0]
+    return fold_spectrum(spec, half_length)(0.0, (0,))[0]
 
 
 def forward_transform(signal: TimeSignal, grid_size: int) -> SpectralSignal:
@@ -449,32 +448,6 @@ def forward_transform(signal: TimeSignal, grid_size: int) -> SpectralSignal:
     packed = np.zeros(M, dtype=complex)
     packed[ts % M] = signal.samples * parity * np.exp(-1j * PI * ts / M)
     return SpectralSignal(positive=np.fft.fft(packed)[M // 2:])
-
-
-def class_norm(spec: SpectralSignal, weight: WeightSpec,
-               edge_order: float) -> float:
-    """Weighted spectral norm of X against a weight; inf when it diverges.
-
-    ``edge_order`` is the order at which |X| vanishes at +-pi: ``nu`` for
-    :func:`make_power_decay`, ``math.inf`` for a band-limited or zero
-    spectrum, 0 for one that does not vanish there.  Near the edges
-    h |X|^p behaves like the gap to the power p * edge_order - nu_w, so the
-    norm is finite exactly when edge_order >= nu_w at p = inf, and when
-    p * edge_order - nu_w > -1 at finite p.  A finite norm is its grid
-    value: the max of h |X| at p = inf, the integral of h |X|^p at finite
-    p.  h and |X| are even, so both run on the positive half-grid, the
-    integral counting each sample twice.
-    """
-    p, nu = weight.p, weight.nu
-    finite = edge_order >= nu if p == math.inf else p * edge_order - nu > -1
-    if not finite:
-        return math.inf
-    h = eval_weight(weight, _positive_omegas(spec.grid_size))
-    absx = np.abs(spec.positive)
-    if p == math.inf:
-        return float(np.max(h * absx))
-    spacing = 2.0 * PI / spec.grid_size
-    return float(np.sum(h * absx ** p) * 2.0 * spacing)
 
 
 def _noise_band_count(grid_size: int) -> int:
@@ -520,7 +493,7 @@ def add_spectral_noise(spec: SpectralSignal, sigma: float,
     a copy of the positive half-grid; the mirror carries it to the negative
     edge.  sigma = 0 returns the spectrum unchanged; a sigma whose band
     amplitude overflows is a ValueError.  A sweep over seeds takes
-    :func:`noisy_inverse_transforms`, which yields the transforms of these
+    :func:`fold_spectrum`, whose read phase yields the transforms of these
     spectra without building them.
     """
     if sigma == 0.0:
@@ -533,8 +506,10 @@ def add_spectral_noise(spec: SpectralSignal, sigma: float,
 
 def fold_spectrum(spec: SpectralSignal, half_length: int
                   ) -> Callable[[float, tuple[int, ...]], list[TimeSignal]]:
-    """The fold phase of :func:`noisy_inverse_transforms`: fold the clean
-    spectrum once and return the read phase, ``draws(sigma, seeds)``.
+    """Fold the clean spectrum once and return the read phase,
+    ``draws(sigma, seeds)``: ``inverse_transform(add_spectral_noise(spec,
+    sigma, seed), half_length)`` for each seed, bit for bit, with no noisy
+    grid built.
 
     The noise band is the top ``count`` bins of P = ``spec.positive``, so
     it enters both ends of the fold: entries M/2 - count .. M/2 - 1
@@ -596,16 +571,3 @@ def fold_spectrum(spec: SpectralSignal, half_length: int
 
     return draws
 
-
-def noisy_inverse_transforms(spec: SpectralSignal, half_length: int,
-                             sigma: float,
-                             seeds: tuple[int, ...]) -> list[TimeSignal]:
-    """``inverse_transform(add_spectral_noise(spec, sigma, seed),
-    half_length)`` for each seed, bit for bit, with no noisy grid built.
-
-    This is :func:`fold_spectrum`'s two phases in one call: the clean
-    spectrum is folded once, and one window reader serves every draw.  A
-    recovery sweep calls the phases itself, so that it can drop the
-    spectrum between them.  Errors are those of the per-seed route.
-    """
-    return fold_spectrum(spec, half_length)(sigma, seeds)

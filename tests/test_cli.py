@@ -416,6 +416,17 @@ class TestRecoverCommand:
                          str(out)]) == EXIT_OK
             outs.append(out.read_bytes())
         assert outs[0] == outs[1] == outs[2]
+        # kernel's tap files, text and binary, rerun byte for byte too.
+        runs = []
+        for name in ("a", "b", "c"):
+            out = tmp_path / f"taps_{name}"
+            assert main(["kernel", "--config", str(config), "--out",
+                         str(out)]) == EXIT_OK
+            runs.append({path.name: path.read_bytes()
+                         for path in sorted(out.iterdir())})
+        assert sorted(runs[0]) == [f"taps_n{n}.{ext}" for n in (2, 4)
+                                   for ext in ("f64", "txt")]
+        assert runs[0] == runs[1] == runs[2]
 
     def test_header_carries_version_hash_seeds(self, tmp_path):
         config = write_config(tmp_path)

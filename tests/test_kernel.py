@@ -473,8 +473,10 @@ class TestExports:
         # Center row is exactly zero in text form.
         assert lines[1 + 16] == "0 0.0"
 
-    # T = 1100 spans three formatting blocks, the last holding t = 0 only.
-    @pytest.mark.parametrize("T", [1, 40, 1100])
+    # T = 512 and 513 straddle a 512-value boundary and 1100 spans three,
+    # where a writer that formatted the values in blocks of 512 would
+    # split its rows.
+    @pytest.mark.parametrize("T", [1, 40, 512, 513, 1100])
     def test_text_rows_mirror(self, spec2, tmp_path, T):
         # Rows run t = -T .. T, and the row for -t carries the same value
         # text as the row for t.

@@ -289,13 +289,17 @@ class TestConvergenceSweep:
             assert r.robust_bound is not None
             assert r.abs_error <= r.robust_bound
 
-    # The fold is D = 8 rows of P = M/16: at 2^14 one block of 8 rows of
-    # 1024, at 2^20 4 blocks of 2 rows of 65536, whatever S is.
-    @pytest.mark.parametrize("grid_size, S, blocks", [(2 ** 14, 256, 1),
-                                                      (2 ** 20, 4096, 4)])
+    # The fold is D = 8 rows of P = M/16, read in blocks of _ROW_BLOCK
+    # entries but at least two rows and at most D, whatever S is: at the
+    # default block size, one block of 8 rows at 2^14 and 4 blocks of 2 at
+    # 2^20.
+    @pytest.mark.parametrize("grid_size, S", [(2 ** 14, 256), (2 ** 20, 4096)])
     @pytest.mark.parametrize("n_values", [[2], [2, 3, 4]])
     def test_one_inverse_transform_per_seed(self, monkeypatch, n_values,
-                                            grid_size, S, blocks):
+                                            grid_size, S):
+        P, D = grid_size // 16, 8
+        rows_per_block = min(D, max(2, signals._ROW_BLOCK // P))
+        blocks = D // rows_per_block
         calls = []
         ifft = np.fft.ifft
 
@@ -309,15 +313,12 @@ class TestConvergenceSweep:
 
         def transforms(count):
             # The fold's M/2 entries as 8 rows of M/16 points; each
-            # transform covers all 8 rows exactly once, in blocks of at most
-            # _ROW_BLOCK entries.
-            P, D = grid_size // 16, 8
+            # transform covers all 8 rows exactly once, in equal blocks.
             assert len(calls) == count * blocks
             for k in range(count):
                 group = calls[k * blocks:(k + 1) * blocks]
                 assert all(cols == P for _, cols in group)
-                assert all(len(rows) * P <= signals._ROW_BLOCK
-                           for rows, _ in group)
+                assert all(len(rows) == rows_per_block for rows, _ in group)
                 assert sorted(r for rows, _ in group for r in rows) == list(
                     range(D))
             calls.clear()

@@ -20,26 +20,17 @@ from specfill.signals import (
     _positive_omegas,
     _window_reader,
     add_spectral_noise,
-    class_norm,
     fold_spectrum,
     forward_transform,
     from_profile,
     inverse_transform,
     make_bandlimited,
     make_power_decay,
-    noisy_inverse_transforms,
 )
 from specfill.recovery import convergence_sweep
 from specfill.weights import PI, WeightSpec
 
 W_INF = WeightSpec(1.0, 1.0, math.inf)
-W_P2 = WeightSpec(1.0, 1.0, 2.0)
-
-
-def flat_signal(grid_size=2 ** 14):
-    return from_profile(
-        lambda om: np.ones_like(np.asarray(om), dtype=complex),
-        grid_size)
 
 
 def random_spectrum(grid_size, seed):
@@ -213,19 +204,6 @@ class TestGenerators:
         b = make_bandlimited(PI / 2, 8, 2 ** 14)
         assert not np.array_equal(a.positive, b.positive)
 
-    def test_bandlimited_class_norm_finite(self):
-        sig = make_bandlimited(PI / 2, 7, 2 ** 14)
-        value = class_norm(sig, W_P2, math.inf)
-        assert math.isfinite(value)
-        # Brute-force Riemann oracle at 4x grid density via the profile,
-        # on the positive half and doubled, as h and |X| are even.
-        m4 = 4 * 2 ** 14
-        g4 = positive_gaps(m4)
-        h4 = 1.0 / (g4 * (2 * PI - g4))
-        riemann = float(2 * np.sum(h4 * np.abs(sig.profile(g4)) ** 2)
-                        * (2 * PI / m4))
-        assert value == pytest.approx(riemann, rel=1e-6)
-
     def test_bandlimited_rejects_bad_omega(self):
         with pytest.raises(ValueError):
             make_bandlimited(0.0, 1, 2 ** 14)
@@ -239,23 +217,12 @@ class TestGenerators:
             make_power_decay(1.0, 1, 3000)
 
     def test_power_decay_envelope_bound(self):
+        # |X| <= (pi - omega)(pi + omega), so h |X| <= 1 for the weight of
+        # the same exponent, h = 1 / ((pi - omega)(pi + omega)).
         sig = make_power_decay(1.0, 3, 2 ** 14)
         om = _positive_omegas(2 ** 14)
         cap = (PI - om) * (PI + om)
         assert np.all(np.abs(sig.positive) <= cap * (1 + 1e-12))
-
-    def test_power_decay_class_norm_sup(self):
-        # Weight exponent equals decay exponent: pointwise product is |g|,
-        # capped at 1; oracle is the plain grid maximum.
-        sig = make_power_decay(1.0, 3, 2 ** 14)
-        value = class_norm(sig, W_INF, 1.0)
-        assert math.isfinite(value)
-        om = _positive_omegas(2 ** 14)
-        om = np.concatenate([-om[::-1], om])
-        h = 1.0 / ((PI - om) * (PI + om))
-        oracle = float(np.max(h * np.abs(full_grid(sig))))
-        assert value == pytest.approx(oracle, rel=1e-12)
-        assert value <= 1.0 + 1e-12
 
     def test_power_decay_mass_comparison(self):
         shallow = make_power_decay(0.25, 3, 2 ** 14)
@@ -450,7 +417,8 @@ class TestInverseTransform:
     # The default _ROW_BLOCK reads every GRIDS fold but the 2^20 one in one
     # block; 2 forces four 2-row blocks, and 2^10 blocks of 8 rows (2^10),
     # 4 rows (2^12) or 2 rows.
-    @pytest.mark.parametrize("row_block", [2, 2 ** 10, signals._ROW_BLOCK])
+    @pytest.mark.parametrize("row_block", [2, 2 ** 10, signals._ROW_BLOCK],
+                             ids=["two", "1024", "default"])
     @pytest.mark.parametrize("which", ["one", "largest"])
     @pytest.mark.parametrize("grid_size", GRIDS)
     def test_blocked_reader_matches_whole_fold_route(
@@ -569,56 +537,6 @@ class TestRoundTripAndParseval:
         assert partials[-1] <= spectral + 1e-12
 
 
-class TestClassNorm:
-    def test_zero_signal(self):
-        sig = SpectralSignal(positive=np.zeros(2 ** 13, dtype=complex))
-        assert class_norm(sig, W_INF, math.inf) == 0.0
-        assert class_norm(sig, W_P2, math.inf) == 0.0
-
-    def test_flat_signal_divergent(self):
-        assert class_norm(flat_signal(), W_INF, 0.0) == math.inf
-
-    def test_flat_signal_divergent_finite_p(self):
-        # p * 0 - 1 = -1: the integral of h diverges logarithmically.
-        assert class_norm(flat_signal(), W_P2, 0.0) == math.inf
-
-    def test_flat_signal_finite_below_unit_exponent(self):
-        # p * 0 - 0.9 > -1: the integral of (pi^2 - omega^2)^-0.9 is
-        # finite; its value is the grid sum.
-        sig = flat_signal()
-        value = class_norm(sig, WeightSpec(0.9, 1.0, 2.0), 0.0)
-        om = _positive_omegas(sig.grid_size)
-        oracle = (2.0 * np.sum(((PI - om) * (PI + om)) ** -0.9)
-                  * (2.0 * PI / sig.grid_size))
-        assert value == pytest.approx(oracle, rel=1e-12)
-
-    def test_noisy_sum_divergent(self):
-        clean = make_bandlimited(PI / 2, 7, 2 ** 14)
-        noisy = add_spectral_noise(clean, 0.3, 11)
-        assert class_norm(noisy, W_INF, 0.0) == math.inf
-
-    @pytest.mark.parametrize("signal_nu, nu_w, p, finite", [
-        # p = inf: finite exactly when edge_order >= nu_w (the equal case
-        # is test_power_decay_class_norm_sup).
-        (0.99, 1.0, math.inf, False),
-        # Finite p: finite exactly when p * edge_order - nu_w > -1.
-        (0.5, 1.9, 2.0, True),
-        (0.5, 2.0, 2.0, False),
-    ])
-    def test_power_decay_edge_boundary(self, signal_nu, nu_w, p, finite):
-        sig = make_power_decay(signal_nu, 3, 2 ** 14)
-        weight = WeightSpec(nu_w, 1.0, p)
-        value = class_norm(sig, weight, signal_nu)
-        if not finite:
-            assert value == math.inf
-            return
-        om = _positive_omegas(sig.grid_size)
-        weighted = ((PI - om) * (PI + om)) ** -nu_w
-        oracle = (2.0 * np.sum(weighted * np.abs(sig.positive) ** p)
-                  * (2.0 * PI / sig.grid_size))
-        assert value == pytest.approx(oracle, rel=1e-12)
-
-
 class TestNoise:
     def test_zero_sigma_identity(self):
         sig = make_bandlimited(PI / 2, 7, 2 ** 14)
@@ -706,7 +624,7 @@ class TestNoise:
             add_spectral_noise(sig, math.nan, 5)
         assert "overflows" not in str(info.value)
         with pytest.raises(ValueError, match="sigma must be a number"):
-            noisy_inverse_transforms(sig, 8, math.nan, (5,))
+            fold_spectrum(sig, 8)(math.nan, (5,))
 
 
 class TestNoisyInverseTransforms:
@@ -722,7 +640,7 @@ class TestNoisyInverseTransforms:
                        "second_largest": M // 16 - 2}.get(which, which)
         sig = generated(make, M)
         seeds = (4, 0, 9)
-        draws = noisy_inverse_transforms(sig, half_length, sigma, seeds)
+        draws = fold_spectrum(sig, half_length)(sigma, seeds)
         assert len(draws) == len(seeds)
         for seed, draw in zip(seeds, draws):
             ref = inverse_transform(add_spectral_noise(sig, sigma, seed),
@@ -735,7 +653,7 @@ class TestNoisyInverseTransforms:
         half_length = largest_window(grid_size)
         sig = random_spectrum(grid_size, seed=grid_size + half_length)
         seeds = (4, 0, 9)
-        draws = noisy_inverse_transforms(sig, half_length, sigma, seeds)
+        draws = fold_spectrum(sig, half_length)(sigma, seeds)
         for seed, draw in zip(seeds, draws):
             ref = inverse_transform(add_spectral_noise(sig, sigma, seed),
                                     half_length)
@@ -754,7 +672,7 @@ class TestNoisyInverseTransforms:
         half_length = window(grid_size, which)
         sig = random_spectrum(grid_size, seed=grid_size + half_length)
         seeds = (0, 1, 2)
-        draws = noisy_inverse_transforms(sig, half_length, sigma, seeds)
+        draws = fold_spectrum(sig, half_length)(sigma, seeds)
         for seed, draw in zip(seeds, draws):
             ref = inverse_transform(add_spectral_noise(sig, sigma, seed),
                                     half_length)
@@ -787,8 +705,8 @@ class TestNoisyInverseTransforms:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="non-finite samples"):
-                noisy_inverse_transforms(SpectralSignal(positive=positive),
-                                         8, 1e-6, (0,))
+                fold_spectrum(SpectralSignal(positive=positive), 8)(
+                    1e-6, (0,))
 
     # At sigma = 1e307 the band amplitude (about 1e308) is finite, but the
     # fold's sums of the band values are not; at 1e306 the fold is finite,
@@ -800,7 +718,7 @@ class TestNoisyInverseTransforms:
             warnings.simplefilter("error")
             with pytest.raises(ValueError,
                                match="inverse transform overflows"):
-                noisy_inverse_transforms(sig, 8, sigma, (5,))
+                fold_spectrum(sig, 8)(sigma, (5,))
 
     def test_large_sigma_window_is_finite_and_linear(self):
         # Each row transform of the 2^14 grid sums about 34 band values of
@@ -813,8 +731,8 @@ class TestNoisyInverseTransforms:
         zero = SpectralSignal(positive=np.zeros(2 ** 13, dtype=complex))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            (big,) = noisy_inverse_transforms(sig, 8, 8e305, (5,))
-        (unit,) = noisy_inverse_transforms(zero, 8, 1.0, (5,))
+            (big,) = fold_spectrum(sig, 8)(8e305, (5,))
+        (unit,) = fold_spectrum(zero, 8)(1.0, (5,))
         scale = np.max(np.abs(big.samples))
         assert np.isfinite(scale)
         assert (np.max(np.abs(big.samples - 8e305 * unit.samples))
@@ -831,8 +749,8 @@ class TestNoisyInverseTransforms:
         draws = fold_spectrum(sig, half_length)
         del sig
         assert half_grid() is None
-        expected = noisy_inverse_transforms(make_power_decay(1.0, 3, M),
-                                            half_length, sigma, seeds)
+        expected = fold_spectrum(make_power_decay(1.0, 3, M),
+                                 half_length)(sigma, seeds)
         for draw, ref in zip(draws(sigma, seeds), expected, strict=True):
             assert draw.samples.tobytes() == ref.samples.tobytes()
 
@@ -846,7 +764,7 @@ class TestNoisyInverseTransforms:
         draws = fold_spectrum(sig, half_length)
 
         def same(got, sigma, seeds):
-            ref = noisy_inverse_transforms(sig, half_length, sigma, seeds)
+            ref = fold_spectrum(sig, half_length)(sigma, seeds)
             assert ([d.samples.tobytes() for d in got]
                     == [r.samples.tobytes() for r in ref])
 
@@ -867,7 +785,8 @@ class TestTapWindow:
 
     # 2 forces 2-row blocks, so every fold is read in four blocks; the
     # default reads each GRIDS fold but the 2^20 one in one.
-    @pytest.mark.parametrize("row_block", [2, signals._ROW_BLOCK])
+    @pytest.mark.parametrize("row_block", [2, signals._ROW_BLOCK],
+                             ids=["two", "default"])
     @pytest.mark.parametrize("sigma", [0.0, 1e-6])
     @pytest.mark.parametrize("grid_size", GRIDS)
     @pytest.mark.parametrize("make", [make_bandlimited, make_power_decay])
@@ -879,13 +798,13 @@ class TestTapWindow:
         noisy = add_spectral_noise(sig, sigma, 4)
         seeds = (4, 0)
         whole = inverse_transform(noisy, S).samples
-        whole_draws = noisy_inverse_transforms(sig, S, sigma, seeds)
+        whole_draws = fold_spectrum(sig, S)(sigma, seeds)
         for T in (1, 2, S // 2, S):
             inner = slice(S - T, S + T + 1)
             part = inverse_transform(noisy, T)
             assert part.half_length == T
             assert part.samples.tobytes() == whole[inner].tobytes()
-            draws = noisy_inverse_transforms(sig, T, sigma, seeds)
+            draws = fold_spectrum(sig, T)(sigma, seeds)
             for draw, ref in zip(draws, whole_draws, strict=True):
                 assert (draw.samples.tobytes()
                         == ref.samples[inner].tobytes())
@@ -913,7 +832,7 @@ class TestTracedMemory:
         T, seeds = 64, (0, 1)
         sig = make_power_decay(1.0, 3, self.M)
         draws, peak = traced_peak(
-            lambda: noisy_inverse_transforms(sig, T, 1e-6, seeds))
+            lambda: fold_spectrum(sig, T)(1e-6, seeds))
         P, D = split(self.M)
         item = np.dtype(complex).itemsize
         fold = D * P * item
