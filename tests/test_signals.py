@@ -224,6 +224,36 @@ class TestGenerators:
         cap = (PI - om) * (PI + om)
         assert np.all(np.abs(sig.positive) <= cap * (1 + 1e-12))
 
+    # The edge orders around the weight exponents 1 and 2: a weight
+    # h = (pi^2 - omega^2)^-nu_w keeps h |X| bounded at the edges exactly
+    # when nu >= nu_w.
+    @pytest.mark.parametrize("nu", [0.25, 0.5, 0.99, 1.0, 2.0])
+    def test_power_decay_edge_order(self, nu):
+        # |X| / (g (2 pi - g))^nu is the envelope over its grid maximum,
+        # whose limit at g -> 0 is finite and nonzero: |X| vanishes at the
+        # edges to order nu exactly.
+        M = 2 ** 14
+        sig = make_power_decay(nu, 3, M)
+        envelope = _envelope(3)
+        norm = np.max(np.abs(envelope(positive_gaps(M))))
+        gaps = np.array([1e-3, 1e-6, 1e-9, 1e-12])
+        ratio = np.abs(sig.profile(gaps)) / (gaps * (2.0 * PI - gaps)) ** nu
+        np.testing.assert_allclose(ratio, np.abs(envelope(gaps)) / norm,
+                                   rtol=1e-12)
+        limit = abs(envelope(np.array([0.0]))[0]) / norm
+        assert limit > 0.1
+        assert ratio[-1] == pytest.approx(limit, rel=1e-9)
+
+    # The profile at four times the grid density gives the values of the
+    # denser grid's spectrum, bit for bit: a band-limited profile does not
+    # depend on the grid it was made on, so integrals may resample it.
+    @pytest.mark.parametrize("grid_size", [1024, 2 ** 14])
+    def test_bandlimited_profile_is_grid_free(self, grid_size):
+        sig = make_bandlimited(PI / 2, 7, grid_size)
+        finer = make_bandlimited(PI / 2, 7, 4 * grid_size)
+        assert np.array_equal(sig.profile(positive_gaps(4 * grid_size)),
+                              finer.positive)
+
     def test_power_decay_mass_comparison(self):
         shallow = make_power_decay(0.25, 3, 2 ** 14)
         steep = make_power_decay(2.0, 3, 2 ** 14)
@@ -248,6 +278,24 @@ class TestGenerators:
         sig = make(arg, seed, grid_size)
         assert np.array_equal(sig.profile(positive_gaps(grid_size)),
                               sig.positive)
+
+    # Half-grids of less than one _BLOCK of samples, of one, and of four.
+    @pytest.mark.parametrize("grid_size", [1024, 2 * signals._BLOCK,
+                                           8 * signals._BLOCK])
+    def test_from_profile_reads_each_gap_once_by_chunk(self, grid_size):
+        calls = []
+
+        def profile(gap):
+            calls.append(np.array(gap))
+            return gap * (1.0 - 2.0j)
+
+        sig = from_profile(profile, grid_size)
+        assert sig.profile is profile
+        assert sig.grid_size == grid_size
+        assert all(0 < g.size <= signals._BLOCK for g in calls)
+        gaps = positive_gaps(grid_size)
+        np.testing.assert_array_equal(np.concatenate(calls), gaps)
+        np.testing.assert_array_equal(sig.positive, gaps * (1.0 - 2.0j))
 
     @pytest.mark.parametrize("seed", [0, 3, 8])
     def test_envelope_recurrence_matches_angle_matrix(self, seed):
